@@ -12,10 +12,11 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Perf trajectory: run the pinned suite, the baseline (competitor)
-# suite, the hierarchy suite and the sharded suite under both engines
-# (plus the batch listing engine), gate against the committed baseline,
-# and refresh BENCH_nucleus.json (commit it when a perf PR moves the
-# numbers on purpose).
+# suite, the hierarchy suite and the sharded suite on the default path
+# (the batch kernels) and on the scalar reference oracles, gate against
+# the committed baseline, and refresh BENCH_nucleus.json with the
+# default-path payload (commit it when a perf PR moves the numbers on
+# purpose; the reference payload lands in BENCH_nucleus.reference.json).
 bench:
 	PYTHONPATH=src $(PYTHON) tools/bench_trajectory.py \
 		--engine-gate --min-listing-speedup 3 \

@@ -76,8 +76,7 @@ def main() -> None:
     # The flat top level lumps all communities into one vertex set; the
     # query service over the connected-nucleus hierarchy separates them.
     result = arb_nucleus_decomp(graph, 2, 3)
-    hierarchy = nucleus_hierarchy(graph, result, engine="batch",
-                                  listing_engine="batch")
+    hierarchy = nucleus_hierarchy(graph, result)
     index = HierarchyIndex(hierarchy)
     top = max(index.levels())
     tops = index.at_level(top)

@@ -7,9 +7,9 @@ retained as the differential oracle, but quadratic in the number of
 levels and off the simulated machine.  This module is the first-class
 engine (after the parallel dendrogram construction of Sariyuce--Pinar
 hierarchies, arXiv:2306.08623): every step is tracker-charged, the
-s-clique enumeration reuses the decomposition's lister (batch frontier
-engine when ``listing_engine="batch"``), and connectivity is built
-*incrementally* down the levels instead of per-level from scratch.
+s-clique enumeration reuses the decomposition's frontier lister, and
+connectivity is built *incrementally* down the levels instead of
+per-level from scratch.
 
 The key observation is that an s-clique "dies" at a single level --- the
 minimum core number among its C(s, r) member r-cliques --- and survives
@@ -27,12 +27,13 @@ trajectory's ``--min-hierarchy-speedup`` gate reads):
 
 ``hier_list``
     s-clique enumeration plus the subset-to-r-clique-index mapping
-    (shared between engines; the listing engine choice changes only host
-    wall-clock, never simulated charges).
+    (the lister's reference oracle changes only host wall-clock, never
+    simulated charges).
 ``hier_levels``
     the descending level sweep --- the registered batch/scalar kernel
-    pair (:func:`_levels_scalar` here, ``batch_levels`` in
-    :mod:`repro.analysis.batchhier`; rule PAR007 pins their parity).
+    pair (``batch_levels`` in :mod:`repro.analysis.batchhier`, with
+    :func:`_levels_scalar` here as its reference oracle; rule PAR007 pins
+    their parity).
 ``hier_emit``
     materializing :class:`~repro.analysis.hierarchy.Nucleus` records
     from the per-level label snapshots, reproducing the oracle's node
@@ -58,42 +59,33 @@ from .hierarchy import Nucleus, NucleusHierarchy
 
 def nucleus_hierarchy(graph: CSRGraph, result: NucleusResult,
                       tracker: CostTracker | None = None,
-                      engine: str | None = None,
-                      listing_engine: str | None = None,
                       s_cliques=None) -> NucleusHierarchy:
     """Build the connected-nucleus hierarchy on the simulated machine.
 
-    ``engine`` selects the level-sweep kernel (``"scalar"`` or
-    ``"batch"``) and ``listing_engine`` the s-clique lister; both default
-    to the decomposition's configuration.  By the engines' cost-parity
-    contract the simulated charges are engine-independent --- only host
-    wall-clock differs.  Pass ``s_cliques`` (an iterable of vertex
-    tuples) to skip the enumeration, e.g. when the caller already holds
-    the list.
+    The level sweep and the s-clique lister run their vectorized kernels,
+    or their scalar reference oracles when the tracker
+    :attr:`~repro.parallel.runtime.CostTracker.runs_reference`; by the
+    kernels' cost-parity contract the simulated charges are the same
+    either way --- only host wall-clock differs.  Pass ``s_cliques`` (an
+    iterable of vertex tuples) to skip the enumeration, e.g. when the
+    caller already holds the list.
 
     Returns the same :class:`~repro.analysis.hierarchy.NucleusHierarchy`
     (bit-identical node ids, members, and parent links) as the post-hoc
     :func:`~repro.analysis.hierarchy.build_hierarchy` oracle.
     """
-    if engine is None:
-        engine = result.config.engine
-    if engine not in ("scalar", "batch"):
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"options: scalar, batch")
-    if listing_engine is None:
-        listing_engine = result.config.listing_engine
     if tracker is None:
         tracker = CostTracker()
 
     with tracker.phase("hier_list"):
         cliques, cores, members = _prepare(graph, result, tracker,
-                                           listing_engine, s_cliques)
+                                           s_cliques)
     with tracker.phase("hier_levels"):
-        if engine == "batch":
+        if tracker.runs_reference:
+            levels_data = _levels_scalar(cores, members, tracker)
+        else:
             from .batchhier import batch_levels
             levels_data = batch_levels(cores, members, tracker)
-        else:
-            levels_data = _levels_scalar(cores, members, tracker)
     with tracker.phase("hier_emit"):
         hierarchy = _emit(result.r, result.s, cliques, levels_data,
                           tracker)
@@ -101,15 +93,15 @@ def nucleus_hierarchy(graph: CSRGraph, result: NucleusResult,
 
 
 def _prepare(graph: CSRGraph, result: NucleusResult,
-             tracker: CostTracker, listing_engine: str,
+             tracker: CostTracker,
              s_cliques) -> tuple[list, np.ndarray, np.ndarray]:
     """Sorted r-clique list, core array, and the (m_s, C(s,r)) member
     matrix mapping every s-clique to its r-subset indices.
 
-    Shared between the engines: the simulated charges here are identical
-    regardless of ``listing_engine`` (the lister's own parity contract)
-    and of whether the vectorized key-packing path or the dict fallback
-    resolves the subsets (both charge the same closed forms).
+    The simulated charges here are the same whichever lister runs (its
+    own parity contract) and whether the vectorized key-packing path or
+    the dict fallback resolves the subsets (both charge the same closed
+    forms).
     """
     r, s = result.r, result.s
     cores_dict = result.as_dict()
@@ -122,7 +114,7 @@ def _prepare(graph: CSRGraph, result: NucleusResult,
                         dtype=np.int64, count=n_r)
     if s_cliques is None:
         dg, _ = orient(graph, "degeneracy", tracker)
-        raw = collect_cliques(dg, s, tracker, engine=listing_engine)
+        raw = collect_cliques(dg, s, tracker)
     else:
         raw = np.asarray([tuple(int(v) for v in clique)
                           for clique in s_cliques],
@@ -178,7 +170,7 @@ def _map_subsets(n_vertices: int, subs: np.ndarray, cliques: list,
 
 def _levels_scalar(cores: np.ndarray, members: np.ndarray,
                    tracker: CostTracker | None = None) -> list:
-    """The scalar level-sweep kernel (and the batch engine's oracle).
+    """The scalar level sweep: ``batch_levels``' reference oracle.
 
     ``cores[i]`` is the core number of r-clique ``i`` (ids index the
     lexicographically sorted clique list); ``members[j]`` holds the

@@ -1,8 +1,8 @@
-"""Vectorized ND/PND sub-frontier peel (``nd_decomposition(engine="batch")``).
+"""Vectorized ND/PND sub-frontier peel: how the ND baselines peel.
 
-The scalar oracle in :mod:`repro.baselines.nd` walks Python lists per
-peeled r-clique (incident s-cliques, then each s-clique's members); this
-engine processes a whole sub-frontier with flat arrays: one CSR gather of
+The scalar reference oracle in :mod:`repro.baselines.nd` walks Python
+lists per peeled r-clique (incident s-cliques, then each s-clique's
+members); this kernel processes a whole sub-frontier with flat arrays: one CSR gather of
 the frontier's incident lists, one ``np.unique`` to assign each killed
 s-clique to its first-processed (least-id) frontier member, one
 ``np.bincount`` scatter for the count decrements, and one mask for the
@@ -29,8 +29,9 @@ rules in docs/cost-model.md):
   of live never-queued cliques that were decremented to the level, taken
   in ascending order.
 
-The engine requires plain ndarray peeling state, so the driver falls
-back to the scalar oracle when a race detector is attached.
+The kernel requires plain ndarray peeling state, so the driver runs the
+scalar oracle instead whenever the tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Vectorized truss sub-rounds (``pkt_*``/``msp_decomposition(engine="batch")``).
+"""Vectorized truss sub-rounds: how the PKT and MSP baselines peel.
 
-The scalar oracles in :mod:`repro.baselines.pkt` and
+The scalar reference oracles in :mod:`repro.baselines.pkt` and
 :mod:`repro.baselines.msp` walk one Python iteration per frontier edge,
-per common neighbor, and per support decrement; the engines here expand a
+per common neighbor, and per support decrement; the kernels here expand a
 whole sub-round at once: one segmented gather of both endpoint
 neighborhoods, one keyed segmented intersection, one vectorized edge-id
 lookup (``searchsorted`` over the packed ``u * n + v`` keys), positional
@@ -32,8 +32,9 @@ rules in docs/cost-model.md):
   append-at-crossing candidate list, deduplicated, equals the set of
   decremented edges whose final support is at or below the level.
 
-Both engines require plain ndarray support counters, so the drivers fall
-back to the scalar oracles when a race detector is attached.
+Both kernels require plain ndarray support counters, so the drivers run
+the scalar oracles instead whenever the tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
 """
 
 from __future__ import annotations

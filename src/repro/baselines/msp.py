@@ -10,10 +10,11 @@ genuine extra work rather than as a fudge factor.
 Unlike PKT, a sub-round's kills land at the *end* of the sub-round
 (frontier edges stay visible to every triangle check within it), so the
 per-edge charge stream depends only on the sub-round's starting state and
-the body is order-independent across frontier edges.  The body comes in
-two engines: the scalar oracle :func:`_msp_subround_scalar` and the
-vectorized :func:`repro.baselines.batchtruss.msp_subround_batch`
-(``engine="batch"``), with bit-for-bit simulated-cost parity enforced by
+the body is order-independent across frontier edges.  The body runs as
+the vectorized :func:`repro.baselines.batchtruss.msp_subround_batch`; its
+scalar reference oracle :func:`_msp_subround_scalar` runs when the
+tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference`, with
+bit-for-bit simulated-cost parity enforced by
 tests/test_batch_baselines.py and rule PAR007.
 """
 
@@ -31,11 +32,10 @@ from .common import BaselineResult
 
 
 def msp_decomposition(graph: CSRGraph,
-                      tracker: CostTracker | None = None,
-                      engine: str = "scalar") -> BaselineResult:
+                      tracker: CostTracker | None = None) -> BaselineResult:
     """MSP-style bulk-synchronous truss decomposition ((2,3) only)."""
     tracker = tracker or CostTracker()
-    use_batch = engine == "batch" and tracker.race_detector is None
+    use_batch = not tracker.runs_reference
     with tracker.phase("count"):
         support = edge_support(graph, tracker)
         tracker.add_cliques(sum(support.values()) // 3)
@@ -97,7 +97,7 @@ def _msp_subround_scalar(frontier, graph: CSRGraph, edges, index, sup,
                          tracker: CostTracker) -> int:
     """Process one frontier sub-round one edge at a time, ascending id.
 
-    The batch engine's registered oracle (PAR007).  Kills are applied by
+    The batch kernel's registered oracle (PAR007).  Kills are applied by
     the driver after the sub-round; returns the triangle visit count.
     """
     visits = 0

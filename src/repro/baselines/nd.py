@@ -24,10 +24,11 @@ arXiv:2502.08042) instead of the earlier lazy binary heap, whose
 heap-size-dependent ``log2`` pop charges also billed stale entries.
 Within a sub-frontier the r-cliques still peel strictly one at a time in
 ascending id order --- one round and one sequential dependence per peel,
-which is the round blowup the paper measures.  The inner loop comes in
-two engines: the scalar oracle :func:`_peel_frontier_scalar` and the
-vectorized :func:`repro.baselines.batchnd.peel_frontier_batch`
-(``engine="batch"``), with bit-for-bit simulated-cost parity enforced by
+which is the round blowup the paper measures.  The inner loop runs as the
+vectorized :func:`repro.baselines.batchnd.peel_frontier_batch`; its
+scalar reference oracle :func:`_peel_frontier_scalar` runs when the
+tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference`, with
+bit-for-bit simulated-cost parity enforced by
 tests/test_batch_baselines.py and rule PAR007.
 """
 
@@ -42,8 +43,8 @@ from .common import BaselineResult, Incidence
 
 
 def _peel_one_at_a_time(graph: CSRGraph, r: int, s: int, name: str,
-                        parallel_updates: bool, tracker: CostTracker,
-                        engine: str = "scalar") -> BaselineResult:
+                        parallel_updates: bool,
+                        tracker: CostTracker) -> BaselineResult:
     with tracker.phase("count"):
         inc = Incidence(graph, r, s, tracker)
         # Their counting scans full neighborhoods; charge the degree-based
@@ -58,7 +59,6 @@ def _peel_one_at_a_time(graph: CSRGraph, r: int, s: int, name: str,
     # shadow them as plain accesses to let the race detector confirm it.
     counts = maybe_shadow(inc.initial_counts.copy(), tracker,
                           label="nd_counts")
-    use_batch = engine == "batch" and tracker.race_detector is None
     s_alive = np.ones(inc.n_s, dtype=bool)
     alive = np.ones(inc.n_r, dtype=bool)
     # queued marks r-cliques that have already entered a sub-frontier, so
@@ -90,13 +90,13 @@ def _peel_one_at_a_time(graph: CSRGraph, r: int, s: int, name: str,
                 # is fully serial.
                 rounds += int(frontier.size)
                 remaining -= int(frontier.size)
-                if use_batch:
-                    from .batchnd import peel_frontier_batch
-                    sub_visits, frontier = peel_frontier_batch(
+                if tracker.runs_reference:
+                    sub_visits, frontier = _peel_frontier_scalar(
                         frontier, inc, counts, alive, s_alive, queued,
                         level, parallel_updates, tracker)
                 else:
-                    sub_visits, frontier = _peel_frontier_scalar(
+                    from .batchnd import peel_frontier_batch
+                    sub_visits, frontier = peel_frontier_batch(
                         frontier, inc, counts, alive, s_alive, queued,
                         level, parallel_updates, tracker)
                 visits += sub_visits
@@ -114,7 +114,7 @@ def _peel_frontier_scalar(frontier, inc: Incidence, counts, alive, s_alive,
                           tracker: CostTracker):
     """Peel one sub-frontier's r-cliques one at a time, ascending id.
 
-    The batch engine's registered oracle (PAR007).  Returns
+    The batch kernel's registered oracle (PAR007).  Returns
     ``(s_clique_kills, next_frontier)`` where the next frontier is the
     ascending array of live cliques first dropping to the level here.
     """
@@ -148,18 +148,14 @@ def _peel_frontier_scalar(frontier, inc: Incidence, counts, alive, s_alive,
 
 
 def nd_decomposition(graph: CSRGraph, r: int, s: int,
-                     tracker: CostTracker | None = None,
-                     engine: str = "scalar") -> BaselineResult:
+                     tracker: CostTracker | None = None) -> BaselineResult:
     """Sariyuce et al.'s serial ND."""
     return _peel_one_at_a_time(graph, r, s, "ND", parallel_updates=False,
-                               tracker=tracker or CostTracker(),
-                               engine=engine)
+                               tracker=tracker or CostTracker())
 
 
 def pnd_decomposition(graph: CSRGraph, r: int, s: int,
-                      tracker: CostTracker | None = None,
-                      engine: str = "scalar") -> BaselineResult:
+                      tracker: CostTracker | None = None) -> BaselineResult:
     """Sariyuce et al.'s PND: parallel counting/updates, sequential peels."""
     return _peel_one_at_a_time(graph, r, s, "PND", parallel_updates=True,
-                               tracker=tracker or CostTracker(),
-                               engine=engine)
+                               tracker=tracker or CostTracker())

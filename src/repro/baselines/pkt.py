@@ -25,10 +25,11 @@ The cost model separates the two variants exactly where the paper does:
 Each sub-round's frontier is deduplicated before the next sub-round: a
 triangle decrement used to append one frontier entry per decrement, so hot
 edges were processed (and re-skipped) once per duplicate, inflating
-frontier lengths.  The sub-round body comes in two engines: the scalar
-oracle :func:`_pkt_subround_scalar` and the vectorized
-:func:`repro.baselines.batchtruss.pkt_subround_batch`
-(``engine="batch"``), with bit-for-bit simulated-cost parity enforced by
+frontier lengths.  The sub-round body runs as the vectorized
+:func:`repro.baselines.batchtruss.pkt_subround_batch`; its scalar
+reference oracle :func:`_pkt_subround_scalar` runs when the tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference`, with
+bit-for-bit simulated-cost parity enforced by
 tests/test_batch_baselines.py and rule PAR007.
 """
 
@@ -51,10 +52,9 @@ _REORDER_ROUNDS = 40
 
 def _pkt_like(graph: CSRGraph, name: str, intersection_cost: float,
               eid_binary_search: bool, rescan_per_subround: bool = False,
-              tracker: CostTracker | None = None,
-              engine: str = "scalar") -> BaselineResult:
+              tracker: CostTracker | None = None) -> BaselineResult:
     tracker = tracker or CostTracker()
-    use_batch = engine == "batch" and tracker.race_detector is None
+    use_batch = not tracker.runs_reference
     with tracker.phase("reorder"):
         dg, _ = orient(graph, "degree", tracker)
         # Multi-pass parallel sample sort: extra work plus one barrier per
@@ -132,7 +132,7 @@ def _pkt_subround_scalar(frontier, graph: CSRGraph, edges, index, sup,
                          tracker: CostTracker):
     """Process one frontier sub-round one edge at a time, ascending id.
 
-    The batch engine's registered oracle (PAR007).  Returns
+    The batch kernel's registered oracle (PAR007).  Returns
     ``(triangle_visits, dropped_candidates)``; candidates may repeat and
     are deduplicated by the driver.
     """
@@ -172,18 +172,16 @@ def _pkt_subround_scalar(frontier, graph: CSRGraph, edges, index, sup,
 
 
 def pkt_decomposition(graph: CSRGraph,
-                      tracker: CostTracker | None = None,
-                      engine: str = "scalar") -> BaselineResult:
+                      tracker: CostTracker | None = None) -> BaselineResult:
     """Kabir--Madduri PKT (parallel k-truss)."""
     return _pkt_like(graph, "PKT", intersection_cost=1.0,
                      eid_binary_search=True, rescan_per_subround=True,
-                     tracker=tracker, engine=engine)
+                     tracker=tracker)
 
 
 def pkt_opt_cpu_decomposition(graph: CSRGraph,
-                              tracker: CostTracker | None = None,
-                              engine: str = "scalar") -> BaselineResult:
+                              tracker: CostTracker | None = None
+                              ) -> BaselineResult:
     """Che et al.'s PKT-OPT-CPU (eid arrays + hand-optimized intersections)."""
     return _pkt_like(graph, "PKT-OPT-CPU", intersection_cost=0.35,
-                     eid_binary_search=False, tracker=tracker,
-                     engine=engine)
+                     eid_binary_search=False, tracker=tracker)

@@ -55,7 +55,13 @@ def _load_graph(args):
     if args.dataset:
         return load_dataset(args.dataset), args.dataset
     if args.input:
-        return read_edge_list(args.input), args.input
+        try:
+            return read_edge_list(args.input), args.input
+        except (OSError, ValueError) as exc:
+            # A malformed or unreadable input is the caller's error: one
+            # located line on stderr and exit status 2, no traceback.
+            print(f"repro: error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     raise SystemExit("provide --input FILE or --dataset NAME")
 
 
@@ -65,8 +71,7 @@ def _build_config(args) -> NucleusConfig:
     else:
         config = NucleusConfig.optimal(args.r, args.s)
     overrides = {}
-    for field in ("levels", "aggregation", "bucketing", "orientation",
-                  "engine", "listing_engine"):
+    for field in ("levels", "aggregation", "bucketing", "orientation"):
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
@@ -245,9 +250,7 @@ def _cmd_bench(args) -> int:
     # Load the baseline up front: --output may name the same file.
     baseline = bench.load_payload(args.compare) if args.compare else None
     payload = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=lambda msg: print(msg, flush=True),
-                              engine=args.engine,
-                              listing_engine=args.listing_engine)
+                              progress=lambda msg: print(msg, flush=True))
     bench.write_payload(payload, args.output)
     print(f"wrote {len(payload['suite'])} suite entries to {args.output}")
     if baseline is not None:
@@ -288,9 +291,7 @@ def _cmd_hierarchy(args) -> int:
         config = _build_config(args)
         tracker = CostTracker()
         result = arb_nucleus_decomp(graph, args.r, args.s, config, tracker)
-        hierarchy = nucleus_hierarchy(graph, result, tracker,
-                                      engine=config.engine,
-                                      listing_engine=config.listing_engine)
+        hierarchy = nucleus_hierarchy(graph, result, tracker)
         machine = MachineModel()
         print(f"graph {name}: n={graph.n} m={graph.m}")
         print(f"({args.r},{args.s}) hierarchy: {len(hierarchy)} nuclei "
@@ -402,16 +403,14 @@ def _cmd_shard(args) -> int:
         tracker.trace = TraceRecorder()
     result = sharded_nucleus_decomp(graph, args.r, args.s, args.shards,
                                     partitioner=args.partitioner,
-                                    tracker=tracker,
-                                    exchange_engine=args.exchange_engine)
+                                    tracker=tracker)
     quality = partition_statistics(graph, result.partition.shard_of,
                                    args.shards, s=args.s)
     machine = DistributedMachineModel(MachineModel())
     breakdown = machine.time_breakdown(result, args.threads)
     print(f"graph {name}: n={graph.n} m={graph.m}")
     print(f"({args.r},{args.s}) sharded decomposition on {args.shards} "
-          f"shard(s) [{args.partitioner} partitioner, "
-          f"{args.exchange_engine} exchange]:")
+          f"shard(s) [{args.partitioner} partitioner]:")
     print(f"  r-cliques: {result.n_r_cliques}  "
           f"s-cliques: {result.n_s_cliques}")
     print(f"  peeling rounds (rho): {result.rho}  "
@@ -479,13 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["degeneracy", "goodrich_pszona",
                             "barenboim_elkin", "degree"],
                    help="O(alpha)-orientation algorithm")
-    p.add_argument("--engine", choices=["scalar", "batch"],
-                   help="peeling implementation (batch: vectorized, "
-                        "identical simulated costs)")
-    p.add_argument("--listing-engine", choices=["scalar", "batch"],
-                   dest="listing_engine",
-                   help="clique-listing implementation (batch: frontier "
-                        "engine, identical simulated costs)")
     p.add_argument("--no-relabel", action="store_true",
                    help="disable orientation-order relabeling")
     p.set_defaults(func=_cmd_decompose)
@@ -564,12 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative regression tolerance (default 0.05)")
     p.add_argument("--threads", type=int, default=60,
                    help="parallel thread count for the T column")
-    p.add_argument("--engine", choices=["scalar", "batch"],
-                   default="scalar",
-                   help="peeling implementation for the whole suite")
-    p.add_argument("--listing-engine", choices=["scalar", "batch"],
-                   dest="listing_engine", default="scalar",
-                   help="clique-listing implementation for the whole suite")
     p.add_argument("--label", default="",
                    help="free-form label stored in the payload")
     p.set_defaults(func=_cmd_bench)
@@ -584,12 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named surrogate dataset")
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--engine", choices=["scalar", "batch"],
-                   help="level-sweep kernel (batch: vectorized, "
-                        "identical simulated costs)")
-    p.add_argument("--listing-engine", choices=["scalar", "batch"],
-                   dest="listing_engine",
-                   help="s-clique listing implementation")
     p.add_argument("-o", "--output",
                    help="write the hierarchy as JSON")
     p.add_argument("--load", metavar="FILE",
@@ -646,10 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitioner", choices=["hash", "mincut"],
                    default="mincut",
                    help="vertex partitioner (default: mincut)")
-    p.add_argument("--exchange-engine", choices=["scalar", "batch"],
-                   dest="exchange_engine", default="batch",
-                   help="cross-shard exchange kernel (batch: vectorized, "
-                        "identical simulated costs)")
     p.add_argument("--threads", type=int, default=60,
                    help="thread count per shard for the time model")
     p.add_argument("--verify", action="store_true",

@@ -1,12 +1,12 @@
-"""The vectorized frontier clique-listing engine (``listing_engine="batch"``).
+"""The vectorized frontier clique lister: how REC-LIST-CLIQUES runs.
 
-:mod:`repro.cliques.listing` runs REC-LIST-CLIQUES (Algorithm 1) as a
+:mod:`repro.cliques.listing` keeps REC-LIST-CLIQUES (Algorithm 1) as a
 per-vertex Python recursion with one callback per discovered clique ---
-correct, and the cost-model **oracle**, but interpreter-bound on the two
-hottest call sites: the s-clique count of Algorithm 2 (lines 21--22) and
-every UPDATE completion during peeling (line 17).  This module is the
-iterative, level-synchronous equivalent: each recursion level lives as one
-flat *frontier*
+correct, and the cost-model **reference oracle**, but interpreter-bound
+on the two hottest call sites: the s-clique count of Algorithm 2 (lines
+21--22) and every UPDATE completion during peeling (line 17).  This
+module is the iterative, level-synchronous equivalent the library runs:
+each recursion level lives as one flat *frontier*
 
     ``bases``        -- an ``(k, d)`` int64 matrix of partial cliques,
     ``cand_values``  -- the k candidate sets, concatenated,
@@ -45,8 +45,14 @@ from ..parallel.primitives import intersect_segments, segment_gather
 from ..parallel.runtime import CostTracker, _log2
 
 #: Rows per sink block: bounds the sink's temporaries (e.g. the count
-#: phase's ``rows x C(s,r) x r`` subset matrix), not the frontier itself.
-DEFAULT_BLOCK_ROWS = 65536
+#: phase's ``rows x C(s,r) x r`` subset matrix).
+BLOCK_ROWS = 65536
+
+#: Roots expanded together by :func:`batch_list_cliques`: a block of roots
+#: closes once the running sum of their squared out-degrees (the size of
+#: their second frontier level) reaches this bound.  Blocks run in root
+#: order, so discovery order and charge sums are those of one expansion.
+ROOT_BLOCK_WEIGHT = 1 << 15
 
 #: Batch<->scalar parity contract, verified statically by ``repro lint
 #: --strict`` (rule PAR007); see :data:`repro.core.batchpeel.PARLINT_PARITY`
@@ -151,13 +157,15 @@ def _segment_starts(lengths: np.ndarray) -> np.ndarray:
 
 def batch_list_cliques(dg: DirectedGraph, c: int,
                        tracker: CostTracker | None = None,
-                       sink=None, block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
+                       sink=None) -> int:
     """List every c-clique of ``dg``; the batch form of ``list_cliques``.
 
     Discovered cliques are delivered to ``sink`` as ``(count, c)`` int64
-    blocks in discovery order (``block_rows`` rows per block at most);
-    with ``sink=None`` only the count is returned.  Simulated charges are
-    bit-for-bit those of :func:`~repro.cliques.listing.list_cliques`.
+    blocks in discovery order (at most :data:`BLOCK_ROWS` rows each, and
+    at least one block, possibly empty); with ``sink=None`` only the count
+    is returned.  Roots are expanded in blocks of bounded frontier size
+    (:data:`ROOT_BLOCK_WEIGHT`).  Simulated charges are bit-for-bit those
+    of :func:`~repro.cliques.listing.list_cliques`.
     """
     if c < 1:
         raise ValueError("c must be at least 1")
@@ -170,33 +178,51 @@ def batch_list_cliques(dg: DirectedGraph, c: int,
             tracker.add_cliques(dg.n)
         if sink is not None:
             rows = np.arange(dg.n, dtype=np.int64)[:, np.newaxis]
-            _emit_blocks(rows, sink, block_rows)
+            _emit_blocks(rows, sink)
         return dg.n
     out_degs = dg.out_degrees
     if tracker is not None:
         # The root loop charges out.size + 1 per vertex before descending.
         tracker.add_work_int(int(out_degs.sum()) + dg.n)
     roots = np.flatnonzero(out_degs >= c - 1)
-    cand_lens = out_degs[roots]
-    cand_values = segment_gather(dg.targets, dg.offsets[roots], cand_lens)
-    rows, _ = expand_cliques(dg, roots[:, np.newaxis], cand_values,
-                             cand_lens, c - 1, tracker)
-    if sink is not None:
-        _emit_blocks(rows, sink, block_rows)
-    return rows.shape[0]
+    lens = out_degs[roots]
+    total = 0
+    for start, stop in _root_blocks(lens):
+        cand_lens = lens[start:stop]
+        cand_values = segment_gather(dg.targets, dg.offsets[roots[start:stop]],
+                                     cand_lens)
+        rows, _ = expand_cliques(dg, roots[start:stop, np.newaxis],
+                                 cand_values, cand_lens, c - 1, tracker)
+        if sink is not None and rows.shape[0]:
+            _emit_blocks(rows, sink)
+        total += rows.shape[0]
+    if sink is not None and total == 0:
+        _emit_blocks(np.empty((0, c), dtype=np.int64), sink)
+    return total
 
 
-def _emit_blocks(rows: np.ndarray, sink, block_rows: int) -> None:
-    step = max(1, int(block_rows))
-    for start in range(0, rows.shape[0], step):
-        sink(rows[start:start + step])
+def _root_blocks(lens: np.ndarray):
+    """``(start, stop)`` bounds of consecutive roots, each block closing at
+    the first root whose running squared out-degree sum reaches
+    :data:`ROOT_BLOCK_WEIGHT` (so every block holds at least one root)."""
+    weight = np.cumsum(lens * lens)
+    start = 0
+    while start < lens.size:
+        done = int(weight[start - 1]) if start else 0
+        stop = int(np.searchsorted(weight, done + ROOT_BLOCK_WEIGHT)) + 1
+        yield start, min(stop, lens.size)
+        start = stop
+
+
+def _emit_blocks(rows: np.ndarray, sink) -> None:
+    for start in range(0, rows.shape[0], BLOCK_ROWS):
+        sink(rows[start:start + BLOCK_ROWS])
     if rows.shape[0] == 0:
         sink(rows)
 
 
 def batch_count_phase(dg: DirectedGraph, table, r: int, s: int,
-                      relabeled: bool, tracker: CostTracker | None,
-                      block_rows: int = DEFAULT_BLOCK_ROWS) -> int:
+                      relabeled: bool, tracker: CostTracker | None) -> int:
     """Algorithm 2's s-clique count (COUNT-FUNC, line 22), batched.
 
     Lists all s-cliques with the frontier engine and applies the
@@ -223,5 +249,4 @@ def batch_count_phase(dg: DirectedGraph, table, r: int, s: int,
                 tracker.add_work_frac_repeated(sort_charge, unsorted)
         table.add_count_many(ordered[:, comb_cols].reshape(-1, r), 1.0)
 
-    return batch_list_cliques(dg, s, tracker, sink=sink,
-                              block_rows=block_rows)
+    return batch_list_cliques(dg, s, tracker, sink=sink)

@@ -14,38 +14,33 @@ from ..graph.csr import CSRGraph, DirectedGraph
 from ..parallel.primitives import intersect_segments, segment_gather
 from ..parallel.runtime import CostTracker
 from .batchlist import batch_list_cliques
-from .listing import list_cliques
+from .listing import count_cliques, list_cliques
 from .orient import orient
 
 
 def total_clique_count(graph: CSRGraph, c: int, method: str = "goodrich_pszona",
-                       tracker: CostTracker | None = None,
-                       engine: str = "scalar") -> int:
+                       tracker: CostTracker | None = None) -> int:
     """Number of c-cliques in an undirected graph."""
     if c == 1:
         return graph.n
     if c == 2:
         return graph.m
     dg, _ = orient(graph, method, tracker)
-    if engine == "batch":
-        return batch_list_cliques(dg, c, tracker)
-    counter = [0]
-    list_cliques(dg, c, lambda _clique: counter.__setitem__(0, counter[0] + 1),
-                 tracker)
-    return counter[0]
+    return count_cliques(dg, c, tracker)
 
 
 def per_vertex_clique_counts(graph: CSRGraph, c: int,
                              method: str = "goodrich_pszona",
-                             tracker: CostTracker | None = None,
-                             engine: str = "scalar") -> np.ndarray:
+                             tracker: CostTracker | None = None
+                             ) -> np.ndarray:
     """``out[v]`` = number of c-cliques containing vertex ``v``.
 
     This is the quantity ``ct_c(v)`` in the paper's appendix comparison with
     Sariyuce et al.'s bounds.  Each discovered clique increments ``c``
     per-vertex counters, charged as ``c`` work per clique (the callback
-    used to run uncharged); the batch engine applies the same increments
-    as one scatter per block with the identical bulk charge.
+    used to run uncharged); the frontier lister applies the same
+    increments as one scatter per block with the identical bulk charge,
+    the reference recursion one clique at a time.
     """
     counts = np.zeros(graph.n, dtype=np.int64)
     if c == 1:
@@ -55,7 +50,7 @@ def per_vertex_clique_counts(graph: CSRGraph, c: int,
         return graph.degrees.astype(np.int64)
     dg, _ = orient(graph, method, tracker)
 
-    if engine == "batch":
+    if tracker is None or not tracker.runs_reference:
         def sink(rows: np.ndarray) -> None:
             if tracker is not None:
                 tracker.add_work_int(rows.size)

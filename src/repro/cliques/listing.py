@@ -14,6 +14,11 @@ Two entry points:
 * :func:`rec_list_cliques` -- the raw recursion, also called by ``UPDATE``
   (Algorithm 2 line 17) to complete s-cliques from a peeled r-clique.
 
+Both are the per-clique reference oracles of the vectorized frontier
+lister (:mod:`repro.cliques.batchlist`), which is what :func:`count_cliques`
+and :func:`collect_cliques` run unless the tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
+
 The callback ``f`` receives each discovered clique as a tuple of vertex ids
 in *discovery order*, which is orientation-rank order.
 """
@@ -90,10 +95,9 @@ def list_cliques(dg: DirectedGraph, c: int, f,
 
 
 def count_cliques(dg: DirectedGraph, c: int,
-                  tracker: CostTracker | None = None,
-                  engine: str = "scalar") -> int:
+                  tracker: CostTracker | None = None) -> int:
     """Count c-cliques without materializing them."""
-    if engine == "batch":
+    if tracker is None or not tracker.runs_reference:
         from .batchlist import batch_list_cliques
         return batch_list_cliques(dg, c, tracker)
     counter = [0]
@@ -158,17 +162,16 @@ class _CliqueBuffer:
 
 
 def collect_cliques(dg: DirectedGraph, c: int,
-                    tracker: CostTracker | None = None,
-                    engine: str = "scalar") -> np.ndarray:
+                    tracker: CostTracker | None = None) -> np.ndarray:
     """All c-cliques as an (count, c) array, rows in discovery order.
 
     Each row's vertices appear in orientation-rank order (ascending ids iff
-    the graph was relabeled by rank, Section 5.4).  With ``engine="batch"``
-    the frontier engine (:mod:`repro.cliques.batchlist`) fills the buffer
-    block-wise; simulated charges are identical either way.
+    the graph was relabeled by rank, Section 5.4).  The frontier lister
+    (:mod:`repro.cliques.batchlist`) fills the buffer block-wise; the
+    reference recursion, row by row, charges identically.
     """
     buffer = _CliqueBuffer(c, tracker)
-    if engine == "batch":
+    if tracker is None or not tracker.runs_reference:
         from .batchlist import batch_list_cliques
         batch_list_cliques(dg, c, tracker, sink=buffer.extend)
     else:

@@ -1,7 +1,8 @@
-"""Vectorized k-core bucket peel (``k_core(engine="batch")``).
+"""Vectorized k-core bucket peel: how :func:`~repro.core.kcore.k_core` peels.
 
-The scalar Matula--Beck loop in :mod:`repro.core.kcore` walks one Python
-iteration per bucket entry and per neighbor; this engine processes each
+The scalar Matula--Beck loop in :mod:`repro.core.kcore` (the reference
+oracle) walks one Python iteration per bucket entry and per neighbor;
+this kernel processes each
 bucket snapshot as flat numpy arrays instead: one gather of all frontier
 neighborhoods, one vectorized liveness mask, one ``np.unique`` to turn
 decrement events into per-vertex counts, and one difference-array update
@@ -12,7 +13,7 @@ The contract --- enforced by tests/test_batch_baselines.py and the bench
 gate --- is that a batch run's *simulated* metrics are bit-for-bit
 identical to the scalar oracle's.  Every charge on this path is
 integer-valued except the per-bucket ``log2`` span, which is charged once
-per processed bucket in both engines, so parity reduces to three facts
+per processed bucket in both forms, so parity reduces to three facts
 (full rules in docs/cost-model.md):
 
 * the non-stale entries of the bucket at ``cursor`` are exactly the live
@@ -29,9 +30,9 @@ per processed bucket in both engines, so parity reduces to three facts
   one entry per decrement at its event-time degree --- reproduces the
   scalar charge stream exactly.
 
-The engine requires plain ndarray peeling state, so :func:`~
-repro.core.kcore.k_core` falls back to the scalar oracle when a race
-detector is attached.
+The kernel requires plain ndarray peeling state, so :func:`~
+repro.core.kcore.k_core` runs the scalar oracle instead whenever the
+tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
 """
 
 from __future__ import annotations

@@ -1,17 +1,19 @@
-"""The vectorized batch peeling engine (``NucleusConfig(engine="batch")``).
+"""The vectorized peeling kernel: how ARB-NUCLEUS-DECOMP peels.
 
-The scalar peel loop in :mod:`repro.core.decomp` executes one Python-level
-``decode`` / intersection / ``combinations`` chain per peeled r-clique; on
-large frontiers the interpreter overhead dwarfs the algorithm.  This engine
-processes each peeled bucket as flat numpy arrays instead: batch decode,
-array-valued intersections, one vectorized probe pass over all
-``comb(s, r)`` sub-cliques of every rediscovered s-clique, one ``np.add.at``
-scatter for the count updates, and a vectorized first-touch dedup feeding
+The scalar peel loop in :mod:`repro.core.decomp` (the reference oracle)
+executes one Python-level ``decode`` / intersection / ``combinations``
+chain per peeled r-clique; on large frontiers the interpreter overhead
+dwarfs the algorithm.  This kernel processes each peeled bucket as flat
+numpy arrays instead, in blocks of :data:`PEEL_BLOCK_TASKS` tasks: batch
+decode, array-valued intersections, frontier expansion of the incident
+s-cliques, one vectorized probe pass over all ``comb(s, r)`` sub-cliques
+of every rediscovered s-clique, one ``np.add.at`` scatter for the count
+updates, and a vectorized first-touch dedup feeding
 ``Aggregator.record_many``.
 
 The contract --- enforced by tests/test_batch_engine.py and the bench gate
 --- is that a batch run's *simulated* metrics are bit-for-bit identical to
-the scalar engine's: same work, span, rounds, atomics, probes, contention,
+the scalar oracle's: same work, span, rounds, atomics, probes, contention,
 and cache misses, same core numbers and round log.  Three mechanisms make
 that possible (full rules in docs/cost-model.md):
 
@@ -27,10 +29,15 @@ that possible (full rules in docs/cost-model.md):
   by any aggregator probe addresses --- and replays it through
   :meth:`~repro.parallel.runtime.CostTracker.access_sequence`.
 
-The engine requires plain ndarray peeling state, so
-:func:`~repro.core.decomp.arb_nucleus_decomp` falls back to the scalar
-oracle when a race detector is attached (shadow arrays and per-task
-ownership only exist there).
+Blocks run in task order, so the concatenated per-block streams and charge
+sums are the whole round's, and each task keeps its *global* index for its
+list-buffer thread id.
+
+The kernel requires plain ndarray peeling state, so
+:func:`~repro.core.decomp.arb_nucleus_decomp` runs the scalar oracle
+instead whenever the tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference` (a race
+detector's shadow arrays and per-task ownership only exist there).
 """
 
 from __future__ import annotations
@@ -41,11 +48,15 @@ from math import comb
 import numpy as np
 
 from ..cliques.batchlist import expand_cliques
-from ..cliques.listing import rec_list_cliques
 from ..parallel.primitives import intersect_many, interleave_segments
 from ..parallel.runtime import CostTracker, _log2
 
 _ALIVE, _PEELING, _PEELED = 0, 1, 2
+
+#: Peeled r-cliques (tasks) vectorized together.  Bounds the per-block
+#: rediscovery, probe and address-replay arrays; a round of more tasks
+#: runs as several blocks in task order.
+PEEL_BLOCK_TASKS = 256
 
 #: Batch<->scalar parity contract, verified statically by ``repro lint
 #: --strict`` (rule PAR007).  Each kernel names the scalar oracle whose
@@ -59,7 +70,7 @@ PARLINT_PARITY = {
         "oracle": "repro.core.decomp._peel_scalar",
         "fingerprint": {
             "_edges_alive_many": 1,
-            "_run_round": 1,
+            "_run_block": 1,
             "access_sequence": 1,
             "add_round": 1,
             "settle": 1,
@@ -74,7 +85,7 @@ PARLINT_PARITY = {
             "add_work_int": 1,
         },
     },
-    "_run_round": {
+    "_run_block": {
         "oracle": "repro.core.decomp._update_one",
         "fingerprint": {
             "access_sequence": 2,
@@ -83,7 +94,6 @@ PARLINT_PARITY = {
             "add_work_int": 3,
             "expand_cliques": 1,
             "intersect_many": 1,
-            "rec_list_cliques": 1,
         },
     },
 }
@@ -93,7 +103,7 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
                status, last_round, cores, contraction, config,
                tracker: CostTracker, n_r: int, r: int, s: int,
                fractional: bool) -> tuple[int, int, list]:
-    """Run the peeling phase in batch mode; returns (rho, max_core, log).
+    """Run the peeling phase vectorized; returns (rho, max_core, log).
 
     Mirrors the scalar loop round for round: same bucket extractions, same
     begin_round/settle/finish_round sequence, same contraction triggers.
@@ -102,11 +112,6 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
     comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
     task_span = _log2(graph.n) * (s - r + 1)
     cache_on = tracker.cache is not None
-    # With listing_engine="batch", UPDATE completions run through the
-    # frontier engine instead of re-entering the scalar recursion per
-    # peeled clique (same race-detector fallback as the engines).
-    listing_batch = (config.listing_engine == "batch"
-                     and tracker.race_detector is None)
     finished = 0
     rho = 0
     round_id = 0
@@ -126,9 +131,11 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
         aggregator.begin_round(int(peel_cells.size), estimate)
 
         with tracker.parallel(int(peel_cells.size)) as region:
-            _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
-                       status, last_round, round_id, fractional, cache_on,
-                       config.threads, r, s, tracker, listing_batch)
+            for base in range(0, int(peel_cells.size), PEEL_BLOCK_TASKS):
+                _run_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
+                           comb_cols, dg, working, table, aggregator,
+                           status, last_round, round_id, fractional,
+                           cache_on, config.threads, r, s, tracker)
             region.task_span(task_span)
 
         meter.settle(tracker)
@@ -175,10 +182,12 @@ def _edges_alive_many(pairs, table, status, tracker, cache_on) -> np.ndarray:
     return status[cells] != _PEELED
 
 
-def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
-               status, last_round, round_id, fractional, cache_on, threads,
-               r, s, tracker, listing_batch: bool = False) -> None:
-    """One round's worth of UPDATE calls, batched (Algorithm 2 lines 13-18)."""
+def _run_block(peel_cells, task_base, comb_cols, dg, working, table,
+               aggregator, status, last_round, round_id, fractional,
+               cache_on, threads, r, s, tracker) -> None:
+    """UPDATE for one block of a round's peeled r-cliques, batched
+    (Algorithm 2 lines 13-18); ``task_base`` is the block's first task
+    index within the round."""
     n_tasks = peel_cells.size
     cliques, dec_addrs, dec_lens = table.decode_many(
         peel_cells, collect_addresses=cache_on)
@@ -205,7 +214,7 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
             rows[:, r] = np.concatenate(
                 [c for c in candidates if c.size]).astype(np.int64)
         row_task = np.repeat(np.arange(n_tasks, dtype=np.int64), sizes)
-    elif listing_batch:
+    else:
         # Frontier expansion over every eligible task at once; tasks whose
         # candidate set cannot complete an s-clique are skipped without
         # charge, exactly like the scalar loop's early continue.
@@ -220,19 +229,6 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
                                        cand_lens, s - r, tracker)
         rows = rows.reshape(-1, s)
         row_task = eligible[base_of]
-    else:
-        found: list[tuple] = []
-        task_of: list[int] = []
-        for t in range(n_tasks):
-            cand = candidates[t]
-            if cand.size < s - r:
-                continue
-            base = tuple(int(x) for x in cliques[t])
-            before = len(found)
-            rec_list_cliques(dg, cand, s - r, base, found.append, tracker)
-            task_of.extend([t] * (len(found) - before))
-        rows = np.asarray(found, dtype=np.int64).reshape(-1, s)
-        row_task = np.asarray(task_of, dtype=np.int64)
 
     n_rows = rows.shape[0]
     n_combs = comb_cols.shape[0]
@@ -308,7 +304,9 @@ def _run_round(peel_cells, comb_cols, dg, working, table, aggregator,
         record_mask = fresh & first_in_batch
         record_cells = update_cells[record_mask]
         last_round[record_cells] = round_id
-        record_threads = row_task[update_row_of[record_mask]] % threads
+        # Thread ids come from the task's index within the whole round.
+        record_threads = (task_base + row_task[update_row_of[record_mask]]
+                          ) % threads
         aggregator.record_many(record_cells, record_threads,
                                address_sink=sink)
 

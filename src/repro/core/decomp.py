@@ -119,10 +119,6 @@ class PreparedDecomposition:
     table: CliqueTable
     n_r: int
     n_s: int
-    #: The listing engine actually used (falls back to ``"scalar"`` when a
-    #: race detector is attached; peeling drivers should honor the same
-    #: choice for their UPDATE completions).
-    listing_engine: str
 
 
 def prepare_decomposition(graph: CSRGraph, r: int, s: int,
@@ -149,28 +145,21 @@ def prepare_decomposition(graph: CSRGraph, r: int, s: int,
         original_of = np.arange(graph.n)
         work_rank = rank
     dg = DirectedGraph.orient(work_graph, work_rank)
-
-    # The frontier listing engine charges identical simulated costs but
-    # bypasses the per-task shadow logging the race detector needs; fall
-    # back to the oracle recursion when one is attached (same rule as the
-    # peeling engine).
-    listing_engine = config.listing_engine
-    if listing_engine == "batch" and tracker.race_detector is not None:
-        listing_engine = "scalar"
+    reference = tracker.runs_reference
 
     # -- Phase 2: enumerate r-cliques and build T (line 21).
     with tracker.phase("enumerate_r"):
         if r == 1:
             n_r = graph.n
             cliques = np.arange(graph.n, dtype=np.int64)[:, np.newaxis]
-        elif listing_engine == "batch":
-            blocks: list[np.ndarray] = []
-            n_r = batch_list_cliques(dg, r, tracker, sink=blocks.append)
-            cliques = np.concatenate(blocks, axis=0)
-        else:
+        elif reference:
             rows: list[tuple] = []
             n_r = list_cliques(dg, r, rows.append, tracker)
             cliques = np.asarray(rows, dtype=np.int64).reshape(n_r, r)
+        else:
+            blocks: list[np.ndarray] = []
+            n_r = batch_list_cliques(dg, r, tracker, sink=blocks.append)
+            cliques = np.concatenate(blocks, axis=0)
         cliques = cliques.reshape(n_r, r)
         if not config.relabel and n_r:
             # Discovery order is rank order; keys need ascending ids.
@@ -185,19 +174,17 @@ def prepare_decomposition(graph: CSRGraph, r: int, s: int,
 
     if n_r == 0:
         return PreparedDecomposition(config, tracker, work_graph, dg,
-                                     original_of, table, 0, 0,
-                                     listing_engine)
+                                     original_of, table, 0, 0)
 
     # -- Phase 3: count s-cliques per r-clique (COUNT-FUNC, line 22).
     relabeled = config.relabel
     with tracker.phase("count_s"):
-        if listing_engine == "batch":
-            n_s = batch_count_phase(dg, table, r, s, relabeled, tracker)
-        else:
+        if reference:
             n_s = _count_scalar(dg, table, r, s, relabeled, tracker)
+        else:
+            n_s = batch_count_phase(dg, table, r, s, relabeled, tracker)
     return PreparedDecomposition(config, tracker, work_graph, dg,
-                                 original_of, table, n_r, n_s,
-                                 listing_engine)
+                                 original_of, table, n_r, n_s)
 
 
 def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
@@ -255,25 +242,20 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
         contraction = ContractionManager(working, tracker)
 
     fractional = config.update_arithmetic == "fractional"
-    engine = config.engine
-    if engine == "batch" and tracker.race_detector is not None:
-        # The race detector relies on per-task shadow-array accesses that
-        # only the scalar loop performs; fall back to the oracle.
-        engine = "scalar"
 
     with tracker.phase("peel"):
-        if engine == "batch":
+        if tracker.runs_reference:
+            rho, max_core, round_log = _peel_scalar(
+                graph, dg, working, table, buckets, aggregator, meter,
+                status, last_round, cores, contraction, config, tracker,
+                n_r, r, s, fractional)
+        else:
             rho, max_core, round_log = peel_batch(
                 graph=graph, dg=dg, working=working, table=table,
                 buckets=buckets, aggregator=aggregator, meter=meter,
                 status=status, last_round=last_round, cores=cores,
                 contraction=contraction, config=config, tracker=tracker,
                 n_r=n_r, r=r, s=s, fractional=fractional)
-        else:
-            rho, max_core, round_log = _peel_scalar(
-                graph, dg, working, table, buckets, aggregator, meter,
-                status, last_round, cores, contraction, config, tracker,
-                n_r, r, s, fractional)
 
     table.tracker = None  # post-run queries should not keep charging
     order = np.argsort(cells, kind="stable")
@@ -316,8 +298,12 @@ def _peel_scalar(graph, dg, working, table, buckets, aggregator, meter,
                  fractional: bool) -> tuple[int, int, list]:
     """The per-clique peeling loop (Algorithm 2, lines 23-29).
 
-    This is the oracle the batch engine (:mod:`repro.core.batchpeel`) must
-    match cost-for-cost; keep the two in lockstep when changing charges.
+    The reference oracle the batch kernel (:mod:`repro.core.batchpeel`)
+    must match cost-for-cost; keep the two in lockstep when changing
+    charges.  Runs when the tracker
+    :attr:`~repro.parallel.runtime.CostTracker.runs_reference` (race
+    detector attached, or a test or the bench gate asking for the
+    reference).
     """
     subsets_per_s = comb(s, r)
     finished = 0

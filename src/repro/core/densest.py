@@ -17,7 +17,7 @@ understating the scan phase by its entire cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,27 +40,17 @@ class DensestResult:
 
 
 def k_clique_densest(graph: CSRGraph, k: int,
-                     tracker: CostTracker | None = None,
-                     engine: str = "scalar",
-                     listing_engine: str | None = None) -> DensestResult:
+                     tracker: CostTracker | None = None) -> DensestResult:
     """A peeling (1/k-approximate) k-clique densest subgraph.
 
     Peels vertices in (1,k)-nucleus order; among the suffixes of that
-    order, returns the one with the highest k-clique density.  ``engine``
-    selects the peeling engine of the underlying decomposition;
-    ``listing_engine`` selects the clique-listing engine for both the
-    decomposition and the suffix re-listings (defaults to ``engine``).
+    order, returns the one with the highest k-clique density.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     tracker = tracker or CostTracker()
-    if listing_engine is None:
-        listing_engine = engine
-    config = replace(NucleusConfig.optimal(1, k), engine=engine,
-                     listing_engine=listing_engine)
-    result = arb_nucleus_decomp(graph, 1, k, config, tracker)
-    if listing_engine == "batch" and tracker.race_detector is not None:
-        listing_engine = "scalar"
+    result = arb_nucleus_decomp(graph, 1, k, NucleusConfig.optimal(1, k),
+                                tracker)
     cores = np.zeros(graph.n, dtype=np.int64)
     for (v,), value in result.as_dict().items():
         cores[v] = value
@@ -79,7 +69,7 @@ def k_clique_densest(graph: CSRGraph, k: int,
             tracker.add_span(_log2(members.size + 2))
             sub, originals = graph.induced_subgraph(members)
             dg, _ = orient(sub, "degeneracy", tracker)
-            count = count_cliques(dg, k, tracker, engine=listing_engine)
+            count = count_cliques(dg, k, tracker)
             density = count / members.size
             if density > best.density:
                 best = DensestResult(k, [int(v) for v in originals],

@@ -4,8 +4,8 @@ The paper frames k-core as the k-(1,2) nucleus (Section 3).  This module
 offers both routes:
 
 * :func:`k_core` -- a direct bucket-peeling implementation (Matula--Beck),
-  the classic O(n + m) algorithm, with a scalar oracle loop and a
-  vectorized batch engine (``engine="batch"``) that reproduces the
+  the classic O(n + m) algorithm, run as a vectorized peel
+  (:mod:`repro.core.batchcore`) that reproduces its scalar reference
   oracle's simulated costs bit for bit;
 * :func:`k_core_via_nucleus` -- the same answer through the full
   ARB-NUCLEUS-DECOMP machinery, useful for cross-checking and for
@@ -34,36 +34,35 @@ from .config import NucleusConfig
 from .decomp import arb_nucleus_decomp
 
 
-def k_core(graph: CSRGraph, tracker: CostTracker | None = None,
-           engine: str = "scalar") -> np.ndarray:
+def k_core(graph: CSRGraph, tracker: CostTracker | None = None
+           ) -> np.ndarray:
     """Coreness of every vertex by direct bucket peeling (O(n + m)).
 
-    ``engine="batch"`` runs the vectorized peel
-    (:func:`repro.core.batchcore.k_core_peel_batch`); simulated charges
-    are bit-for-bit identical to the scalar oracle's.  The batch engine
-    needs plain ndarray state, so a tracker carrying a race detector
-    falls back to the scalar loop.
+    Runs the vectorized peel
+    (:func:`repro.core.batchcore.k_core_peel_batch`), or its scalar
+    reference oracle when the tracker
+    :attr:`~repro.parallel.runtime.CostTracker.runs_reference`; simulated
+    charges are bit-for-bit identical either way.
     """
     tracker = tracker or CostTracker()
     n = graph.n
     core = np.zeros(n, dtype=np.int64)
     if n == 0:
         return core
-    use_batch = engine == "batch" and tracker.race_detector is None
     with tracker.phase("peel"):
         # Initial bucket fill: one pass over the degree array.
         tracker.add_work(float(n))
-        if use_batch:
+        if tracker.runs_reference:
+            _peel_scalar(graph, core, tracker)
+        else:
             from .batchcore import k_core_peel_batch
             k_core_peel_batch(graph, core, tracker)
-        else:
-            _peel_scalar(graph, core, tracker)
     return core
 
 
 def _peel_scalar(graph: CSRGraph, core: np.ndarray,
                  tracker: CostTracker) -> None:
-    """The Matula--Beck bucket peel; the batch engine's registered oracle.
+    """The Matula--Beck bucket peel; the batch kernel's registered oracle.
 
     Buckets hold lazily-invalidated entries: a vertex is re-pushed at
     every degree it reaches, and snapshots filter entries whose vertex is

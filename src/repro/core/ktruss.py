@@ -15,8 +15,6 @@ least c triangles (classic k-truss membership corresponds to c >= k - 2).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..graph.csr import CSRGraph
 from ..parallel.runtime import CostTracker
 from .config import NucleusConfig
@@ -24,21 +22,10 @@ from .decomp import NucleusResult, arb_nucleus_decomp
 
 
 def k_truss(graph: CSRGraph, tracker: CostTracker | None = None,
-            config: NucleusConfig | None = None,
-            engine: str | None = None,
-            listing_engine: str | None = None) -> NucleusResult:
-    """Triangle-core numbers of every edge via (2,3) nucleus peeling.
-
-    ``engine`` / ``listing_engine`` override the corresponding fields of
-    ``config`` (convenience for routing the tuned (2,3) path through the
-    batch engines without hand-building a config).
-    """
-    config = config or NucleusConfig.optimal(2, 3)
-    if engine is not None:
-        config = replace(config, engine=engine)
-    if listing_engine is not None:
-        config = replace(config, listing_engine=listing_engine)
-    return arb_nucleus_decomp(graph, 2, 3, config, tracker)
+            config: NucleusConfig | None = None) -> NucleusResult:
+    """Triangle-core numbers of every edge via (2,3) nucleus peeling."""
+    return arb_nucleus_decomp(graph, 2, 3,
+                              config or NucleusConfig.optimal(2, 3), tracker)
 
 
 def trussness(graph: CSRGraph) -> dict[tuple[int, int], int]:

@@ -23,9 +23,11 @@ resulting core numbers are **bit-for-bit identical** to the single-node
 in tests/test_distributed.py pins this on every graph/(r,s)/shard-count
 combination it runs.
 
-:func:`_exchange_scalar` is the exchange oracle; the vectorized
-:func:`repro.distributed.batchexchange.exchange_batch` kernel must match
-it charge-for-charge on every tracker (``PARLINT_PARITY``).
+:func:`_exchange_scalar` is the reference oracle of the vectorized
+:func:`repro.distributed.batchexchange.exchange_batch` kernel, which must
+match it charge-for-charge on every tracker (``PARLINT_PARITY``); the
+oracle runs when the sending shard's tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class ShardedResult:
     shard_trackers: list[CostTracker]
     partition: Partition
     config: NucleusConfig
-    exchange_engine: str
     #: Per-round trace: (core level, r-cliques peeled, r-cliques updated).
     round_log: list[tuple[int, int, int]] = field(default_factory=list)
     #: Per-round exchange record: round / level / messages / bytes.
@@ -296,8 +297,7 @@ def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
                     tracker.add_span(_log2(graph_n) * (s - r + 1))
 
 
-def _exchange_round(sts, outboxes, owner_of, ledger,
-                    engine: str) -> tuple[int, int]:
+def _exchange_round(sts, outboxes, owner_of, ledger) -> tuple[int, int]:
     """Run the batched exchange for every shard's outbox.
 
     Every shard's ``exchange`` phase is open for the duration (the BSP
@@ -311,11 +311,11 @@ def _exchange_round(sts, outboxes, owner_of, ledger,
             stack.enter_context(st.phase("exchange"))
         for src, outbox in enumerate(outboxes):
             cells, deltas = outbox.drain()
-            if engine == "batch":
-                messages, n_bytes = exchange_batch(
+            if sts[src].runs_reference:
+                messages, n_bytes = _exchange_scalar(
                     cells, deltas, owner_of, ledger, sts, sts[src])
             else:
-                messages, n_bytes = _exchange_scalar(
+                messages, n_bytes = exchange_batch(
                     cells, deltas, owner_of, ledger, sts, sts[src])
             total_messages += messages
             total_bytes += n_bytes
@@ -324,8 +324,7 @@ def _exchange_round(sts, outboxes, owner_of, ledger,
 
 def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
                   outboxes, status, cores, owner_of, sts, config,
-                  tracker: CostTracker, n_r: int, r: int, s: int,
-                  exchange_engine: str):
+                  tracker: CostTracker, n_r: int, r: int, s: int):
     """The BSP super-round loop (the sharded Algorithm 2, lines 23-29)."""
     n_shards = len(sts)
     finished = 0
@@ -357,8 +356,7 @@ def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
                          status, owner_of, ledger, outboxes[shard],
                          sts[shard])
         table.tracker = None
-        messages, n_bytes = _exchange_round(sts, outboxes, owner_of, ledger,
-                                            exchange_engine)
+        messages, n_bytes = _exchange_round(sts, outboxes, owner_of, ledger)
         exchange_log.append({"round": round_id, "level": int(level),
                              "messages": messages, "bytes": n_bytes})
         round_compute.append(
@@ -379,7 +377,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
                            partitioner: str = "mincut",
                            config: NucleusConfig | None = None,
                            tracker: CostTracker | None = None,
-                           exchange_engine: str = "batch",
                            partition: Partition | None = None
                            ) -> ShardedResult:
     """Compute the (r, s) nucleus decomposition on ``n_shards`` nodes.
@@ -392,9 +389,10 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     ``update_arithmetic`` is forced to ``"representative"`` (exact
     integer deltas commute across shards) and ``contraction`` off (a
-    shared-memory-only optimization); the batch peel engine likewise does
-    not apply --- the distributed driver's vectorized kernel is the
-    exchange (``exchange_engine="batch"``, oracle ``"scalar"``).
+    shared-memory-only optimization); the single-node batch peel kernel
+    likewise does not apply --- the distributed driver's vectorized
+    kernel is the exchange.  Shard trackers inherit the coordinator's
+    ``race_detector`` and ``reference`` settings.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -418,8 +416,9 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     shard_trackers = [CostTracker() for _ in range(n_shards)]
     shard_traces = None
-    for k, st in enumerate(shard_trackers):
+    for st in shard_trackers:
         st.race_detector = tracker.race_detector
+        st.reference = tracker.reference
     if tracker.trace is not None:
         shard_traces = [TraceRecorder(task_limit=tracker.trace.task_limit,
                                       lanes=tracker.trace.lanes, shard=k)
@@ -430,7 +429,7 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     if n_r == 0:
         return ShardedResult(
             r, s, n_shards, 0, 0, 0, 0, tracker, shard_trackers, partition,
-            config, exchange_engine, [], [], [], 0, 0, shard_traces,
+            config, [], [], [], 0, 0, shard_traces,
             np.array([], dtype=np.int64), np.array([], dtype=np.int64),
             table, original_of)
 
@@ -463,7 +462,7 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         rho, max_core, round_log, exchange_log, round_compute = \
             _peel_sharded(graph.n, dg, working, table, buckets, ledger,
                           outboxes, status, cores, owner_of, shard_trackers,
-                          config, tracker, n_r, r, s, exchange_engine)
+                          config, tracker, n_r, r, s)
 
     table.tracker = None  # post-run queries should not keep charging
     order = np.argsort(cells, kind="stable")
@@ -471,7 +470,7 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         r=r, s=s, n_shards=n_shards, n_r_cliques=n_r, n_s_cliques=n_s,
         rho=rho, max_core=max_core, tracker=tracker,
         shard_trackers=shard_trackers, partition=partition, config=config,
-        exchange_engine=exchange_engine, round_log=round_log,
+        round_log=round_log,
         exchange_log=exchange_log, round_compute=round_compute,
         comm_messages=sum(st.total.comm_messages for st in shard_trackers),
         comm_bytes=sum(st.total.comm_bytes for st in shard_trackers),

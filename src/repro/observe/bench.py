@@ -23,7 +23,7 @@ regression can be localized, not just detected.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict
 
 from ..analysis.construct import nucleus_hierarchy
 from ..baselines.msp import msp_decomposition
@@ -79,7 +79,7 @@ BASELINE_SUITE: tuple[tuple[str, str], ...] = (
     ("densest", "dblp"),
 )
 
-#: Each baseline's hot phase: the one its batch engine vectorizes, whose
+#: Each baseline's hot phase: the one its batch kernel vectorizes, whose
 #: wall-clock the engine gate's --min-baseline-speedup floor is over.
 BASELINE_HOT_PHASE: dict[str, str] = {
     "nd": "peel", "pnd": "peel", "pkt": "peel", "pkt-opt-cpu": "peel",
@@ -95,9 +95,9 @@ HIERARCHY_SUITE: tuple[tuple[str, int, int], ...] = (
 )
 
 #: The hierarchy engine's hot phase: the level-sweep kernel the batch
-#: engine vectorizes, whose wall-clock the engine gate's
-#: --min-hierarchy-speedup floor is over (``hier_list`` and
-#: ``hier_emit`` are shared code between the engines).
+#: form vectorizes, whose wall-clock the engine gate's
+#: --min-hierarchy-speedup floor is over (``hier_emit`` is shared code
+#: between the kernel and its reference oracle).
 HIERARCHY_HOT_PHASE = "hier_levels"
 
 #: The pinned sharded suite: (graph, r, s, shards).  Covers two shard
@@ -127,35 +127,37 @@ def sharded_entry_key(entry: dict) -> str:
             f"x{entry['shards']}")
 
 
+def _tracker(reference: bool) -> CostTracker:
+    """A fresh tracker with an exact cache simulator; ``reference`` runs
+    every kernel's scalar oracle (the engine gate's parity side)."""
+    tracker = CostTracker()
+    tracker.cache = CacheSimulator()  # exact: sample=1
+    tracker.reference = reference
+    return tracker
+
+
 def run_entry(graph_name: str, r: int, s: int,
               machine: MachineModel | None = None,
               threads: int = BENCH_THREADS,
-              engine: str = "scalar",
-              listing_engine: str = "scalar") -> dict:
+              reference: bool = False) -> dict:
     """Run one pinned decomposition and extract its canonical metrics.
 
-    ``engine`` selects the peeling implementation and ``listing_engine``
-    the clique-listing one; by the batch engines' cost-parity invariant
-    (docs/cost-model.md) every *simulated* metric in the payload is
-    engine-independent --- only the ``wall_clock`` section (host seconds
-    per phase, outside the machine model) and the ``engine`` /
-    ``listing_engine`` tags may differ, and none is in
-    :data:`COMPARED_METRICS`.
+    ``reference`` runs the scalar reference oracles instead of the batch
+    kernels; by their cost-parity invariant (docs/cost-model.md) every
+    *simulated* metric in the payload is the same either way --- only the
+    ``wall_clock`` section (host seconds per phase, outside the machine
+    model) may differ, and it is not in :data:`COMPARED_METRICS`.
     """
     machine = machine or MachineModel()
     graph = load_dataset(graph_name)
-    tracker = CostTracker()
-    tracker.cache = CacheSimulator()  # exact: sample=1
-    config = replace(NucleusConfig.optimal(r, s), engine=engine,
-                     listing_engine=listing_engine)
-    result = arb_nucleus_decomp(graph, r, s, config, tracker)
+    tracker = _tracker(reference)
+    result = arb_nucleus_decomp(graph, r, s, NucleusConfig.optimal(r, s),
+                                tracker)
     t1 = machine.time(tracker, 1)
     tp = machine.time(tracker, threads)
     breakdown = machine.time_breakdown(tracker, threads)
     return {
         "graph": graph_name, "r": r, "s": s,
-        "engine": engine,
-        "listing_engine": listing_engine,
         "wall_clock": {
             "total": sum(tracker.phase_wall.values()),
             **{name: seconds
@@ -185,8 +187,7 @@ def run_suite(machine: MachineModel | None = None,
               threads: int = BENCH_THREADS,
               suite: tuple[tuple[str, int, int], ...] | None = None,
               label: str = "", progress=None,
-              engine: str = "scalar",
-              listing_engine: str = "scalar") -> dict:
+              reference: bool = False) -> dict:
     """Run the pinned suite; returns the canonical JSON payload (a dict)."""
     if suite is None:
         suite = PINNED_SUITE  # resolved at call time (tests shrink it)
@@ -194,18 +195,14 @@ def run_suite(machine: MachineModel | None = None,
     entries = []
     for graph_name, r, s in suite:
         if progress is not None:
-            progress(f"bench: {graph_name} ({r},{s}) "
-                     f"[{engine}/{listing_engine}]")
+            progress(f"bench: {graph_name} ({r},{s})"
+                     + (" [reference]" if reference else ""))
         entries.append(run_entry(graph_name, r, s, machine, threads,
-                                 engine=engine,
-                                 listing_engine=listing_engine))
-    from dataclasses import asdict
+                                 reference=reference))
     return {
         "schema": SCHEMA_VERSION,
         "label": label,
         "threads": threads,
-        "engine": engine,
-        "listing_engine": listing_engine,
         "machine": asdict(machine),
         "suite": entries,
     }
@@ -214,38 +211,36 @@ def run_suite(machine: MachineModel | None = None,
 def run_baseline_entry(name: str, graph_name: str,
                        machine: MachineModel | None = None,
                        threads: int = BENCH_THREADS,
-                       engine: str = "scalar") -> dict:
+                       reference: bool = False) -> dict:
     """Run one pinned baseline and extract its canonical metrics.
 
-    Mirrors :func:`run_entry`: by the batch engines' cost-parity
-    invariant, every *simulated* metric is engine-independent --- only
-    ``wall_clock`` and the ``engine`` tag may differ.
+    Mirrors :func:`run_entry`: by the kernels' cost-parity invariant,
+    every *simulated* metric is the same with ``reference`` set or not
+    --- only ``wall_clock`` may differ.
     """
     machine = machine or MachineModel()
     graph = load_dataset(graph_name)
-    tracker = CostTracker()
-    tracker.cache = CacheSimulator()  # exact: sample=1
+    tracker = _tracker(reference)
     if name == "nd":
-        nd_decomposition(graph, 2, 3, tracker, engine=engine)
+        nd_decomposition(graph, 2, 3, tracker)
     elif name == "pnd":
-        pnd_decomposition(graph, 2, 3, tracker, engine=engine)
+        pnd_decomposition(graph, 2, 3, tracker)
     elif name == "pkt":
-        pkt_decomposition(graph, tracker, engine=engine)
+        pkt_decomposition(graph, tracker)
     elif name == "pkt-opt-cpu":
-        pkt_opt_cpu_decomposition(graph, tracker, engine=engine)
+        pkt_opt_cpu_decomposition(graph, tracker)
     elif name == "msp":
-        msp_decomposition(graph, tracker, engine=engine)
+        msp_decomposition(graph, tracker)
     elif name == "kcore":
-        k_core(graph, tracker, engine=engine)
+        k_core(graph, tracker)
     elif name == "densest":
-        k_clique_densest(graph, 3, tracker, engine=engine)
+        k_clique_densest(graph, 3, tracker)
     else:
         raise ValueError(f"unknown baseline {name!r}")
     t1 = machine.time(tracker, 1)
     tp = machine.time(tracker, threads)
     return {
         "baseline": name, "graph": graph_name,
-        "engine": engine,
         "hot_phase": BASELINE_HOT_PHASE[name],
         "wall_clock": {
             "total": sum(tracker.phase_wall.values()),
@@ -274,7 +269,7 @@ def run_baseline_suite(machine: MachineModel | None = None,
                        threads: int = BENCH_THREADS,
                        suite: tuple[tuple[str, str], ...] | None = None,
                        progress=None,
-                       engine: str = "scalar") -> list[dict]:
+                       reference: bool = False) -> list[dict]:
     """Run the pinned baseline suite; returns the entry list (stored
     under the main payload's ``"baselines"`` key by the trajectory
     tool)."""
@@ -284,40 +279,37 @@ def run_baseline_suite(machine: MachineModel | None = None,
     entries = []
     for name, graph_name in suite:
         if progress is not None:
-            progress(f"bench baseline: {name} @ {graph_name} [{engine}]")
+            progress(f"bench baseline: {name} @ {graph_name}"
+                     + (" [reference]" if reference else ""))
         entries.append(run_baseline_entry(name, graph_name, machine,
-                                          threads, engine=engine))
+                                          threads, reference=reference))
     return entries
 
 
 def run_hierarchy_entry(graph_name: str, r: int, s: int,
                         machine: MachineModel | None = None,
                         threads: int = BENCH_THREADS,
-                        engine: str = "scalar",
-                        listing_engine: str = "scalar") -> dict:
+                        reference: bool = False) -> dict:
     """Run one pinned hierarchy construction; canonical metrics.
 
     The decomposition feeding the hierarchy runs on a throwaway tracker
     so the entry's simulated metrics cover hierarchy construction only.
-    Mirrors :func:`run_entry`: by the hierarchy engines' cost-parity
-    invariant every simulated metric is engine-independent --- only
-    ``wall_clock`` and the engine tags may differ.
+    Mirrors :func:`run_entry`: by the hierarchy kernels' cost-parity
+    invariant every simulated metric is the same with ``reference`` set
+    or not --- only ``wall_clock`` may differ.
     """
     machine = machine or MachineModel()
     graph = load_dataset(graph_name)
-    config = replace(NucleusConfig.optimal(r, s), engine=engine,
-                     listing_engine=listing_engine)
-    result = arb_nucleus_decomp(graph, r, s, config, CostTracker())
-    tracker = CostTracker()
-    tracker.cache = CacheSimulator()  # exact: sample=1
-    hierarchy = nucleus_hierarchy(graph, result, tracker, engine=engine,
-                                  listing_engine=listing_engine)
+    throwaway = CostTracker()
+    throwaway.reference = reference
+    result = arb_nucleus_decomp(graph, r, s, NucleusConfig.optimal(r, s),
+                                throwaway)
+    tracker = _tracker(reference)
+    hierarchy = nucleus_hierarchy(graph, result, tracker)
     t1 = machine.time(tracker, 1)
     tp = machine.time(tracker, threads)
     return {
         "graph": graph_name, "r": r, "s": s,
-        "engine": engine,
-        "listing_engine": listing_engine,
         "hot_phase": HIERARCHY_HOT_PHASE,
         "wall_clock": {
             "total": sum(tracker.phase_wall.values()),
@@ -346,8 +338,7 @@ def run_hierarchy_suite(machine: MachineModel | None = None,
                         threads: int = BENCH_THREADS,
                         suite: tuple[tuple[str, int, int], ...] | None = None,
                         progress=None,
-                        engine: str = "scalar",
-                        listing_engine: str = "scalar") -> list[dict]:
+                        reference: bool = False) -> list[dict]:
     """Run the pinned hierarchy suite; returns the entry list (stored
     under the main payload's ``"hierarchy"`` key by the trajectory
     tool)."""
@@ -357,18 +348,17 @@ def run_hierarchy_suite(machine: MachineModel | None = None,
     entries = []
     for graph_name, r, s in suite:
         if progress is not None:
-            progress(f"bench hierarchy: {graph_name} ({r},{s}) "
-                     f"[{engine}/{listing_engine}]")
+            progress(f"bench hierarchy: {graph_name} ({r},{s})"
+                     + (" [reference]" if reference else ""))
         entries.append(run_hierarchy_entry(graph_name, r, s, machine,
-                                           threads, engine=engine,
-                                           listing_engine=listing_engine))
+                                           threads, reference=reference))
     return entries
 
 
 def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
                       machine: MachineModel | None = None,
                       threads: int = BENCH_THREADS,
-                      exchange_engine: str = "batch") -> dict:
+                      reference: bool = False) -> dict:
     """Run one pinned sharded decomposition under both partitioners.
 
     The entry records, per partitioner, the simulated communication
@@ -378,8 +368,8 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     quantity the engine gate's ``--min-comm-reduction`` floor pins), and
     ``speedup`` (single-node simulated time over the mincut distributed
     time).  By the exchange kernels' cost-parity invariant every
-    simulated metric is engine-independent --- only ``wall_clock`` and
-    the ``exchange_engine`` tag may differ.
+    simulated metric is the same with ``reference`` set or not --- only
+    ``wall_clock`` may differ.
     """
     # Imported here: repro.distributed pulls in repro.observe.trace, so a
     # module-level import would be circular through the package __init__.
@@ -388,16 +378,19 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     distributed = DistributedMachineModel(machine)
     graph = load_dataset(graph_name)
     single_tracker = CostTracker()
-    reference = arb_nucleus_decomp(graph, r, s, tracker=single_tracker)
+    single_tracker.reference = reference
+    single = arb_nucleus_decomp(graph, r, s, tracker=single_tracker)
     single_time = machine.time(single_tracker, threads)
-    reference_cores = reference.as_dict()
+    single_cores = single.as_dict()
     per_partitioner = {}
     wall = 0.0
     mincut_result = None
     for name in ("hash", "mincut"):
+        coordinator = CostTracker()
+        coordinator.reference = reference
         result = sharded_nucleus_decomp(graph, r, s, shards,
                                         partitioner=name,
-                                        exchange_engine=exchange_engine)
+                                        tracker=coordinator)
         quality = partition_statistics(graph, result.partition.shard_of,
                                        shards, s=s)
         per_partitioner[name] = {
@@ -411,7 +404,7 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
             "imbalance": quality["imbalance"],
             "triangle_spill_fraction": quality["triangle_spill_fraction"],
             "s_clique_spill_estimate": quality["s_clique_spill_estimate"],
-            "matches_oracle": result.as_dict() == reference_cores,
+            "matches_oracle": result.as_dict() == single_cores,
         }
         wall += sum(result.tracker.phase_wall.values()) + sum(
             sum(st.phase_wall.values()) for st in result.shard_trackers)
@@ -426,7 +419,6 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
             float("inf")
     return {
         "graph": graph_name, "r": r, "s": s, "shards": shards,
-        "exchange_engine": exchange_engine,
         "wall_clock": {"total": wall},
         "n_r": mincut_result.n_r_cliques, "n_s": mincut_result.n_s_cliques,
         "rho": mincut_result.rho, "max_core": mincut_result.max_core,
@@ -449,7 +441,7 @@ def run_sharded_suite(machine: MachineModel | None = None,
                       suite: tuple[tuple[str, int, int, int], ...]
                       | None = None,
                       progress=None,
-                      exchange_engine: str = "batch") -> list[dict]:
+                      reference: bool = False) -> list[dict]:
     """Run the pinned sharded suite; returns the entry list (stored under
     the main payload's ``"sharded"`` key by the trajectory tool)."""
     if suite is None:
@@ -458,11 +450,10 @@ def run_sharded_suite(machine: MachineModel | None = None,
     entries = []
     for graph_name, r, s, shards in suite:
         if progress is not None:
-            progress(f"bench sharded: {graph_name} ({r},{s}) x{shards} "
-                     f"[{exchange_engine}]")
+            progress(f"bench sharded: {graph_name} ({r},{s}) x{shards}"
+                     + (" [reference]" if reference else ""))
         entries.append(run_sharded_entry(graph_name, r, s, shards, machine,
-                                         threads,
-                                         exchange_engine=exchange_engine))
+                                         threads, reference=reference))
     return entries
 
 
@@ -486,10 +477,10 @@ def compare(current: dict, baseline: dict,
     baseline --- grows for lower-is-better metrics (work, span, rho, times,
     contention, cache misses), shrinks for speedup.  Entries present in
     the baseline but missing from the current run are regressions;
-    entries new in the current run are not.  The optional ``"baselines"``
-    section (the competitor suite) is compared the same way, but only
-    when both payloads record it (the engine gate's listing payload,
-    for example, carries no baseline section).
+    entries new in the current run are not.  The optional ``"baselines"``,
+    ``"hierarchy"`` and ``"sharded"`` sections are compared the same way,
+    but only when both payloads record them (``repro bench``, for
+    example, writes the pinned suite alone).
     """
     regressions = []
     sections = (("suite", entry_key), ("baselines", baseline_entry_key),

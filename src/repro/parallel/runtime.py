@@ -191,6 +191,10 @@ class CostTracker:
       when attached, phases, parallel regions, and tasks report their
       begin/end to it so a Chrome-trace timeline can be exported
       (accounting is unchanged).
+    * ``reference`` -- when set, every kernel runs its scalar reference
+      oracle instead of its vectorized batch form (see
+      :attr:`runs_reference`); differential tests and the bench engine
+      gate set it, nothing else does.
     """
 
     def __init__(self) -> None:
@@ -199,6 +203,7 @@ class CostTracker:
         self.cache = None  # optional CacheSimulator
         self.race_detector = None  # optional sanitize.RaceDetector
         self.trace = None  # optional observe.TraceRecorder
+        self.reference = False  # run the scalar reference oracles
         self.peak_memory_units = 0
         #: Measured wall-clock seconds per phase (host time, *not* part of
         #: the simulated-machine model; see docs/profiling.md).
@@ -206,6 +211,20 @@ class CostTracker:
         self._frames: list[_Frame] = [_Frame()]
         self._phase_stack: list[str] = []
         self._access_sink: list | None = None
+
+    @property
+    def runs_reference(self) -> bool:
+        """Whether kernels charging this tracker run their scalar oracles.
+
+        The one implementation selector in the library: every kernel with
+        a batch form and a scalar reference twin dispatches on this
+        predicate (a ``None`` tracker means the batch form).  The oracles
+        run when :attr:`reference` is set, and whenever a race detector is
+        attached --- only the per-task scalar loops perform the
+        shadow-logged accesses the detector checks.  Both forms charge
+        bit-for-bit identical simulated costs (docs/cost-model.md).
+        """
+        return self.reference or self.race_detector is not None
 
     # -- charging ---------------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""Differential tests for the batched baseline engines.
+"""Differential tests for the batched baseline kernels.
 
-Every baseline's batch engine must reproduce its scalar oracle's
+Every baseline's batch kernel must reproduce its scalar oracle's
 simulated costs **bit-for-bit**: the integer work bin exactly, the
 fractional work bin as the same binary64 accumulation order, span,
 rounds, atomics, contention, and clique visits, per phase.  These tests
-run each entry point under both engines and compare full tracker
-snapshots, plus the results themselves.
+run each entry point on the default path and on the reference oracles
+(``tracker.reference = True``) and compare full tracker snapshots, plus
+the results themselves.
 
 Also hosts the regression tests for the accounting bugs fixed alongside
 the batching: the PKT frontier-duplication bug (one frontier entry per
@@ -48,12 +49,14 @@ def snapshot(tracker):
 
 
 def both_engines(run):
-    """Run ``run(tracker, engine)`` under both engines; return
-    ``((scalar_result, scalar_snap), (batch_result, batch_snap))``."""
+    """Run ``run(tracker)`` on the reference oracles and on the default
+    path; return ``((scalar_result, scalar_snap), (batch_result,
+    batch_snap))``."""
     out = []
-    for engine in ("scalar", "batch"):
+    for reference in (True, False):
         tracker = CostTracker()
-        result = run(tracker, engine)
+        tracker.reference = reference
+        result = run(tracker)
         out.append((result, snapshot(tracker)))
     return out
 
@@ -75,7 +78,7 @@ class TestNDFamily:
     def test_nd_parity(self, name, rs):
         r, s = rs
         (res_s, snap_s), (res_b, snap_b) = both_engines(
-            lambda t, e: nd_decomposition(GRAPHS[name], r, s, t, engine=e))
+            lambda t: nd_decomposition(GRAPHS[name], r, s, t))
         assert snap_s == snap_b
         assert res_s.core == res_b.core
         assert res_s.rounds == res_b.rounds
@@ -84,7 +87,7 @@ class TestNDFamily:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_pnd_parity(self, name):
         (res_s, snap_s), (res_b, snap_b) = both_engines(
-            lambda t, e: pnd_decomposition(GRAPHS[name], 2, 3, t, engine=e))
+            lambda t: pnd_decomposition(GRAPHS[name], 2, 3, t))
         assert snap_s == snap_b
         assert res_s.core == res_b.core
         assert res_s.rounds == res_b.rounds
@@ -97,7 +100,7 @@ class TestTrussFamily:
                                       msp_decomposition])
     def test_parity(self, name, algo):
         (res_s, snap_s), (res_b, snap_b) = both_engines(
-            lambda t, e: algo(GRAPHS[name], t, engine=e))
+            lambda t: algo(GRAPHS[name], t))
         assert snap_s == snap_b
         assert res_s.core == res_b.core
         assert res_s.rounds == res_b.rounds
@@ -126,7 +129,9 @@ class TestPKTFrontierDedup:
             return orig(frontier, *args, **kwargs)
 
         monkeypatch.setattr(pkt_mod, "_pkt_subround_scalar", spy)
-        pkt_decomposition(GRAPHS["pp40"], CostTracker())
+        tracker = CostTracker()
+        tracker.reference = True
+        pkt_decomposition(GRAPHS["pp40"], tracker)
         assert seen, "peel never ran a sub-round"
         for frontier in seen:
             assert np.unique(frontier).size == frontier.size
@@ -134,9 +139,8 @@ class TestPKTFrontierDedup:
     def test_round_count_pinned(self):
         """Deduped sub-round count on the Figure 1 graph; the duplicated
         frontier inflated this (and the work charged per sub-round)."""
-        result = pkt_decomposition(figure1_graph(), CostTracker())
-        batch = pkt_decomposition(figure1_graph(), CostTracker(),
-                                  engine="batch")
+        (result, _), (batch, _) = both_engines(
+            lambda t: pkt_decomposition(figure1_graph(), t))
         assert result.rounds == batch.rounds == 3
 
 
@@ -144,7 +148,7 @@ class TestKCore:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_parity(self, name):
         (core_s, snap_s), (core_b, snap_b) = both_engines(
-            lambda t, e: k_core(GRAPHS[name], t, engine=e))
+            lambda t: k_core(GRAPHS[name], t))
         assert snap_s == snap_b
         assert np.array_equal(core_s, core_b)
 
@@ -152,7 +156,7 @@ class TestKCore:
     def test_parity_random(self, seed):
         graph = erdos_renyi(60, 240, seed=seed)
         (core_s, snap_s), (core_b, snap_b) = both_engines(
-            lambda t, e: k_core(graph, t, engine=e))
+            lambda t: k_core(graph, t))
         assert snap_s == snap_b
         assert np.array_equal(core_s, core_b)
 
@@ -161,7 +165,7 @@ class TestKTruss:
     def test_engine_routing_parity(self):
         graph = GRAPHS["pp40"]
         (res_s, snap_s), (res_b, snap_b) = both_engines(
-            lambda t, e: k_truss(graph, t, engine=e))
+            lambda t: k_truss(graph, t))
         assert snap_s == snap_b
         assert res_s.as_dict() == res_b.as_dict()
 
@@ -171,7 +175,7 @@ class TestDensest:
     def test_parity(self, k):
         graph = GRAPHS["pp40"]
         (res_s, snap_s), (res_b, snap_b) = both_engines(
-            lambda t, e: k_clique_densest(graph, k, t, engine=e))
+            lambda t: k_clique_densest(graph, k, t))
         assert snap_s == snap_b
         assert res_s.density == res_b.density
         assert res_s.clique_count == res_b.clique_count

@@ -1,17 +1,22 @@
-"""Differential tests: the batch peeling engine vs the scalar oracle.
+"""Differential tests: the batch peeling kernel vs the scalar oracle.
 
-The batch engine's contract (docs/cost-model.md) is *exact* cost parity:
-for any graph and configuration, ``engine="batch"`` must produce the same
+The batch kernel's contract (docs/cost-model.md) is *exact* cost parity:
+for any graph and configuration, the default run must produce the same
 core numbers, the same round log, and bit-for-bit identical simulated
 metrics --- work, span, rounds, atomics, contention, table probes, and
-cache misses --- as ``engine="scalar"``.  These tests sweep (r, s) pairs,
+cache misses --- as a run whose tracker asks for the reference oracles
+(``tracker.reference = True``).  These tests sweep (r, s) pairs,
 aggregation/bucketing/table layouts, update arithmetic, and cache
-simulation, comparing the two engines run for run.
+simulation, comparing the two run for run; :class:`TestBlockBoundaries`
+repeats the sweep with the kernels' task and root blocks shrunk to a few
+entries, so every round and root frontier spans several blocks.
 """
 
 import numpy as np
 import pytest
 
+import repro.cliques.batchlist as batchlist
+import repro.core.batchpeel as batchpeel
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
 from repro.graph.generators import erdos_renyi, planted_partition
@@ -32,6 +37,8 @@ CONFIGS = {
     "no_relabel_binary": NucleusConfig(
         relabel=False, inverse_map="binary_search", contiguous=False,
         aggregation="list_buffer", bucket_window=4),
+    "list_buffer_representative": NucleusConfig(
+        aggregation="list_buffer", update_arithmetic="representative"),
 }
 
 
@@ -44,9 +51,18 @@ def _config_for(name: str, r: int, s: int) -> NucleusConfig:
     return config
 
 
-def _run(graph, r, s, config, engine, cache=False, detector=False):
-    config = NucleusConfig(**{**config.__dict__, "engine": engine})
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Peel blocks of 3 tasks, lister blocks of a root or two and sink
+    blocks of 5 rows: every round and root frontier crosses boundaries."""
+    monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 3)
+    monkeypatch.setattr(batchlist, "ROOT_BLOCK_WEIGHT", 4)
+    monkeypatch.setattr(batchlist, "BLOCK_ROWS", 5)
+
+
+def _run(graph, r, s, config, reference, cache=False, detector=False):
     tracker = CostTracker()
+    tracker.reference = reference
     if cache:
         tracker.cache = CacheSimulator(sample=1)
     if detector:
@@ -64,8 +80,8 @@ def _run(graph, r, s, config, engine, cache=False, detector=False):
 
 
 def assert_engines_agree(graph, r, s, config, cache=False):
-    scalar, m_scalar = _run(graph, r, s, config, "scalar", cache)
-    batch, m_batch = _run(graph, r, s, config, "batch", cache)
+    scalar, m_scalar = _run(graph, r, s, config, True, cache)
+    batch, m_batch = _run(graph, r, s, config, False, cache)
     assert m_scalar == m_batch
     assert scalar.rho == batch.rho
     assert scalar.max_core == batch.max_core
@@ -119,25 +135,63 @@ class TestEngineParity:
             assert_engines_agree(graph, r, s, _config_for("optimal", r, s))
 
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self, fig1):
-        with pytest.raises(ValueError, match="unknown engine"):
-            arb_nucleus_decomp(fig1, 2, 3,
-                               NucleusConfig(engine="turbo"))
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockBoundaries:
+    """The sweep again with tiny blocks.  Blocks must run in task order
+    and hand each task its index within the whole round: a wrong block
+    offset reorders the list buffer's per-thread cursors, which the
+    exact cache stream and the contention charges expose."""
 
-    def test_batch_falls_back_under_race_detector(self, fig1):
-        """A race detector forces the scalar oracle; results still match a
-        plain scalar run."""
-        config = NucleusConfig.optimal(2, 3)
-        plain, _ = _run(fig1, 2, 3, config, "scalar")
-        checked, _ = _run(fig1, 2, 3, config, "batch", detector=True)
+    @pytest.mark.parametrize("rs", RS_PAIRS)
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_sparse_random(self, sparse100, rs, name):
+        r, s = rs
+        assert_engines_agree(sparse100, r, s, _config_for(name, r, s),
+                             cache=True)
+
+    @pytest.mark.parametrize("rs", RS_PAIRS)
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_clique_rich(self, community60, rs, name):
+        r, s = rs
+        assert_engines_agree(community60, r, s, _config_for(name, r, s),
+                             cache=True)
+
+    def test_rounds_span_several_blocks(self, community60):
+        """The sweep is meaningful: its rounds are larger than a block."""
+        result, _ = _run(community60, 2, 3, NucleusConfig.optimal(2, 3),
+                         False)
+        largest = max(peeled for _, peeled, _ in result.round_log)
+        assert largest > 3 * batchpeel.PEEL_BLOCK_TASKS
+
+
+class TestEngineSelection:
+    def test_unknown_engine_rejected(self):
+        """No configuration field selects a kernel implementation."""
+        with pytest.raises(TypeError):
+            NucleusConfig(engine="batch")
+
+    def test_batch_falls_back_under_race_detector(self, fig1, monkeypatch):
+        """A race detector forces the scalar oracle without ``reference``
+        being set; results still match a plain run."""
+        plain, _ = _run(fig1, 2, 3, NucleusConfig.optimal(2, 3), False)
+
+        def _forbidden(**_kwargs):
+            raise AssertionError("batch peel ran under a race detector")
+
+        monkeypatch.setattr("repro.core.decomp.peel_batch", _forbidden)
+        checked, _ = _run(fig1, 2, 3, NucleusConfig.optimal(2, 3), False,
+                          detector=True)
         assert plain.rho == checked.rho
         assert np.array_equal(plain._cores, checked._cores)
 
-    def test_engine_recorded_in_config(self, fig1):
-        result = arb_nucleus_decomp(
-            fig1, 2, 3, NucleusConfig(engine="batch"))
-        assert result.config.engine == "batch"
+    def test_runs_reference_predicate(self):
+        tracker = CostTracker()
+        assert not tracker.runs_reference
+        tracker.reference = True
+        assert tracker.runs_reference
+        tracker.reference = False
+        tracker.race_detector = RaceDetector()
+        assert tracker.runs_reference
 
 
 class TestCountFuncSortCharge:

@@ -1,18 +1,23 @@
-"""Differential tests: the batch listing engine vs the scalar recursion.
+"""Differential tests: the frontier lister vs the scalar recursion.
 
-The frontier engine's contract (docs/cost-model.md) mirrors the batch
-peeling engine's: for any graph, ``listing_engine="batch"`` must discover
-the same cliques in the same order and charge bit-for-bit identical
-simulated costs --- work (both bins), span, rounds, atomics, contention,
-table probes, cliques, and cache misses --- as the scalar oracle, whether
-it runs standalone, inside the count phase, or inside the batch peeling
-engine's UPDATE path.
+The frontier lister's contract (docs/cost-model.md) mirrors the batch
+peeling kernel's: for any graph, the default run must discover the same
+cliques in the same order and charge bit-for-bit identical simulated
+costs --- work (both bins), span, rounds, atomics, contention, table
+probes, cliques, and cache misses --- as the scalar reference recursion
+(``tracker.reference = True``), whether it runs standalone, inside the
+count phase, or inside the peeling kernel's UPDATE path.
+:class:`TestRootBlocks` repeats the sweep with the root and sink blocks
+shrunk to a few entries.
 """
 
 import numpy as np
 import pytest
 
+import repro.cliques.batchlist as batchlist
+import repro.cliques.listing as listing
 import repro.core.batchpeel as batchpeel
+import repro.core.decomp as decomp
 from repro.cliques.batchlist import batch_list_cliques, expand_cliques
 from repro.cliques.counting import (edge_support, per_vertex_clique_counts,
                                     total_clique_count)
@@ -27,6 +32,21 @@ from repro.sanitize.racecheck import RaceDetector
 
 RS_PAIRS = [(1, 2), (2, 3), (2, 4), (3, 4)]
 ORIENTATIONS = ["goodrich_pszona", "degeneracy"]
+
+
+def _reference() -> CostTracker:
+    tracker = CostTracker()
+    tracker.reference = True
+    return tracker
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Lister blocks of a root or two, sink blocks of 5 rows and peel
+    blocks of 3 tasks: every frontier crosses block boundaries."""
+    monkeypatch.setattr(batchlist, "ROOT_BLOCK_WEIGHT", 4)
+    monkeypatch.setattr(batchlist, "BLOCK_ROWS", 5)
+    monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 3)
 
 
 def _metrics(tracker: CostTracker) -> dict:
@@ -50,7 +70,7 @@ class TestListingKernelParity:
     @pytest.mark.parametrize("method", ORIENTATIONS)
     def test_counts_and_charges(self, community60, c, method):
         dg, _ = orient(community60, method)
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = _reference(), CostTracker()
         n_scalar = count_cliques(dg, c, t_scalar)
         n_batch = batch_list_cliques(dg, c, t_batch)
         assert n_scalar == n_batch
@@ -62,9 +82,9 @@ class TestListingKernelParity:
         """Block emission preserves the scalar DFS discovery order
         row for row, and the buffer-backed collector charges alike."""
         dg, _ = orient(sparse100, method)
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = _reference(), CostTracker()
         rows_scalar = collect_cliques(dg, c, t_scalar)
-        rows_batch = collect_cliques(dg, c, t_batch, engine="batch")
+        rows_batch = collect_cliques(dg, c, t_batch)
         assert rows_scalar.shape == rows_batch.shape
         assert np.array_equal(rows_scalar, rows_batch)
         assert _metrics(t_scalar) == _metrics(t_batch)
@@ -74,9 +94,9 @@ class TestListingKernelParity:
         the same amortized-doubling copy charges."""
         graph = complete_graph(14)  # C(14,3) = 364 > the 256-row buffer
         dg, _ = orient(graph)
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = _reference(), CostTracker()
         rows_scalar = collect_cliques(dg, 3, t_scalar)
-        rows_batch = collect_cliques(dg, 3, t_batch, engine="batch")
+        rows_batch = collect_cliques(dg, 3, t_batch)
         assert rows_scalar.shape[0] == 364
         assert np.array_equal(rows_scalar, rows_batch)
         assert _metrics(t_scalar) == _metrics(t_batch)
@@ -111,19 +131,17 @@ class TestListingKernelParity:
 class TestCountingParity:
     @pytest.mark.parametrize("c", [3, 4])
     def test_total_clique_count(self, community60, c):
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = _reference(), CostTracker()
         n_scalar = total_clique_count(community60, c, tracker=t_scalar)
-        n_batch = total_clique_count(community60, c, tracker=t_batch,
-                                     engine="batch")
+        n_batch = total_clique_count(community60, c, tracker=t_batch)
         assert n_scalar == n_batch
         assert _metrics(t_scalar) == _metrics(t_batch)
 
     @pytest.mark.parametrize("c", [3, 4])
     def test_per_vertex_counts(self, community60, c):
-        t_scalar, t_batch = CostTracker(), CostTracker()
+        t_scalar, t_batch = _reference(), CostTracker()
         scalar = per_vertex_clique_counts(community60, c, tracker=t_scalar)
-        batch = per_vertex_clique_counts(community60, c, tracker=t_batch,
-                                         engine="batch")
+        batch = per_vertex_clique_counts(community60, c, tracker=t_batch)
         assert np.array_equal(scalar, batch)
         assert _metrics(t_scalar) == _metrics(t_batch)
 
@@ -163,14 +181,14 @@ class TestCountingParity:
 
 # -- end to end through the decomposition ------------------------------------
 
-def _run_decomp(graph, r, s, engine, listing_engine, orientation,
-                relabel, cache=False, detector=False):
+def _run_decomp(graph, r, s, reference, orientation, relabel, cache=False,
+                detector=False):
     config = NucleusConfig(**{
         **NucleusConfig.optimal(r, s).__dict__,
-        "engine": engine, "listing_engine": listing_engine,
         "orientation": orientation, "relabel": relabel,
         "contraction": False})
     tracker = CostTracker()
+    tracker.reference = reference
     if cache:
         tracker.cache = CacheSimulator(sample=1)
     if detector:
@@ -180,11 +198,11 @@ def _run_decomp(graph, r, s, engine, listing_engine, orientation,
 
 
 def assert_listing_engines_agree(graph, r, s, orientation, relabel,
-                                 engine="scalar", cache=False):
-    scalar, m_scalar = _run_decomp(graph, r, s, engine, "scalar",
-                                   orientation, relabel, cache)
-    batch, m_batch = _run_decomp(graph, r, s, engine, "batch",
-                                 orientation, relabel, cache)
+                                 cache=False):
+    scalar, m_scalar = _run_decomp(graph, r, s, True, orientation, relabel,
+                                   cache)
+    batch, m_batch = _run_decomp(graph, r, s, False, orientation, relabel,
+                                 cache)
     assert m_scalar == m_batch
     assert scalar.n_r_cliques == batch.n_r_cliques
     assert scalar.n_s_cliques == batch.n_s_cliques
@@ -205,66 +223,98 @@ class TestDecompListingParity:
     @pytest.mark.parametrize("rs", RS_PAIRS)
     @pytest.mark.parametrize("relabel", [True, False])
     def test_batch_peel(self, community60, rs, relabel):
-        """engine="batch" + listing_engine="batch": the UPDATE path also
-        runs through the frontier engine."""
+        """The peeling kernel's UPDATE path runs through the frontier
+        lister; the reference re-enters the recursion per peeled clique."""
         r, s = rs
         assert_listing_engines_agree(community60, r, s, "goodrich_pszona",
-                                     relabel, engine="batch")
+                                     relabel)
 
     @pytest.mark.parametrize("rs", [(2, 3), (2, 4), (3, 4)])
     def test_cache_stream_parity(self, rs):
         """The order-sensitive cache simulator sees the identical address
-        stream from both listing engines."""
+        stream from the lister and the recursion."""
         graph = erdos_renyi(50, 220, seed=11)
         r, s = rs
-        for engine in ("scalar", "batch"):
+        for relabel in (True, False):
             assert_listing_engines_agree(graph, r, s, "goodrich_pszona",
-                                         False, engine=engine, cache=True)
+                                         relabel, cache=True)
 
     def test_all_batch_vs_all_scalar(self, community60):
-        """Fully batched run reproduces the fully scalar run exactly."""
-        scalar, m_scalar = _run_decomp(community60, 2, 4, "scalar",
-                                       "scalar", "goodrich_pszona", True,
-                                       cache=True)
-        batch, m_batch = _run_decomp(community60, 2, 4, "batch", "batch",
+        """The default run reproduces the reference run exactly."""
+        scalar, m_scalar = _run_decomp(community60, 2, 4, True,
+                                       "goodrich_pszona", True, cache=True)
+        batch, m_batch = _run_decomp(community60, 2, 4, False,
                                      "goodrich_pszona", True, cache=True)
         assert m_scalar == m_batch
         assert scalar.round_log == batch.round_log
         assert np.array_equal(scalar._cores, batch._cores)
 
 
+@pytest.mark.usefixtures("small_blocks")
+class TestRootBlocks:
+    """The lister sweeps again with tiny root and sink blocks.  Blocks run
+    in root order, so discovery order, the sink's row stream and every
+    charge sum are those of one whole-frontier expansion."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("method", ORIENTATIONS)
+    def test_discovery_order_and_charges(self, community60, c, method):
+        dg, _ = orient(community60, method)
+        t_scalar, t_batch = _reference(), CostTracker()
+        rows_scalar = collect_cliques(dg, c, t_scalar)
+        rows_batch = collect_cliques(dg, c, t_batch)
+        assert np.array_equal(rows_scalar, rows_batch)
+        assert _metrics(t_scalar) == _metrics(t_batch)
+
+    def test_blocks_are_bounded(self, community60):
+        dg, _ = orient(community60)
+        blocks = []
+        n = batch_list_cliques(dg, 3, sink=blocks.append)
+        assert len(blocks) > 1
+        assert all(0 < b.shape[0] <= batchlist.BLOCK_ROWS for b in blocks)
+        assert sum(b.shape[0] for b in blocks) == n
+
+    @pytest.mark.parametrize("rs", RS_PAIRS)
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_decomposition(self, community60, rs, relabel):
+        r, s = rs
+        assert_listing_engines_agree(community60, r, s, "degeneracy",
+                                     relabel, cache=True)
+
+
 class TestListingEngineSelection:
     def test_unknown_listing_engine_rejected(self, fig1):
-        with pytest.raises(ValueError, match="unknown listing_engine"):
-            arb_nucleus_decomp(fig1, 2, 3,
-                               NucleusConfig(listing_engine="turbo"))
+        """No configuration field or keyword selects the lister."""
+        with pytest.raises(TypeError):
+            NucleusConfig(listing_engine="batch")
+        dg, _ = orient(fig1)
+        with pytest.raises(TypeError):
+            collect_cliques(dg, 3, engine="batch")
 
-    def test_listing_engine_recorded_in_config(self, fig1):
-        result = arb_nucleus_decomp(
-            fig1, 2, 3, NucleusConfig(listing_engine="batch"))
-        assert result.config.listing_engine == "batch"
-
-    def test_falls_back_under_race_detector(self, fig1):
+    def test_falls_back_under_race_detector(self, fig1, monkeypatch):
         """A race detector forces the scalar recursion; results still
-        match a plain scalar run."""
-        plain, _ = _run_decomp(fig1, 2, 3, "scalar", "scalar",
-                               "goodrich_pszona", True)
-        checked, _ = _run_decomp(fig1, 2, 3, "batch", "batch",
-                                 "goodrich_pszona", True, detector=True)
+        match a plain run."""
+        plain, _ = _run_decomp(fig1, 2, 3, False, "goodrich_pszona", True)
+
+        def _forbidden(*_args, **_kwargs):
+            raise AssertionError("frontier lister ran under a detector")
+
+        monkeypatch.setattr(decomp, "batch_list_cliques", _forbidden)
+        monkeypatch.setattr(decomp, "batch_count_phase", _forbidden)
+        checked, _ = _run_decomp(fig1, 2, 3, False, "goodrich_pszona", True,
+                                 detector=True)
         assert plain.rho == checked.rho
         assert np.array_equal(plain._cores, checked._cores)
 
     def test_no_scalar_recursion_during_batch_peel(self, community60,
                                                    monkeypatch):
-        """Acceptance criterion: with both batch engines, peeling never
-        re-enters rec_list_cliques."""
+        """Acceptance criterion: the default peel never re-enters
+        rec_list_cliques."""
         def _forbidden(*_args, **_kwargs):
             raise AssertionError(
                 "rec_list_cliques called during batch peeling")
 
-        monkeypatch.setattr(batchpeel, "rec_list_cliques", _forbidden)
-        config = NucleusConfig(**{
-            **NucleusConfig.optimal(2, 4).__dict__,
-            "engine": "batch", "listing_engine": "batch"})
-        result = arb_nucleus_decomp(community60, 2, 4, config)
+        monkeypatch.setattr(listing, "rec_list_cliques", _forbidden)
+        monkeypatch.setattr(decomp, "rec_list_cliques", _forbidden)
+        result = arb_nucleus_decomp(community60, 2, 4)
         assert result.n_s_cliques > 0  # the (2,4) run really listed cliques

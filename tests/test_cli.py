@@ -65,6 +65,30 @@ class TestDecompose:
         assert len(outputs) == 1
 
 
+class TestInputErrors:
+    """Unreadable or malformed input: one line on stderr, exit status 2."""
+
+    @pytest.mark.parametrize("text", ["0 1\n5\n", "0 1\n1 x\n"])
+    def test_malformed_edge_list(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["decompose", "--input", str(path), "--r", "2", "--s", "3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}:2: ")
+        assert err.count("\n") == 1
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(SystemExit) as info:
+            main(["decompose", "--input", str(path), "--r", "2", "--s", "3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+
 class TestGenerate:
     def test_rmat(self, tmp_path, capsys):
         out_path = tmp_path / "g.txt"

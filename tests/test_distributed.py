@@ -2,11 +2,11 @@
 
 The headline invariant: the distributed peel's output is bit-for-bit
 identical to the single-node oracle on every graph/(r,s)/shard-count
-combination, under both exchange engines.  The message-volume accounting
-is pinned by closed-form unit tests (one exchange charges exactly the
-sum of the per-shard batch sizes, with no double-charging), and the
-scalar/batch exchange kernels must agree charge-for-charge on every
-tracker.
+combination, with the exchange kernel and with its reference oracle.
+The message-volume accounting is pinned by closed-form unit tests (one
+exchange charges exactly the sum of the per-shard batch sizes, with no
+double-charging), and the scalar/batch exchange kernels must agree
+charge-for-charge on every tracker.
 """
 
 import numpy as np
@@ -59,10 +59,12 @@ class TestDifferentialOracle:
                                         partitioner):
         graph = factory()
         reference = arb_nucleus_decomp(graph, r, s)
-        for engine in ("scalar", "batch"):
+        for runs_reference in (True, False):
+            tracker = CostTracker()
+            tracker.reference = runs_reference
             result = sharded_nucleus_decomp(graph, r, s, shards,
                                             partitioner=partitioner,
-                                            exchange_engine=engine)
+                                            tracker=tracker)
             assert np.array_equal(result._cells, reference._cells)
             assert np.array_equal(result._cores, reference._cores)
             assert result.as_dict() == reference.as_dict()
@@ -98,12 +100,26 @@ class TestDifferentialOracle:
 
 
 class TestExchangeParity:
-    def test_scalar_and_batch_agree_on_every_tracker(self):
+    def test_scalar_and_batch_agree_on_every_tracker(self, monkeypatch):
+        import repro.distributed.peel as peel_mod
         graph = planted_partition(120, 4, 0.3, 0.02, seed=1)
-        scalar = sharded_nucleus_decomp(graph, 2, 3, 4,
-                                        exchange_engine="scalar")
-        batch = sharded_nucleus_decomp(graph, 2, 3, 4,
-                                       exchange_engine="batch")
+        kernels = []
+        for name in ("_exchange_scalar", "exchange_batch"):
+            original = getattr(peel_mod, name)
+
+            def spy(*args, _name=name, _original=original):
+                kernels.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(peel_mod, name, spy)
+        coordinator = CostTracker()
+        coordinator.reference = True
+        scalar = sharded_nucleus_decomp(graph, 2, 3, 4, tracker=coordinator)
+        assert all(st.reference for st in scalar.shard_trackers)
+        assert set(kernels) == {"_exchange_scalar"}
+        kernels.clear()
+        batch = sharded_nucleus_decomp(graph, 2, 3, 4)
+        assert set(kernels) == {"exchange_batch"}
         assert scalar.tracker.summary() == batch.tracker.summary()
         for st_scalar, st_batch in zip(scalar.shard_trackers,
                                        batch.shard_trackers):

@@ -1,10 +1,10 @@
 """Differential suite for the tracker-charged hierarchy engine.
 
-``nucleus_hierarchy`` (scalar and batch kernels) must reproduce the
-post-hoc ``build_hierarchy`` oracle exactly --- same node ids, parent
-links, levels and member sets --- and the two kernels must charge the
-simulated machine bit-for-bit identically (the PAR007 parity contract
-for ``batch_levels``).
+``nucleus_hierarchy`` (batch kernel and scalar reference oracle) must
+reproduce the post-hoc ``build_hierarchy`` oracle exactly --- same node
+ids, parent links, levels and member sets --- and the two kernels must
+charge the simulated machine bit-for-bit identically (the PAR007 parity
+contract for ``batch_levels``).
 """
 
 import pytest
@@ -29,6 +29,12 @@ CASES = [
 ]
 
 
+def reference_tracker():
+    tracker = CostTracker()
+    tracker.reference = True
+    return tracker
+
+
 def hierarchy_key(hierarchy):
     return [(n.level, n.node_id, n.parent_id, n.members)
             for n in hierarchy.nuclei]
@@ -41,15 +47,14 @@ class TestEngineMatchesOracle:
         graph = make()
         result = arb_nucleus_decomp(graph, r, s)
         oracle = build_hierarchy(graph, result)
-        engine = nucleus_hierarchy(graph, result, engine="scalar")
+        engine = nucleus_hierarchy(graph, result, reference_tracker())
         assert hierarchy_key(engine) == hierarchy_key(oracle)
 
     def test_batch_engine(self, name, make, r, s):
         graph = make()
         result = arb_nucleus_decomp(graph, r, s)
         oracle = build_hierarchy(graph, result)
-        engine = nucleus_hierarchy(graph, result, engine="batch",
-                                   listing_engine="batch")
+        engine = nucleus_hierarchy(graph, result)
         assert hierarchy_key(engine) == hierarchy_key(oracle)
 
     def test_charge_parity(self, name, make, r, s):
@@ -57,11 +62,9 @@ class TestEngineMatchesOracle:
         # not just identical output.
         graph = make()
         result = arb_nucleus_decomp(graph, r, s)
-        scalar_tracker, batch_tracker = CostTracker(), CostTracker()
-        nucleus_hierarchy(graph, result, tracker=scalar_tracker,
-                          engine="scalar")
-        nucleus_hierarchy(graph, result, tracker=batch_tracker,
-                          engine="batch")
+        scalar_tracker, batch_tracker = reference_tracker(), CostTracker()
+        nucleus_hierarchy(graph, result, tracker=scalar_tracker)
+        nucleus_hierarchy(graph, result, tracker=batch_tracker)
         assert scalar_tracker.summary() == batch_tracker.summary()
 
 
@@ -76,25 +79,28 @@ class TestEngineOptions:
         assert hierarchy_key(direct) == hierarchy_key(provided)
 
     def test_listing_engine_is_cosmetic(self):
+        """The reference lister and the frontier lister give the same
+        hierarchy and the same hier_list charges."""
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)
         result = arb_nucleus_decomp(graph, 2, 3)
-        scalar_list = nucleus_hierarchy(graph, result,
-                                        listing_engine="scalar")
-        batch_list = nucleus_hierarchy(graph, result,
-                                       listing_engine="batch")
+        t_scalar, t_batch = reference_tracker(), CostTracker()
+        scalar_list = nucleus_hierarchy(graph, result, t_scalar)
+        batch_list = nucleus_hierarchy(graph, result, t_batch)
         assert hierarchy_key(scalar_list) == hierarchy_key(batch_list)
+        assert t_scalar.phases["hier_list"] == t_batch.phases["hier_list"]
 
     def test_unknown_engine_rejected(self):
+        """No keyword selects a kernel implementation."""
         graph = figure1_graph()
         result = arb_nucleus_decomp(graph, 2, 3)
-        with pytest.raises(ValueError):
-            nucleus_hierarchy(graph, result, engine="magic")
+        with pytest.raises(TypeError):
+            nucleus_hierarchy(graph, result, engine="scalar")
 
     def test_charges_are_recorded_in_phases(self):
         tracker = CostTracker()
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)
         result = arb_nucleus_decomp(graph, 2, 3)
-        nucleus_hierarchy(graph, result, tracker=tracker, engine="batch")
+        nucleus_hierarchy(graph, result, tracker=tracker)
         assert {"hier_list", "hier_levels", "hier_emit"} <= \
             set(tracker.phases)
         assert tracker.work > 0
@@ -102,7 +108,7 @@ class TestEngineOptions:
 
 
 class TestOracleRouting:
-    """`build_hierarchy` itself must honor the configured lister."""
+    """`build_hierarchy` lists through the frontier lister by default."""
 
     def test_oracle_accepts_precomputed_cliques(self):
         graph = figure1_graph()
@@ -113,9 +119,14 @@ class TestOracleRouting:
             hierarchy_key(build_hierarchy(graph, result,
                                           s_cliques=s_cliques))
 
-    def test_oracle_uses_batch_lister(self):
+    def test_oracle_uses_batch_lister(self, monkeypatch):
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)
         result = arb_nucleus_decomp(graph, 2, 3)
-        assert hierarchy_key(build_hierarchy(graph, result)) == \
-            hierarchy_key(build_hierarchy(graph, result,
-                                          listing_engine="batch"))
+        expected = hierarchy_key(build_hierarchy(graph, result,
+                                                 tracker=reference_tracker()))
+
+        def _forbidden(*_args, **_kwargs):
+            raise AssertionError("reference recursion ran by default")
+
+        monkeypatch.setattr("repro.cliques.listing.list_cliques", _forbidden)
+        assert hierarchy_key(build_hierarchy(graph, result)) == expected

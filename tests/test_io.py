@@ -1,6 +1,7 @@
 """Tests for SNAP edge-list IO (repro.graph.io)."""
 
 import numpy as np
+import pytest
 
 from repro.graph.generators import figure1_graph
 from repro.graph.io import read_edge_list, write_edge_list
@@ -64,3 +65,34 @@ def test_gzip_round_trip(tmp_path):
         assert "# n=7 m=15" in handle.read()
     h = read_edge_list(path)
     assert np.array_equal(h.edges(), g.edges())
+
+
+class TestMalformedInput:
+    """Every malformed line fails with ``<path>:<line>: ...``."""
+
+    @staticmethod
+    def _error(tmp_path, text, relabel=True):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path, relabel=relabel)
+        return str(info.value), str(path)
+
+    def test_one_token_line(self, tmp_path):
+        message, path = self._error(tmp_path, "# c\n0 1\n7\n")
+        assert message == f"{path}:3: expected two vertex ids, got '7'"
+
+    def test_non_integer_token(self, tmp_path):
+        message, path = self._error(tmp_path, "0 1\n1 x\n")
+        assert message == f"{path}:2: vertex id 'x' is not an integer"
+
+    def test_negative_id_without_relabel(self, tmp_path):
+        message, path = self._error(tmp_path, "0 1\n\n-4 2\n",
+                                    relabel=False)
+        assert message.startswith(f"{path}:3: negative vertex id -4")
+
+    def test_negative_id_with_relabel_is_compacted(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("-4 2\n2 7\n")
+        graph = read_edge_list(path)
+        assert (graph.n, graph.m) == (3, 2)

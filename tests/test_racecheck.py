@@ -1,7 +1,5 @@
 """Tests for the dynamic race detector (repro.sanitize.racecheck)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -274,13 +272,14 @@ class TestMaybeShadow:
 
 
 class TestBatchEnginesRaceSmoke:
-    """Every batch engine, driven end-to-end with a detector attached.
+    """Every batch kernel's entry point, driven end-to-end with a
+    detector attached.
 
-    The batch engines fall back to their scalar oracles whenever a race
-    detector is present (vectorized kernels replay whole rounds and
-    cannot interleave), so the dynamic property checked here is fallback
-    losslessness: a batch-engine run under the detector must produce the
-    same answer as the uninstrumented batch run, and the detector must
+    A tracker with a race detector runs the scalar oracles
+    (``CostTracker.runs_reference``; vectorized kernels replay whole
+    rounds and cannot interleave), so the dynamic property checked here
+    is fallback losslessness: a run under the detector must produce the
+    same answer as the uninstrumented default run, and the detector must
     certify the replayed schedule race-free.  Together with the
     bit-for-bit batch/scalar cost-parity gates (tests/test_batch_*.py,
     rule PAR007) this is what the ``RACECHECK_COVERS`` stamp for
@@ -289,18 +288,14 @@ class TestBatchEnginesRaceSmoke:
 
     ENGINES = {
         "batchpeel": staticmethod(lambda t: arb_nucleus_decomp(
-            figure1_graph(), 2, 3,
-            replace(NucleusConfig.optimal(2, 3), engine="batch"), t)),
+            figure1_graph(), 2, 3, NucleusConfig.optimal(2, 3), t)),
         "batchlist": staticmethod(lambda t: arb_nucleus_decomp(
-            figure1_graph(), 2, 3,
-            replace(NucleusConfig.optimal(2, 3), listing_engine="batch"),
-            t)),
-        "batchcore": staticmethod(lambda t: k_core(
-            figure1_graph(), t, engine="batch")),
+            figure1_graph(), 3, 4, NucleusConfig.optimal(3, 4), t)),
+        "batchcore": staticmethod(lambda t: k_core(figure1_graph(), t)),
         "batchnd": staticmethod(lambda t: nd_decomposition(
-            figure1_graph(), 2, 3, t, engine="batch")),
+            figure1_graph(), 2, 3, t)),
         "batchtruss": staticmethod(lambda t: pkt_decomposition(
-            figure1_graph(), t, engine="batch")),
+            figure1_graph(), t)),
     }
 
     @staticmethod

@@ -40,45 +40,39 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="",
                         help="free-form label stored in the payload "
                              "(e.g. a git revision)")
-    parser.add_argument("--engine", choices=["scalar", "batch"],
-                        default="scalar",
-                        help="peeling implementation for the suite run")
-    parser.add_argument("--listing-engine", choices=["scalar", "batch"],
-                        dest="listing_engine", default="scalar",
-                        help="clique-listing implementation for the suite "
-                             "run")
     parser.add_argument("--engine-gate", action="store_true",
-                        help="run the suite AND the baseline suite under "
-                             "BOTH engines (plus a batch-listing run), "
-                             "require bit-for-bit identical simulated "
-                             "metrics, a batch peel wall-clock speedup of "
-                             "at least --min-speedup, a batch-listing "
-                             "count-phase speedup of at least "
-                             "--min-listing-speedup, a baseline "
+                        help="run every suite twice, once on the default "
+                             "path (the batch kernels) and once on the "
+                             "scalar reference oracles; require "
+                             "bit-for-bit identical simulated metrics, a "
+                             "peel wall-clock speedup of at least "
+                             "--min-speedup, a count-phase speedup of at "
+                             "least --min-listing-speedup, a baseline "
                              "hot-phase speedup of at least "
                              "--min-baseline-speedup and a hierarchy "
                              "level-sweep speedup of at least "
-                             "--min-hierarchy-speedup; writes the scalar "
-                             "payload to --output and the batch / listing "
-                             "payloads next to it")
+                             "--min-hierarchy-speedup; writes the default "
+                             "payload to --output and the reference "
+                             "payload next to it as *.reference.json")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="minimum suite-total peel wall-clock speedup "
-                             "the batch engine must reach in --engine-gate "
-                             "mode (default 1.0: strictly faster)")
+                             "of the default path over the reference in "
+                             "--engine-gate mode (default 1.0: strictly "
+                             "faster)")
     parser.add_argument("--min-listing-speedup", type=float, default=1.0,
                         help="minimum suite-total count-phase wall-clock "
-                             "speedup the batch listing engine must reach "
-                             "in --engine-gate mode (default 1.0: strictly "
-                             "faster)")
+                             "speedup of the default path over the "
+                             "reference in --engine-gate mode (default "
+                             "1.0: strictly faster)")
     parser.add_argument("--min-baseline-speedup", type=float, default=1.0,
                         help="minimum baseline-suite hot-phase wall-clock "
-                             "speedup the batch baseline engines must "
-                             "reach in --engine-gate mode (default 1.0: "
-                             "strictly faster)")
+                             "speedup of the default path over the "
+                             "reference in --engine-gate mode (default "
+                             "1.0: strictly faster)")
     parser.add_argument("--min-hierarchy-speedup", type=float, default=1.0,
                         help="minimum hierarchy-suite level-sweep "
-                             "wall-clock speedup the batch hierarchy "
-                             "engine must reach in --engine-gate mode "
+                             "wall-clock speedup of the default path over "
+                             "the reference in --engine-gate mode "
                              "(default 1.0: strictly faster)")
     parser.add_argument("--min-comm-reduction", type=float, default=1.0,
                         help="minimum simulated comm-time reduction "
@@ -94,19 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.engine_gate:
         return _engine_gate(args, baseline)
 
-    progress = lambda msg: print(msg, flush=True)  # noqa: E731
-    payload = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=progress,
-                              engine=args.engine,
-                              listing_engine=args.listing_engine)
-    payload["baselines"] = bench.run_baseline_suite(
-        threads=args.threads, progress=progress, engine=args.engine)
-    payload["hierarchy"] = bench.run_hierarchy_suite(
-        threads=args.threads, progress=progress, engine=args.engine,
-        listing_engine=args.listing_engine)
-    payload["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress,
-        exchange_engine=args.engine)
+    payload, = _run(args, False)
     bench.write_payload(payload, args.output)
     print(f"wrote {len(payload['suite'])} suite entries, "
           f"{len(payload['baselines'])} baseline entries, "
@@ -127,14 +109,29 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-#: Entry fields excluded from the bit-for-bit engine comparison: host
-#: wall-clock is the one thing the batch engines are *supposed* to change.
-_HOST_ONLY_FIELDS = ("wall_clock", "engine", "listing_engine",
-                     "exchange_engine")
+def _run(args, *references: bool) -> list[dict]:
+    """One payload of every pinned section per ``reference`` flag.
+
+    Runs section by section, so the runs the engine gate compares by
+    wall-clock sit next to each other in time (host speed drifts).
+    """
+    progress = lambda msg: print(msg, flush=True)  # noqa: E731
+    payloads = [bench.run_suite(threads=args.threads, label=args.label,
+                                progress=progress, reference=reference)
+                for reference in references]
+    for section, run in (("baselines", bench.run_baseline_suite),
+                         ("hierarchy", bench.run_hierarchy_suite),
+                         ("sharded", bench.run_sharded_suite)):
+        for payload, reference in zip(payloads, references):
+            payload[section] = run(threads=args.threads, progress=progress,
+                                   reference=reference)
+    return payloads
 
 
 def _simulated_view(entry: dict) -> dict:
-    return {k: v for k, v in entry.items() if k not in _HOST_ONLY_FIELDS}
+    """An entry without host wall-clock, the one field the reference and
+    the default path are *supposed* to differ in."""
+    return {k: v for k, v in entry.items() if k != "wall_clock"}
 
 
 def _phase_wall_total(payload: dict, phase: str) -> float:
@@ -142,17 +139,17 @@ def _phase_wall_total(payload: dict, phase: str) -> float:
 
 
 _SECTION_KEYS = {
-    "suite": lambda: bench.entry_key,
-    "baselines": lambda: bench.baseline_entry_key,
-    "hierarchy": lambda: bench.hierarchy_entry_key,
-    "sharded": lambda: bench.sharded_entry_key,
+    "suite": bench.entry_key,
+    "baselines": bench.baseline_entry_key,
+    "hierarchy": bench.hierarchy_entry_key,
+    "sharded": bench.sharded_entry_key,
 }
 
 
 def _parity_failures(reference: dict, candidate: dict,
-                     label: str, section: str = "suite") -> list[str]:
-    """Bit-for-bit simulated-metric differences between two suite runs."""
-    key_of = _SECTION_KEYS[section]()
+                     section: str) -> list[str]:
+    """Bit-for-bit simulated-metric differences between two runs."""
+    key_of = _SECTION_KEYS[section]
     failures = []
     for ref_entry, cand_entry in zip(reference[section], candidate[section]):
         key = key_of(ref_entry)
@@ -160,103 +157,58 @@ def _parity_failures(reference: dict, candidate: dict,
             diffs = [k for k in _simulated_view(ref_entry)
                      if ref_entry.get(k) != cand_entry.get(k)]
             failures.append(f"{key}: simulated metrics differ between "
-                            f"{label} in fields {diffs}")
+                            f"the reference and the default path in "
+                            f"fields {diffs}")
     return failures
 
 
-def _baseline_hot_total(payload: dict) -> float:
+def _hot_total(payload: dict, section: str) -> float:
     return sum(e["wall_clock"].get(e["hot_phase"], 0.0)
-               for e in payload["baselines"])
+               for e in payload[section])
 
 
-def _hierarchy_hot_total(payload: dict) -> float:
-    return sum(e["wall_clock"].get(e["hot_phase"], 0.0)
-               for e in payload["hierarchy"])
+def _speedup(label: str, reference: float, default: float,
+             floor: float, failures: list[str]) -> float:
+    ratio = reference / default if default > 0 else float("inf")
+    print(f"{label} wall-clock: reference {reference:.3f}s, default "
+          f"{default:.3f}s (speedup x{ratio:.2f})")
+    if ratio < floor:
+        failures.append(f"{label} speedup x{ratio:.2f} below the required "
+                        f"x{floor:.2f}")
+    return ratio
 
 
 def _engine_gate(args, baseline) -> int:
-    """Run both engines (and the batch listing engine); enforce the
-    cost-parity invariants plus the peel and count-phase speedups."""
-    progress = lambda msg: print(msg, flush=True)  # noqa: E731
-    scalar = bench.run_suite(threads=args.threads, label=args.label,
-                             progress=progress, engine="scalar")
-    batch = bench.run_suite(threads=args.threads, label=args.label,
-                            progress=progress, engine="batch")
-    listing = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=progress, engine="batch",
-                              listing_engine="batch")
-    scalar["baselines"] = bench.run_baseline_suite(
-        threads=args.threads, progress=progress, engine="scalar")
-    batch["baselines"] = bench.run_baseline_suite(
-        threads=args.threads, progress=progress, engine="batch")
-    scalar["hierarchy"] = bench.run_hierarchy_suite(
-        threads=args.threads, progress=progress, engine="scalar")
-    batch["hierarchy"] = bench.run_hierarchy_suite(
-        threads=args.threads, progress=progress, engine="batch",
-        listing_engine="batch")
-    scalar["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress, exchange_engine="scalar")
-    batch["sharded"] = bench.run_sharded_suite(
-        threads=args.threads, progress=progress, exchange_engine="batch")
-    bench.write_payload(scalar, args.output)
+    """Run the default path and the reference oracles; enforce the
+    cost-parity invariants plus the wall-clock speedup floors."""
+    reference, default = _run(args, True, False)
+    bench.write_payload(default, args.output)
     root, ext = os.path.splitext(args.output)
-    batch_path = f"{root}.batch{ext or '.json'}"
-    listing_path = f"{root}.listing{ext or '.json'}"
-    bench.write_payload(batch, batch_path)
-    bench.write_payload(listing, listing_path)
-    print(f"wrote scalar payload to {args.output}, batch payload to "
-          f"{batch_path}, batch-listing payload to {listing_path}")
+    reference_path = f"{root}.reference{ext or '.json'}"
+    bench.write_payload(reference, reference_path)
+    print(f"wrote default payload to {args.output}, reference payload to "
+          f"{reference_path}")
 
-    failures = _parity_failures(scalar, batch, "peel engines")
-    failures += _parity_failures(scalar, listing, "listing engines")
-    failures += _parity_failures(scalar, batch, "baseline engines",
-                                 section="baselines")
-    failures += _parity_failures(scalar, batch, "hierarchy engines",
-                                 section="hierarchy")
-    failures += _parity_failures(scalar, batch, "exchange engines",
-                                 section="sharded")
-    scalar_peel = _phase_wall_total(scalar, "peel")
-    batch_peel = _phase_wall_total(batch, "peel")
-    ratio = scalar_peel / batch_peel if batch_peel > 0 else float("inf")
-    print(f"suite peel wall-clock: scalar {scalar_peel:.3f}s, "
-          f"batch {batch_peel:.3f}s (speedup x{ratio:.2f})")
-    if ratio < args.min_speedup:
-        failures.append(f"batch peel speedup x{ratio:.2f} below the "
-                        f"required x{args.min_speedup:.2f}")
-    scalar_count = _phase_wall_total(scalar, "count_s")
-    listing_count = _phase_wall_total(listing, "count_s")
-    listing_ratio = scalar_count / listing_count if listing_count > 0 \
-        else float("inf")
-    print(f"suite count_s wall-clock: scalar {scalar_count:.3f}s, "
-          f"batch listing {listing_count:.3f}s (speedup "
-          f"x{listing_ratio:.2f})")
-    if listing_ratio < args.min_listing_speedup:
-        failures.append(f"batch listing count-phase speedup "
-                        f"x{listing_ratio:.2f} below the required "
-                        f"x{args.min_listing_speedup:.2f}")
-    scalar_hot = _baseline_hot_total(scalar)
-    batch_hot = _baseline_hot_total(batch)
-    baseline_ratio = scalar_hot / batch_hot if batch_hot > 0 \
-        else float("inf")
-    print(f"baseline-suite hot-phase wall-clock: scalar {scalar_hot:.3f}s, "
-          f"batch {batch_hot:.3f}s (speedup x{baseline_ratio:.2f})")
-    if baseline_ratio < args.min_baseline_speedup:
-        failures.append(f"batch baseline hot-phase speedup "
-                        f"x{baseline_ratio:.2f} below the required "
-                        f"x{args.min_baseline_speedup:.2f}")
-    scalar_hier = _hierarchy_hot_total(scalar)
-    batch_hier = _hierarchy_hot_total(batch)
-    hierarchy_ratio = scalar_hier / batch_hier if batch_hier > 0 \
-        else float("inf")
-    print(f"hierarchy-suite level-sweep wall-clock: scalar "
-          f"{scalar_hier:.3f}s, batch {batch_hier:.3f}s (speedup "
-          f"x{hierarchy_ratio:.2f})")
-    if hierarchy_ratio < args.min_hierarchy_speedup:
-        failures.append(f"batch hierarchy level-sweep speedup "
-                        f"x{hierarchy_ratio:.2f} below the required "
-                        f"x{args.min_hierarchy_speedup:.2f}")
+    failures = []
+    for section in _SECTION_KEYS:
+        failures += _parity_failures(reference, default, section)
+    ratio = _speedup("suite peel", _phase_wall_total(reference, "peel"),
+                     _phase_wall_total(default, "peel"), args.min_speedup,
+                     failures)
+    listing_ratio = _speedup(
+        "suite count_s", _phase_wall_total(reference, "count_s"),
+        _phase_wall_total(default, "count_s"), args.min_listing_speedup,
+        failures)
+    baseline_ratio = _speedup(
+        "baseline-suite hot-phase", _hot_total(reference, "baselines"),
+        _hot_total(default, "baselines"), args.min_baseline_speedup,
+        failures)
+    hierarchy_ratio = _speedup(
+        "hierarchy-suite level-sweep", _hot_total(reference, "hierarchy"),
+        _hot_total(default, "hierarchy"), args.min_hierarchy_speedup,
+        failures)
     worst_reduction = float("inf")
-    for entry in batch["sharded"]:
+    for entry in default["sharded"]:
         reduction = entry["comm_reduction"]
         worst_reduction = min(worst_reduction, reduction)
         print(f"sharded {bench.sharded_entry_key(entry)}: comm time "
@@ -273,8 +225,8 @@ def _engine_gate(args, baseline) -> int:
                             f"required x{args.min_comm_reduction:.2f}")
 
     if baseline is not None:
-        for name, payload in (("scalar", scalar), ("batch", batch),
-                              ("listing", listing)):
+        for name, payload in (("default", default),
+                              ("reference", reference)):
             regressions = bench.compare(payload, baseline,
                                         tolerance=args.tolerance)
             failures.extend(f"[{name}] {line}" for line in regressions)
@@ -284,10 +236,9 @@ def _engine_gate(args, baseline) -> int:
         for line in failures:
             print(f"  {line}")
         return 1
-    print("engine gate passed: identical simulated metrics, batch peel "
-          f"x{ratio:.2f} faster, batch listing count phase "
-          f"x{listing_ratio:.2f} faster, batch baselines "
-          f"x{baseline_ratio:.2f} faster, batch hierarchy level sweep "
+    print("engine gate passed: identical simulated metrics, peel "
+          f"x{ratio:.2f} faster, count phase x{listing_ratio:.2f} faster, "
+          f"baselines x{baseline_ratio:.2f} faster, hierarchy level sweep "
           f"x{hierarchy_ratio:.2f} faster, worst mincut comm reduction "
           f"x{worst_reduction:.2f}")
     return 0

@@ -47,15 +47,16 @@ export a Perfetto timeline, see [docs/profiling.md](docs/profiling.md).
 The payload also carries a `baselines` section: the pinned competitor
 suite (`bench.BASELINE_SUITE` — ND/PND on dblp, the truss family and
 k-core on youtube, the densest scan on amazon and dblp), each run
-recording its simulated metrics plus host wall-clock per phase. The
-engine gate requires the batched baseline engines to reproduce the
-scalar oracles' simulated metrics bit-for-bit *and* to beat them by at
-least 3x aggregate wall-clock on their hot (vectorized) phases — so
-host-speed regressions in the competitor implementations fail CI just
-like simulated-cost regressions do. Note the fig12 numbers predating
-the baseline accounting fixes (PKT's duplicated frontier entries, the
-uncharged densest scan) were regenerated; the corrected charges are
-the pinned trajectory.
+recording its simulated metrics plus host wall-clock per phase, on the
+library's default path: the vectorized batch kernels. The engine gate
+reruns every suite on the scalar reference oracles and requires the
+default path to reproduce their simulated metrics bit-for-bit *and* to
+beat them by at least 3x aggregate wall-clock on the baselines' hot
+(vectorized) phases — so host-speed regressions in the competitor
+implementations fail CI just like simulated-cost regressions do. Note
+the fig12 numbers predating the baseline accounting fixes (PKT's
+duplicated frontier entries, the uncharged densest scan) were
+regenerated; the corrected charges are the pinned trajectory.
 """
 
 
