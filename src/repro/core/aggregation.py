@@ -115,10 +115,6 @@ class SimpleArrayAggregator:
         n = cells.size
         if n == 0:
             return
-        if self.tracker is not None and self.tracker.race_detector is not None:
-            for cell in cells.tolist():
-                self.record(cell)
-            return
         self._grow_to(self._cursor + n)
         if self.tracker is not None:
             self.tracker.add_work_int(n)
@@ -214,10 +210,6 @@ class ListBufferAggregator:
             th = np.zeros(n, dtype=np.int64)
         else:
             th = np.asarray(threads, dtype=np.int64) % self.threads
-        if self.tracker is not None and self.tracker.race_detector is not None:
-            for cell, t in zip(cells.tolist(), th.tolist()):
-                self.record(cell, t)
-            return
         size = self.buffer_size
         order = np.argsort(th, kind="stable")
         sorted_th = th[order]

@@ -474,10 +474,6 @@ class CliqueTable:
         self.tracker.add_work_int(cells.size)
         self.tracker.add_atomic(cells.size)
         addresses = self.addresses_of_many(cells)
-        detector = self.tracker.race_detector
-        if detector is not None:
-            for address in addresses:
-                detector.log(int(address), write=True, atomic=True)
         if collect_addresses:
             return addresses
         self.tracker.access_sequence(addresses)
@@ -511,10 +507,6 @@ class CliqueTable:
                                   + total_probes * self.suffix_width)
         self.tracker.add_probes(m * route_probes + total_probes)
         self.tracker.add_atomic(m)
-        detector = self.tracker.race_detector
-        if detector is not None:
-            for address in self.addresses_of_many(cells):
-                detector.log(int(address), write=True, atomic=True)
         addresses = np.concatenate(
             [route_addrs, slot_addrs[:, np.newaxis]], axis=1).reshape(-1)
         if collect_addresses:

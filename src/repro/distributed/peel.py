@@ -23,10 +23,14 @@ resulting core numbers are **bit-for-bit identical** to the single-node
 in tests/test_distributed.py pins this on every graph/(r,s)/shard-count
 combination it runs.
 
-:func:`_exchange_scalar` is the reference oracle of the vectorized
-:func:`repro.distributed.batchexchange.exchange_batch` kernel, which must
-match it charge-for-charge on every tracker (``PARLINT_PARITY``); the
-oracle runs when the sending shard's tracker
+Both steps of a super-round have a vectorized kernel in
+:mod:`repro.distributed.batchexchange` and a scalar reference oracle
+here: :func:`_local_round` for
+:func:`~repro.distributed.batchexchange.local_round_batch` and
+:func:`_exchange_scalar` for
+:func:`~repro.distributed.batchexchange.exchange_batch`.  Each kernel
+must match its oracle charge-for-charge on every tracker
+(``PARLINT_PARITY``); the oracle runs when the shard's tracker
 :attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
 """
 
@@ -49,7 +53,7 @@ from ..observe.trace import TraceRecorder
 from ..parallel.primitives import intersect_many
 from ..parallel.runtime import CostTracker, _log2
 from ..sanitize.racecheck import maybe_shadow
-from .batchexchange import exchange_batch
+from .batchexchange import exchange_batch, local_round_batch
 from .model import ENTRY_BYTES
 from .partition import PARTITIONERS, Partition
 
@@ -107,6 +111,18 @@ class ShardedResult:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
 
+def _first_touches(cells: np.ndarray, stamp: np.ndarray,
+                   round_id: int) -> list[int]:
+    """Stamp the cells not yet touched in ``round_id``; return them in
+    first-touch order (the per-call stamp test, for a whole batch)."""
+    fresh = cells[stamp[cells] != round_id]
+    if fresh.size > 1:
+        _, first = np.unique(fresh, return_index=True)
+        fresh = fresh[np.sort(first)]
+    stamp[fresh] = round_id
+    return fresh.tolist()
+
+
 class UpdateLedger:
     """The owner-side count store plus the per-round updated set ``U``.
 
@@ -135,6 +151,14 @@ class UpdateLedger:
             self.stamp[cell] = self.round_id
             self.updated.append(int(cell))
 
+    def subtract_many(self, cells: np.ndarray, amounts) -> None:
+        """:meth:`fetch_sub` over ``cells`` in order, without the charges
+        (the vectorized kernels charge in bulk): each cell enters ``U`` at
+        its first touch this round, as the per-call stamps would order it.
+        """
+        np.subtract.at(self.counts, cells, amounts)
+        self.updated.extend(_first_touches(cells, self.stamp, self.round_id))
+
 
 class ExchangeBuffer:
     """One shard's outbox of cross-shard count decrements.
@@ -161,6 +185,13 @@ class ExchangeBuffer:
         if self.stamp[cell] != self.round_id:
             self.stamp[cell] = self.round_id
             self.touched.append(int(cell))
+
+    def buffer_many(self, cells: np.ndarray) -> None:
+        """:meth:`buffer_remote` over ``cells`` in order, without the
+        charges: one pending decrement per entry, each cell recorded in
+        ``touched`` at its first touch this round."""
+        np.add.at(self.pending, cells, 1)
+        self.touched.extend(_first_touches(cells, self.stamp, self.round_id))
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Pop the buffered (cells, deltas), clearing the outbox."""
@@ -283,7 +314,9 @@ def _update_one_sharded(shard: int, clique: tuple, r: int, s: int, table,
 def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
                  table, dg, working, status, owner_of, ledger, outbox,
                  tracker: CostTracker) -> None:
-    """One shard's local peel work for one super-round."""
+    """One shard's local peel work for one super-round, one peeled
+    r-clique at a time --- the reference oracle of
+    :func:`repro.distributed.batchexchange.local_round_batch`."""
     with tracker.phase("local_peel"):
         tracker.add_round()
         with tracker.parallel(int(mine.size)) as region:
@@ -352,9 +385,14 @@ def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
             if mine.size == 0:
                 continue
             table.tracker = sts[shard]
-            _local_round(shard, mine, r, s, graph_n, table, dg, working,
-                         status, owner_of, ledger, outboxes[shard],
-                         sts[shard])
+            if sts[shard].runs_reference:
+                _local_round(shard, mine, r, s, graph_n, table, dg, working,
+                             status, owner_of, ledger, outboxes[shard],
+                             sts[shard])
+            else:
+                local_round_batch(shard, mine, r, s, graph_n, table, dg,
+                                  working, status, owner_of, ledger,
+                                  outboxes[shard], sts[shard])
         table.tracker = None
         messages, n_bytes = _exchange_round(sts, outboxes, owner_of, ledger)
         exchange_log.append({"round": round_id, "level": int(level),
@@ -373,6 +411,28 @@ def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
     return rho, max_core, round_log, exchange_log, round_compute
 
 
+def _check_partition(partition: Partition, n: int, n_shards: int) -> None:
+    """Reject a partition that does not map ``n`` vertices to shards
+    ``0 .. n_shards - 1``."""
+    if partition.n_shards != n_shards:
+        raise ValueError("partition.n_shards != n_shards")
+    shard_of = np.asarray(partition.shard_of)
+    if not np.issubdtype(shard_of.dtype, np.integer):
+        raise ValueError(f"partition.shard_of must hold integer shard ids, "
+                         f"got dtype {shard_of.dtype}")
+    if shard_of.shape != (n,):
+        raise ValueError(f"partition.shard_of must hold one shard id per "
+                         f"vertex (shape ({n},)), got shape "
+                         f"{shard_of.shape}")
+    bad = np.flatnonzero((shard_of < 0) | (shard_of >= n_shards))
+    if bad.size:
+        vertex = int(bad[0])
+        raise ValueError(f"partition.shard_of must lie in [0, {n_shards}); "
+                         f"vertex {vertex} is on shard "
+                         f"{int(shard_of[vertex])} ({bad.size} vertices "
+                         f"out of range)")
+
+
 def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
                            partitioner: str = "mincut",
                            config: NucleusConfig | None = None,
@@ -389,16 +449,20 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     ``update_arithmetic`` is forced to ``"representative"`` (exact
     integer deltas commute across shards) and ``contraction`` off (a
-    shared-memory-only optimization); the single-node batch peel kernel
-    likewise does not apply --- the distributed driver's vectorized
-    kernel is the exchange.  Shard trackers inherit the coordinator's
-    ``race_detector`` and ``reference`` settings.
+    shared-memory-only optimization).  Shard trackers inherit the
+    coordinator's ``race_detector`` and ``reference`` settings.
+
+    A caller-supplied ``partition`` must give every vertex of ``graph``
+    an integer shard id in ``[0, n_shards)``; anything else raises
+    ``ValueError``.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     if partitioner not in PARTITIONERS:
         raise ValueError(f"unknown partitioner {partitioner!r}; "
                          f"choose from {sorted(PARTITIONERS)}")
+    if partition is not None:
+        _check_partition(partition, graph.n, n_shards)
     if config is None:
         config = NucleusConfig.optimal(r, s)
     config = replace(config, update_arithmetic="representative",
@@ -411,8 +475,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     with tracker.phase("partition"):
         if partition is None:
             partition = PARTITIONERS[partitioner](graph, n_shards, tracker)
-        elif partition.n_shards != n_shards:
-            raise ValueError("partition.n_shards != n_shards")
 
     shard_trackers = [CostTracker() for _ in range(n_shards)]
     shard_traces = None

@@ -2,20 +2,30 @@
 
 The headline invariant: the distributed peel's output is bit-for-bit
 identical to the single-node oracle on every graph/(r,s)/shard-count
-combination, with the exchange kernel and with its reference oracle.
+combination, on the default path (the vectorized local-peel and
+exchange kernels) and on their reference oracles.  The two paths must
+also agree charge-for-charge on every tracker --- totals, per-phase
+stats and the cache stream --- and in the round, exchange and compute
+logs and the order of the ledger's updated set, including when the
+local peel's task blocks are shrunk so every round crosses several.
 The message-volume accounting is pinned by closed-form unit tests (one
 exchange charges exactly the sum of the per-shard batch sizes, with no
-double-charging), and the scalar/batch exchange kernels must agree
-charge-for-charge on every tracker.
+double-charging), and a caller-supplied partition is validated.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import repro.core.batchpeel as batchpeel
+import repro.distributed.peel as peel_mod
+from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
-from repro.distributed import (ENTRY_BYTES, DistributedMachineModel,
-                               PARTITIONERS, hash_partition,
-                               mincut_partition, sharded_nucleus_decomp)
+from repro.distributed import (ENTRY_BYTES, PARTITIONERS,
+                               DistributedMachineModel, Partition,
+                               hash_partition, mincut_partition,
+                               sharded_nucleus_decomp)
 from repro.distributed.batchexchange import exchange_batch
 from repro.distributed.peel import (ExchangeBuffer, UpdateLedger,
                                     _exchange_scalar)
@@ -23,16 +33,20 @@ from repro.graph.generators import (complete_graph, erdos_renyi,
                                     figure1_graph, planted_partition,
                                     rmat_graph)
 from repro.graph.stats import estimated_clique_spill, partition_statistics
+from repro.machine.cache import CacheSimulator
 from repro.parallel.runtime import CostTracker, MachineModel
 from repro.sanitize.racecheck import RaceDetector
 
-# Static->dynamic coverage stamp for rule PAR011: the sharded driver's
-# parallel regions (the per-shard local peel rounds) are driven under a
-# live RaceDetector by TestShardedRaceCoverage below.  The exchange
+# Static->dynamic coverage stamps for rule PAR011: the parallel regions
+# of sharded_nucleus_decomp (the per-shard local peel rounds of the scalar
+# oracle) run under a live RaceDetector in TestShardedRaceCoverage below.
+# The vectorized local-peel kernel falls back to that oracle under a
+# detector and is stamped in tests/test_racecheck.py.  The exchange
 # kernels open no parallel regions (the exchange is the serial barrier
-# step between rounds), so the driver stamp covers the package.
+# step between rounds).
 RACECHECK_COVERS = [
     "repro.distributed.peel.sharded_nucleus_decomp",
+    "repro.distributed.peel._local_round",
 ]
 
 #: The differential suite: (graph factory, r, s, shard count).  Two
@@ -99,12 +113,54 @@ class TestDifferentialOracle:
             == [(level, peeled) for level, peeled, _ in reference.round_log]
 
 
+def _sharded_run(monkeypatch, graph, r, s, shards, reference,
+                 partitioner="mincut", config=None):
+    """One sharded run plus every round's ledger updated set, in order."""
+    rounds: list = []
+
+    class RecordingLedger(UpdateLedger):
+        def begin_round(self, round_id: int) -> None:
+            super().begin_round(round_id)
+            rounds.append(self.updated)  # filled in place as the round runs
+
+    monkeypatch.setattr(peel_mod, "UpdateLedger", RecordingLedger)
+    tracker = CostTracker()
+    tracker.reference = reference
+    result = sharded_nucleus_decomp(graph, r, s, shards,
+                                    partitioner=partitioner, config=config,
+                                    tracker=tracker)
+    return result, rounds
+
+
+def _phases(tracker: CostTracker) -> dict:
+    return {name: dataclasses.asdict(stats)
+            for name, stats in tracker.phases.items()}
+
+
+def assert_paths_agree(reference, default) -> None:
+    """Default path == reference oracles, on everything the kernels feed."""
+    (scalar, scalar_rounds), (batch, batch_rounds) = reference, default
+    assert scalar.tracker.summary() == batch.tracker.summary()
+    assert _phases(scalar.tracker) == _phases(batch.tracker)
+    for st_scalar, st_batch in zip(scalar.shard_trackers,
+                                   batch.shard_trackers, strict=True):
+        assert st_scalar.summary() == st_batch.summary()
+        assert _phases(st_scalar) == _phases(st_batch)
+    assert scalar.round_log == batch.round_log
+    assert scalar.exchange_log == batch.exchange_log
+    assert scalar.round_compute == batch.round_compute
+    assert scalar.comm_messages == batch.comm_messages
+    assert scalar.comm_bytes == batch.comm_bytes
+    assert scalar_rounds == batch_rounds
+    assert np.array_equal(scalar._cores, batch._cores)
+
+
 class TestExchangeParity:
     def test_scalar_and_batch_agree_on_every_tracker(self, monkeypatch):
-        import repro.distributed.peel as peel_mod
         graph = planted_partition(120, 4, 0.3, 0.02, seed=1)
         kernels = []
-        for name in ("_exchange_scalar", "exchange_batch"):
+        for name in ("_local_round", "local_round_batch",
+                     "_exchange_scalar", "exchange_batch"):
             original = getattr(peel_mod, name)
 
             def spy(*args, _name=name, _original=original):
@@ -112,23 +168,85 @@ class TestExchangeParity:
                 return _original(*args)
 
             monkeypatch.setattr(peel_mod, name, spy)
-        coordinator = CostTracker()
-        coordinator.reference = True
-        scalar = sharded_nucleus_decomp(graph, 2, 3, 4, tracker=coordinator)
-        assert all(st.reference for st in scalar.shard_trackers)
-        assert set(kernels) == {"_exchange_scalar"}
+        scalar = _sharded_run(monkeypatch, graph, 2, 3, 4, reference=True)
+        assert all(st.reference for st in scalar[0].shard_trackers)
+        assert set(kernels) == {"_local_round", "_exchange_scalar"}
         kernels.clear()
-        batch = sharded_nucleus_decomp(graph, 2, 3, 4)
-        assert set(kernels) == {"exchange_batch"}
-        assert scalar.tracker.summary() == batch.tracker.summary()
-        for st_scalar, st_batch in zip(scalar.shard_trackers,
-                                       batch.shard_trackers):
-            assert st_scalar.summary() == st_batch.summary()
-        assert scalar.exchange_log == batch.exchange_log
-        assert scalar.round_compute == batch.round_compute
-        assert scalar.comm_messages == batch.comm_messages
-        assert scalar.comm_bytes == batch.comm_bytes
-        assert np.array_equal(scalar._cores, batch._cores)
+        batch = _sharded_run(monkeypatch, graph, 2, 3, 4, reference=False)
+        assert set(kernels) == {"local_round_batch", "exchange_batch"}
+        assert len(scalar[1]) == scalar[0].rho
+        assert_paths_agree(scalar, batch)
+
+
+class TestBlockBoundaries:
+    """The differential suite with the local peel's blocks cut to three
+    tasks, so every round of more than three peeled cells on a shard
+    runs as several blocks whose streams and charges must concatenate
+    to the oracle's."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 3)
+
+    @pytest.mark.parametrize(
+        "name,factory,r,s,shards,partitioner",
+        DIFFERENTIAL_SUITE, ids=[row[0] for row in DIFFERENTIAL_SUITE])
+    def test_default_path_matches_oracle(self, monkeypatch, name, factory,
+                                         r, s, shards, partitioner):
+        graph = factory()
+        runs = [_sharded_run(monkeypatch, graph, r, s, shards, reference,
+                             partitioner)
+                for reference in (True, False)]
+        assert_paths_agree(*runs)
+
+    def test_rounds_span_several_blocks(self, monkeypatch):
+        """The sweep is meaningful: some round peels more cells than four
+        shards' worth of three blocks, so at least one shard runs four or
+        more blocks in it."""
+        graph = planted_partition(120, 4, 0.3, 0.02, seed=2)
+        result, _ = _sharded_run(monkeypatch, graph, 2, 3, 4, False)
+        largest = max(peeled for _, peeled, _ in result.round_log)
+        assert largest > 3 * result.n_shards * batchpeel.PEEL_BLOCK_TASKS
+
+
+class _CachedTracker(CostTracker):
+    """A shard tracker carrying a small exact cache simulator."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cache = CacheSimulator(line_words=4, n_sets=16, ways=2)
+
+
+class TestLocalPeelCacheReplay:
+    """With a cache simulator on the shard trackers, the kernel replays
+    the oracle's address stream: per task its decode addresses, then each
+    probed sub-clique's route and slot addresses."""
+
+    CONFIGS = {
+        "two-level-stored-pointers": (2, 3, None),
+        "one-level-binary-search": (2, 3, NucleusConfig(
+            levels=1, contiguous=False, inverse_map="binary_search")),
+        "multi-level-hash": (3, 4, NucleusConfig(
+            levels=3, table_style="hash", relabel=True)),
+        "kcore": (1, 2, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_cache_stream_matches_oracle(self, monkeypatch, name):
+        r, s, config = self.CONFIGS[name]
+        monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 5)
+        monkeypatch.setattr(peel_mod, "CostTracker", _CachedTracker)
+        graph = planted_partition(90, 3, 0.35, 0.04, seed=12)
+        runs = [_sharded_run(monkeypatch, graph, r, s, 3, reference,
+                             config=config)
+                for reference in (True, False)]
+        assert_paths_agree(*runs)
+        for st_scalar, st_batch in zip(runs[0][0].shard_trackers,
+                                       runs[1][0].shard_trackers):
+            assert st_batch.cache.accesses > 0
+            assert st_scalar.cache.accesses == st_batch.cache.accesses
+            assert st_scalar.cache.misses == st_batch.cache.misses
+            assert st_batch.phases["local_peel"].cache_misses > 0
 
 
 def _exchange_fixture():
@@ -281,6 +399,61 @@ class TestPartitioners:
         mincut_run = sharded_nucleus_decomp(graph, 2, 3, 4,
                                             partitioner="mincut")
         assert mincut_run.comm_bytes < hash_run.comm_bytes
+
+
+class TestPartitionValidation:
+    """A caller-supplied partition must give every vertex an integer
+    shard id in [0, n_shards); anything else fails before peeling with a
+    ValueError naming the problem."""
+
+    @staticmethod
+    def _run(shard_of, n_shards=2):
+        graph = planted_partition(120, 4, 0.3, 0.02, seed=2)
+        partition = Partition(n_shards, shard_of, "custom")
+        return sharded_nucleus_decomp(graph, 2, 3, n_shards,
+                                      partition=partition)
+
+    @staticmethod
+    def _valid():
+        return hash_partition(planted_partition(120, 4, 0.3, 0.02, seed=2),
+                              2).shard_of.copy()
+
+    def test_valid_partition_is_used(self):
+        graph = planted_partition(120, 4, 0.3, 0.02, seed=2)
+        result = self._run(self._valid())
+        assert result.partition.partitioner == "custom"
+        assert result.as_dict() == arb_nucleus_decomp(graph, 2, 3).as_dict()
+
+    def test_negative_ids_rejected(self):
+        shard_of = self._valid()
+        shard_of[::3] = -1
+        with pytest.raises(ValueError, match=r"\[0, 2\); vertex 0 is on "
+                                             r"shard -1 \(40 vertices"):
+            self._run(shard_of)
+
+    def test_id_past_last_shard_rejected(self):
+        shard_of = self._valid()
+        shard_of[7] = 2
+        with pytest.raises(ValueError, match="vertex 7 is on shard 2"):
+            self._run(shard_of)
+
+    def test_short_array_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(120,\).*\(119,\)"):
+            self._run(self._valid()[:-1])
+
+    def test_overlong_array_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(120,\).*\(121,\)"):
+            self._run(np.append(self._valid(), 0))
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(ValueError, match="integer shard ids.*float64"):
+            self._run(self._valid().astype(np.float64))
+
+    def test_shard_count_mismatch_rejected(self):
+        graph = figure1_graph()
+        with pytest.raises(ValueError, match="partition.n_shards"):
+            sharded_nucleus_decomp(graph, 2, 3, 3,
+                                   partition=hash_partition(graph, 2))
 
 
 class TestPartitionStatistics:

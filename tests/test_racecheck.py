@@ -5,10 +5,13 @@ import pytest
 
 from repro.baselines.nd import nd_decomposition
 from repro.baselines.pkt import pkt_decomposition
+from repro.core.aggregation import ListBufferAggregator, SimpleArrayAggregator
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
 from repro.core.kcore import k_core
-from repro.graph.generators import figure1_graph
+from repro.core.tables import CliqueTable
+from repro.distributed import sharded_nucleus_decomp
+from repro.graph.generators import figure1_graph, planted_partition
 from repro.parallel.runtime import CostTracker
 from repro.sanitize.racecheck import (RaceDetector, RaceError, ShadowArray,
                                       maybe_shadow)
@@ -23,6 +26,7 @@ from repro.sanitize.racecheck import (RaceDetector, RaceError, ShadowArray,
 RACECHECK_COVERS = [
     "repro.core.decomp.arb_nucleus_decomp",
     "repro.core.batchpeel.peel_batch",
+    "repro.distributed.batchexchange.local_round_batch",
 ]
 
 
@@ -282,8 +286,10 @@ class TestBatchEnginesRaceSmoke:
     same answer as the uninstrumented default run, and the detector must
     certify the replayed schedule race-free.  Together with the
     bit-for-bit batch/scalar cost-parity gates (tests/test_batch_*.py,
-    rule PAR007) this is what the ``RACECHECK_COVERS`` stamp for
-    ``peel_batch`` asserts.
+    rule PAR007) this is what the ``RACECHECK_COVERS`` stamps for
+    ``peel_batch`` and ``local_round_batch`` assert.  The vectorized
+    data-structure methods the kernels call are therefore never reached
+    with a detector-carrying tracker, which the detector runs here pin.
     """
 
     ENGINES = {
@@ -296,7 +302,18 @@ class TestBatchEnginesRaceSmoke:
             figure1_graph(), 2, 3, t)),
         "batchtruss": staticmethod(lambda t: pkt_decomposition(
             figure1_graph(), t)),
+        "sharded": staticmethod(lambda t: sharded_nucleus_decomp(
+            planted_partition(48, 3, 0.4, 0.05, seed=3), 2, 3, 3,
+            tracker=t)),
     }
+
+    #: Vectorized methods only the batch kernels call (owner, method).
+    BATCH_ONLY_METHODS = [
+        (SimpleArrayAggregator, "record_many"),
+        (ListBufferAggregator, "record_many"),
+        (CliqueTable, "add_count_at_many"),
+        (CliqueTable, "add_count_many"),
+    ]
 
     @staticmethod
     def _comparable(result):
@@ -307,7 +324,19 @@ class TestBatchEnginesRaceSmoke:
         return (result.core, result.rounds)
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
-    def test_race_free_and_lossless_fallback(self, name):
+    def test_race_free_and_lossless_fallback(self, name, monkeypatch):
+        for owner, method in self.BATCH_ONLY_METHODS:
+            original = getattr(owner, method)
+
+            def guarded(obj, *args, _original=original, _method=method,
+                        **kwargs):
+                if obj.tracker is not None \
+                        and obj.tracker.race_detector is not None:
+                    raise AssertionError(
+                        f"{_method} called with a race detector attached")
+                return _original(obj, *args, **kwargs)
+
+            monkeypatch.setattr(owner, method, guarded)
         run = self.ENGINES[name].__func__
         tracker, detector = tracked_detector()
         checked = run(tracker)
