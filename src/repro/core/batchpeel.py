@@ -4,12 +4,21 @@ The scalar peel loop in :mod:`repro.core.decomp` (the reference oracle)
 executes one Python-level ``decode`` / intersection / ``combinations``
 chain per peeled r-clique; on large frontiers the interpreter overhead
 dwarfs the algorithm.  This kernel processes each peeled bucket as flat
-numpy arrays instead, in blocks of :data:`PEEL_BLOCK_TASKS` tasks: batch
-decode, array-valued intersections, frontier expansion of the incident
-s-cliques, one vectorized probe pass over all ``comb(s, r)`` sub-cliques
-of every rediscovered s-clique, one ``np.add.at`` scatter for the count
-updates, and a vectorized first-touch dedup feeding
-``Aggregator.record_many``.
+numpy arrays instead, in blocks of :data:`PEEL_BLOCK_TASKS` tasks.
+:func:`update_block` is UPDATE (Algorithm 2, lines 13-18) for one block,
+and both peels run it --- this module's :func:`peel_batch` and the
+sharded local round
+(:func:`repro.distributed.batchexchange.local_round_batch`): batch
+decode, the live neighbor segments of the
+:class:`~repro.graph.contraction.WorkingGraph` intersected with
+:func:`~repro.parallel.primitives.intersect_segments`, frontier
+expansion of the incident s-cliques, one vectorized probe pass over all
+``comb(s, r)`` sub-cliques of every rediscovered s-clique, and the
+address replay.  What a surviving s-clique does to the counts is each
+peel's *apply step*, a callable: here fractional or representative
+deltas through one ``np.add.at`` scatter and a vectorized first-touch
+dedup feeding ``Aggregator.record_many``; in the sharded model,
+representative decrements routed by owner.
 
 The contract --- enforced by tests/test_batch_engine.py and the bench gate
 --- is that a batch run's *simulated* metrics are bit-for-bit identical to
@@ -48,7 +57,7 @@ from math import comb
 import numpy as np
 
 from ..cliques.batchlist import expand_cliques
-from ..parallel.primitives import intersect_many, interleave_segments
+from ..parallel.primitives import interleave_segments, intersect_segments
 from ..parallel.runtime import CostTracker, _log2
 
 _ALIVE, _PEELING, _PEELED = 0, 1, 2
@@ -70,11 +79,11 @@ PARLINT_PARITY = {
         "oracle": "repro.core.decomp._peel_scalar",
         "fingerprint": {
             "_edges_alive_many": 1,
-            "_run_block": 1,
             "access_sequence": 1,
             "add_round": 1,
             "settle": 1,
             "task_span": 1,
+            "update_block": 1,
         },
     },
     "_edges_alive_many": {
@@ -85,15 +94,13 @@ PARLINT_PARITY = {
             "add_work_int": 1,
         },
     },
-    "_run_block": {
+    "update_block": {
         "oracle": "repro.core.decomp._update_one",
         "fingerprint": {
             "access_sequence": 2,
-            "add_cliques": 1,
             "add_probes": 1,
             "add_work_int": 3,
             "expand_cliques": 1,
-            "intersect_many": 1,
         },
     },
 }
@@ -118,6 +125,65 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
     max_core = 0
     round_log: list[tuple[int, int, int]] = []
 
+    def apply(row_task, cells, state, live, representative):
+        """UPDATE-FUNC's count updates (Algorithm 2, lines 5-12) for one
+        block's discovered s-clique rows in round ``round_id``; returns
+        the per-row update addresses when the cache simulator is on."""
+        alive = state == _ALIVE
+        if fractional:
+            apply_row = live
+            row_delta = -1.0 / np.maximum((state == _PEELING).sum(axis=1), 1)
+        else:
+            apply_row = live & representative
+            row_delta = np.full(cells.shape[0], -1.0)
+        update_rows = np.flatnonzero(apply_row)
+        alive_sel = alive[update_rows]
+        update_cells = cells[update_rows][alive_sel]  # row-major: scalar order
+        update_row_of = np.repeat(update_rows, alive_sel.sum(axis=1))
+        n_updates = update_cells.size
+        # PAR010 waiver: row_delta (-1/n_peeling) is the batch replay of the
+        # scalar engine's fractional delta --- order-dependent in float
+        # arithmetic, but np.add.at applies it in fixed row-major order and
+        # every consumer re-rounds with np.rint, so the engine-parity gate
+        # (bit-for-bit batch == scalar metrics) already pins the result.
+        count_addrs = table.add_count_at_many(  # parlint: disable=PAR010
+            update_cells, row_delta[update_row_of],
+            collect_addresses=cache_on)
+
+        # -- first-touch dedup and aggregation (vectorized last_round stamp).
+        sink = [] if (cache_on and aggregator.name == "hash") else None
+        record_mask = np.zeros(n_updates, dtype=bool)
+        if n_updates:
+            fresh = last_round[update_cells] != round_id
+            _, first_index = np.unique(update_cells, return_index=True)
+            first_in_batch = np.zeros(n_updates, dtype=bool)
+            first_in_batch[first_index] = True
+            record_mask = fresh & first_in_batch
+            record_cells = update_cells[record_mask]
+            last_round[record_cells] = round_id
+            # Thread ids come from the task's index within the whole round.
+            aggregator.record_many(
+                record_cells, row_task[update_row_of[record_mask]]
+                % config.threads, address_sink=sink)
+        if not cache_on:
+            return None
+
+        # -- per applied update the count-cell address followed by the
+        # aggregator's captured probe addresses, grouped by row.
+        update_lens = np.ones(n_updates, dtype=np.int64)
+        update_flat = count_addrs.astype(np.int64)
+        if sink:
+            agg_lens = np.zeros(n_updates, dtype=np.int64)
+            agg_lens[record_mask] = np.fromiter(
+                (seg.size for seg in sink), dtype=np.int64, count=len(sink))
+            update_flat = interleave_segments(
+                update_flat, update_lens,
+                np.concatenate(sink).astype(np.int64), agg_lens)
+            update_lens += agg_lens
+        row_lens = np.zeros(cells.shape[0], dtype=np.int64)
+        np.add.at(row_lens, update_row_of, update_lens)
+        return update_flat, row_lens
+
     while finished < n_r:
         level, peel_cells = buckets.next_bucket()
         rho += 1
@@ -132,10 +198,9 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
 
         with tracker.parallel(int(peel_cells.size)) as region:
             for base in range(0, int(peel_cells.size), PEEL_BLOCK_TASKS):
-                _run_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
-                           comb_cols, dg, working, table, aggregator,
-                           status, last_round, round_id, fractional,
-                           cache_on, config.threads, r, s, tracker)
+                update_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
+                             comb_cols, dg, working, table, status, apply,
+                             r, s, tracker)
             region.task_span(task_span)
 
         meter.settle(tracker)
@@ -182,57 +247,54 @@ def _edges_alive_many(pairs, table, status, tracker, cache_on) -> np.ndarray:
     return status[cells] != _PEELED
 
 
-def _run_block(peel_cells, task_base, comb_cols, dg, working, table,
-               aggregator, status, last_round, round_id, fractional,
-               cache_on, threads, r, s, tracker) -> None:
+def update_block(peel_cells, task_base, comb_cols, dg, working, table,
+                 status, apply, r, s, tracker) -> None:
     """UPDATE for one block of a round's peeled r-cliques, batched
-    (Algorithm 2 lines 13-18); ``task_base`` is the block's first task
-    index within the round."""
+    (Algorithm 2, lines 13-18); both peels run it.
+
+    Decodes the block, rediscovers every incident s-clique in scalar
+    discovery order, probes their sub-cliques and hands the rows that
+    survive to the peel's *apply step*::
+
+        apply(row_task, cells, state, live, representative)
+
+    ``row_task`` is each row's task index within the round (the block
+    starts at ``task_base``), ``cells`` / ``state`` the ``(rows, C(s,r))``
+    sub-clique cells and statuses, ``live`` marks rows with no PEELED and
+    some ALIVE sub-clique, and ``representative`` rows whose base
+    r-clique is their least peeling sub-clique.  The apply step charges
+    its own updates and returns ``(addresses, per-row lengths)`` of the
+    simulated addresses they touch, or None; the block's stream is then
+    replayed in scalar order.
+    """
     n_tasks = peel_cells.size
+    cache_on = tracker.cache is not None
     cliques, dec_addrs, dec_lens = table.decode_many(
         peel_cells, collect_addresses=cache_on)
 
-    # -- rediscover candidate completions per peeled clique.
+    # -- candidates: the intersection of the clique's live neighbor
+    # segments, charged min_i |N(v_i)| + 1 per task (one unit for r = 1).
+    lens = working.lengths[cliques]
+    cand_values = working.gather(cliques[:, 0])
+    cand_lens = lens[:, 0]
     if r == 1:
-        candidates = [working.neighbors(int(v)) for v in cliques[:, 0]]
         tracker.add_work_int(n_tasks)
     else:
-        candidates = intersect_many(
-            [[working.neighbors(int(v)) for v in row] for row in cliques],
-            tracker)
+        tracker.add_work_int(int(lens.min(axis=1).sum()) + n_tasks)
+        for j in range(1, r):
+            cand_values, cand_lens = intersect_segments(
+                cand_values, cand_lens, working.gather(cliques[:, j]),
+                lens[:, j])
 
-    # -- enumerate incident s-cliques (rows) in scalar discovery order.
-    if s - r == 1:
-        sizes = np.fromiter((c.size for c in candidates), dtype=np.int64,
-                            count=n_tasks)
-        total = int(sizes.sum())
-        tracker.add_work_int(total)
-        tracker.add_cliques(total)
-        rows = np.empty((total, s), dtype=np.int64)
-        if total:
-            rows[:, :r] = np.repeat(cliques, sizes, axis=0)
-            rows[:, r] = np.concatenate(
-                [c for c in candidates if c.size]).astype(np.int64)
-        row_task = np.repeat(np.arange(n_tasks, dtype=np.int64), sizes)
-    else:
-        # Frontier expansion over every eligible task at once; tasks whose
-        # candidate set cannot complete an s-clique are skipped without
-        # charge, exactly like the scalar loop's early continue.
-        sizes = np.fromiter((c.size for c in candidates), dtype=np.int64,
-                            count=n_tasks)
-        eligible = np.flatnonzero(sizes >= s - r)
-        cand_lens = sizes[eligible]
-        cand_values = np.concatenate(
-            [candidates[t] for t in eligible]).astype(np.int64) \
-            if eligible.size else np.empty(0, dtype=np.int64)
-        rows, base_of = expand_cliques(dg, cliques[eligible], cand_values,
-                                       cand_lens, s - r, tracker)
-        rows = rows.reshape(-1, s)
-        row_task = eligible[base_of]
-
+    # -- enumerate incident s-cliques (rows) in scalar discovery order;
+    # tasks whose candidates cannot complete one are skipped without
+    # charge, like the scalar early return.
+    eligible = cand_lens >= s - r
+    rows, base_of = expand_cliques(
+        dg, cliques[eligible], cand_values[np.repeat(eligible, cand_lens)],
+        cand_lens[eligible], s - r, tracker)
+    row_task = np.flatnonzero(eligible)[base_of]
     n_rows = rows.shape[0]
-    n_combs = comb_cols.shape[0]
-    route_work, route_probes, route_len = table.route_charge_profile()
     if n_rows == 0:
         if cache_on:
             tracker.access_sequence(dec_addrs)
@@ -240,113 +302,49 @@ def _run_block(peel_cells, task_base, comb_cols, dg, working, table,
 
     # -- probe every sub-clique until the scalar loop would stop (first
     # PEELED), charging the per-subset route + probe costs in bulk.
-    sorted_rows = np.sort(rows, axis=1)
-    subsets = sorted_rows[:, comb_cols]  # (n_rows, n_combs, r)
-    cells_flat, probes_flat, slot_addrs_flat, route_addrs_flat = \
-        table.lookup_many(subsets.reshape(n_rows * n_combs, r))
+    n_combs = comb_cols.shape[0]
+    subsets = np.sort(rows, axis=1)[:, comb_cols]  # (n_rows, n_combs, r)
+    cells_flat, probes_flat, slot_addrs, route_addrs = table.lookup_many(
+        subsets.reshape(n_rows * n_combs, r))
     cells = cells_flat.reshape(n_rows, n_combs)
-    probes = probes_flat.reshape(n_rows, n_combs)
     state = status[cells]
-    peeled_mask = state == _PEELED
-    has_peeled = peeled_mask.any(axis=1)
-    first_peeled = np.where(has_peeled, peeled_mask.argmax(axis=1), n_combs)
-    probed_count = np.minimum(first_peeled + 1, n_combs)
+    peeled = state == _PEELED
+    has_peeled = peeled.any(axis=1)
+    probed_count = np.where(has_peeled, peeled.argmax(axis=1) + 1, n_combs)
     probed_mask = np.arange(n_combs)[np.newaxis, :] < probed_count[:, None]
-    probes_examined = int(probes[probed_mask].sum())
+    probes_examined = int(probes_flat.reshape(n_rows, n_combs)[
+        probed_mask].sum())
     n_probed = int(probed_count.sum())
+    route_work, route_probes, route_len = table.route_charge_profile()
     tracker.add_work_int(n_rows * s + n_probed * route_work
                          + probes_examined * table.suffix_width)
     tracker.add_probes(n_probed * route_probes + probes_examined)
 
-    # -- decide which rows apply updates and with what delta.
-    survivors = ~has_peeled
-    peeling_mask = state == _PEELING
-    alive_mask = state == _ALIVE
-    n_peeling = peeling_mask.sum(axis=1)
-    if fractional:
-        apply_row = survivors & alive_mask.any(axis=1)
-        row_delta = -1.0 / np.maximum(n_peeling, 1)
-    else:
-        # Representative mode: only the s-clique whose *base* r-clique is
-        # the least peeling sub-clique subtracts; min() over subset tuples
-        # is the first peeling subset in combination order.
-        first_peeling = np.where(n_peeling > 0,
-                                 peeling_mask.argmax(axis=1), 0)
-        representative = np.take_along_axis(
-            subsets, first_peeling[:, None, None], axis=1)[:, 0, :]
-        base_sorted = np.sort(rows[:, :r], axis=1)
-        apply_row = survivors & alive_mask.any(axis=1) \
-            & (representative == base_sorted).all(axis=1)
-        row_delta = np.full(n_rows, -1.0)
-
-    update_rows = np.flatnonzero(apply_row)
-    alive_sel = alive_mask[update_rows]
-    update_cells = cells[update_rows][alive_sel]  # row-major: scalar order
-    update_row_of = np.repeat(update_rows, alive_sel.sum(axis=1))
-    n_updates = update_cells.size
-    # PAR010 waiver: row_delta (-1/n_peeling) is the batch replay of the
-    # scalar engine's fractional delta --- order-dependent in float
-    # arithmetic, but np.add.at applies it in fixed row-major order and
-    # every consumer re-rounds with np.rint, so the engine-parity gate
-    # (bit-for-bit batch == scalar metrics) already pins the result.
-    count_addrs = table.add_count_at_many(  # parlint: disable=PAR010
-        update_cells, row_delta[update_row_of],
-        collect_addresses=cache_on)
-
-    # -- first-touch dedup and aggregation (vectorized last_round stamp).
-    sink = [] if (cache_on and aggregator.name == "hash") else None
-    record_mask = np.zeros(n_updates, dtype=bool)
-    if n_updates:
-        fresh = last_round[update_cells] != round_id
-        _, first_index = np.unique(update_cells, return_index=True)
-        first_in_batch = np.zeros(n_updates, dtype=bool)
-        first_in_batch[first_index] = True
-        record_mask = fresh & first_in_batch
-        record_cells = update_cells[record_mask]
-        last_round[record_cells] = round_id
-        # Thread ids come from the task's index within the whole round.
-        record_threads = (task_base + row_task[update_row_of[record_mask]]
-                          ) % threads
-        aggregator.record_many(record_cells, record_threads,
-                               address_sink=sink)
-
+    # -- the apply step; the representative rule compares each row's base
+    # with its first peeling subset in combination order (every row has
+    # one: its base).
+    live = ~has_peeled & (state == _ALIVE).any(axis=1)
+    first_peeling = (state == _PEELING).argmax(axis=1)
+    representative = (subsets[np.arange(n_rows), first_peeling]
+                      == rows[:, :r]).all(axis=1)
+    updates = apply(task_base + row_task, cells, state, live, representative)
     if not cache_on:
         return
 
     # -- replay the exact scalar address stream: per task its decode
     # addresses, then per discovered s-clique the probed subsets' route +
-    # slot addresses, then per applied update the count-cell address
-    # followed by the aggregator's captured probe addresses.
-    block = np.concatenate(
-        [route_addrs_flat.reshape(n_rows, n_combs, route_len),
-         slot_addrs_flat.reshape(n_rows, n_combs, 1)], axis=2)
-    probe_flat = block[probed_mask].reshape(-1).astype(np.int64)
-    probe_lens = probed_count * (route_len + 1)
-    if n_updates:
-        if sink is not None:
-            agg_lens = np.zeros(n_updates, dtype=np.int64)
-            if sink:
-                agg_lens[record_mask] = np.fromiter(
-                    (seg.size for seg in sink), dtype=np.int64,
-                    count=len(sink))
-            agg_flat = np.concatenate(sink).astype(np.int64) if sink \
-                else np.empty(0, dtype=np.int64)
-            update_flat = interleave_segments(
-                count_addrs.astype(np.int64),
-                np.ones(n_updates, dtype=np.int64), agg_flat, agg_lens)
-            update_seg_lens = 1 + agg_lens
-        else:
-            update_flat = count_addrs.astype(np.int64)
-            update_seg_lens = np.ones(n_updates, dtype=np.int64)
-        row_update_lens = np.zeros(n_rows, dtype=np.int64)
-        np.add.at(row_update_lens, update_row_of, update_seg_lens)
-    else:
-        update_flat = np.empty(0, dtype=np.int64)
-        row_update_lens = np.zeros(n_rows, dtype=np.int64)
-    row_flat = interleave_segments(probe_flat, probe_lens,
-                                   update_flat, row_update_lens)
-    task_row_lens = np.zeros(n_tasks, dtype=np.int64)
-    np.add.at(task_row_lens, row_task, probe_lens + row_update_lens)
-    tracker.access_sequence(
-        interleave_segments(dec_addrs.astype(np.int64), dec_lens,
-                            row_flat, task_row_lens))
+    # slot addresses followed by its updates' addresses.
+    row_flat = np.concatenate(
+        [route_addrs.reshape(n_rows, n_combs, route_len),
+         slot_addrs.reshape(n_rows, n_combs, 1)], axis=2)[
+        probed_mask].reshape(-1).astype(np.int64)
+    row_lens = probed_count * (route_len + 1)
+    if updates is not None:
+        update_flat, update_lens = updates
+        row_flat = interleave_segments(row_flat, row_lens, update_flat,
+                                       update_lens)
+        row_lens = row_lens + update_lens
+    task_lens = np.zeros(n_tasks, dtype=np.int64)
+    np.add.at(task_lens, row_task, row_lens)
+    tracker.access_sequence(interleave_segments(
+        dec_addrs.astype(np.int64), dec_lens, row_flat, task_lens))

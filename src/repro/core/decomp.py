@@ -21,6 +21,7 @@ The bucket value at extraction is the r-clique's (r,s)-clique-core number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -46,8 +47,54 @@ from .tables import CliqueTable
 _ALIVE, _PEELING, _PEELED = 0, 1, 2
 
 
+class CoreReport:
+    """Core numbers reported in *original* vertex ids (ascending within
+    each clique), regardless of relabeling.
+
+    The reporting half of :class:`NucleusResult` and
+    :class:`~repro.distributed.peel.ShardedResult`: both hold ``r``, the
+    occupied cells ``_cells`` (ascending), their ``_cores``, the clique
+    ``_table`` and the relabeling ``_original_of``.
+    """
+
+    def as_dict(self) -> dict[tuple[int, ...], int]:
+        """Map every r-clique to its (r,s)-clique-core number."""
+        cliques, _, _ = self._table.decode_many(self._cells)
+        original = np.sort(self._original_of[cliques], axis=1)
+        return dict(zip(map(tuple, original.tolist()),
+                        self._cores.tolist()))
+
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        """The inverse of ``_original_of``: working id of each vertex."""
+        rank = np.empty_like(self._original_of)
+        rank[self._original_of] = np.arange(self._original_of.size)
+        return rank
+
+    def core_of(self, clique) -> int:
+        """Core number of one r-clique given in original vertex ids.
+
+        Raises ``KeyError`` naming the clique unless it holds ``r`` vertex
+        ids in ``[0, n)`` that form an r-clique.
+        """
+        ids = tuple(clique)
+        n = self._original_of.size
+        if len(ids) != self.r or not all(0 <= v < n for v in ids):
+            raise KeyError(f"{ids} is not an {self.r}-clique")
+        cell = self._table.cell_of(tuple(sorted(int(self._rank[v])
+                                                for v in ids)))
+        if cell < 0:
+            raise KeyError(f"{ids} is not an {self.r}-clique")
+        return int(self._cores[np.searchsorted(self._cells, cell)])
+
+    def core_histogram(self) -> dict[int, int]:
+        """Number of r-cliques at each core value."""
+        values, counts = np.unique(self._cores, return_counts=True)
+        return {int(v): int(c) for v, c in zip(values, counts)}
+
+
 @dataclass
-class NucleusResult:
+class NucleusResult(CoreReport):
     """Output of one nucleus decomposition run.
 
     ``core_of`` / ``as_dict`` report cliques in *original* vertex ids
@@ -69,31 +116,6 @@ class NucleusResult:
     _cores: np.ndarray = field(repr=False, default=None)
     _table: CliqueTable = field(repr=False, default=None)
     _original_of: np.ndarray = field(repr=False, default=None)
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        """Map every r-clique to its (r,s)-clique-core number."""
-        out = {}
-        for cell, core in zip(self._cells, self._cores):
-            clique = self._table.decode(int(cell))
-            original = tuple(sorted(int(self._original_of[v]) for v in clique))
-            out[original] = int(core)
-        return out
-
-    def core_of(self, clique) -> int:
-        """Core number of one r-clique given in original vertex ids."""
-        rank = np.empty_like(self._original_of)
-        rank[self._original_of] = np.arange(self._original_of.size)
-        working = tuple(sorted(int(rank[v]) for v in clique))
-        cell = self._table.cell_of(working)
-        if cell < 0:
-            raise KeyError(f"{tuple(clique)} is not an {self.r}-clique")
-        position = np.searchsorted(self._cells, cell)
-        return int(self._cores[position])
-
-    def core_histogram(self) -> dict[int, int]:
-        """Number of r-cliques at each core value."""
-        values, counts = np.unique(self._cores, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 @dataclass
@@ -312,6 +334,28 @@ def _peel_scalar(graph, dg, working, table, buckets, aggregator, meter,
     max_core = 0
     round_log: list[tuple[int, int, int]] = []
 
+    def apply(alive_cells, n_peeling, representative):
+        """UPDATE-FUNC's count updates (Algorithm 2, lines 5-12) for one
+        surviving s-clique of the current task (``thread`` and
+        ``round_id`` are the loops' current values)."""
+        if fractional:
+            delta = -1.0 / n_peeling
+        elif representative:
+            delta = -1.0
+        else:
+            return
+        # PAR010 waiver: the fractional delta (-1/a) makes the atomic
+        # accumulation order-dependent in float arithmetic, but every
+        # consumer re-rounds (np.rint at the bucket update and at result
+        # extraction), and the fractional-vs-exact agreement gate in
+        # tests/test_decomp.py pins the re-rounded totals; interleaving
+        # noise cannot reach a reported number.
+        for cell in alive_cells:
+            table.add_count_at(cell, delta)  # parlint: disable=PAR010
+            if last_round[cell] != round_id:
+                last_round[cell] = round_id
+                aggregator.record(int(cell), thread)
+
     while finished < n_r:
         level, peel_cells = buckets.next_bucket()
         rho += 1
@@ -330,8 +374,7 @@ def _peel_scalar(graph, dg, working, table, buckets, aggregator, meter,
                 with region.task():
                     clique = table.decode(int(cell))
                     _update_one(table, dg, working, clique, r, s, status,
-                                last_round, round_id, aggregator, thread,
-                                fractional, tracker)
+                                apply, tracker)
                     # One O(log n) intersection per completion level.
                     tracker.add_span(_log2(graph.n) * (s - r + 1))
 
@@ -354,11 +397,18 @@ def _peel_scalar(graph, dg, working, table, buckets, aggregator, meter,
 
 
 def _update_one(table: CliqueTable, dg: DirectedGraph, working: WorkingGraph,
-                clique: tuple, r: int, s: int, status: np.ndarray,
-                last_round: np.ndarray, round_id: int, aggregator,
-                thread: int, fractional: bool,
+                clique: tuple, r: int, s: int, status: np.ndarray, apply,
                 tracker: CostTracker) -> None:
-    """UPDATE for one peeled r-clique (Algorithm 2, lines 13-18)."""
+    """UPDATE for one peeled r-clique (Algorithm 2, lines 13-18), one
+    s-clique at a time --- the reference oracle of
+    :func:`repro.core.batchpeel.update_block`, for both peels.
+
+    Every discovered s-clique with no PEELED and some ALIVE sub-clique
+    goes to the peel's apply step as ``apply(alive_cells, n_peeling,
+    representative)``: its ALIVE cells, its number of PEELING
+    sub-cliques, and whether its base (the peeled clique, its prefix in
+    discovery order) is the least of those.
+    """
     if r == 1:
         candidates = working.neighbors(clique[0])
         tracker.add_work(1.0)
@@ -369,49 +419,21 @@ def _update_one(table: CliqueTable, dg: DirectedGraph, working: WorkingGraph,
         return
 
     def update_func(s_clique):
-        _update_func(table, s_clique, r, status, last_round, round_id,
-                     aggregator, thread, fractional, tracker)
+        ordered = tuple(sorted(s_clique))
+        tracker.add_work(float(len(s_clique)))
+        alive_cells = []
+        peeling = []
+        for subset in combinations(ordered, r):
+            cell = table.cell_of(subset)
+            state = status[cell]
+            if state == _PEELED:
+                return  # an r-clique of this s-clique was peeled earlier
+            if state == _PEELING:
+                peeling.append(subset)
+            else:
+                alive_cells.append(cell)
+        if alive_cells:
+            apply(alive_cells, len(peeling),
+                  tuple(sorted(s_clique[:r])) == min(peeling))
 
     rec_list_cliques(dg, candidates, s - r, clique, update_func, tracker)
-
-
-def _update_func(table: CliqueTable, s_clique: tuple, r: int,
-                 status: np.ndarray, last_round: np.ndarray, round_id: int,
-                 aggregator, thread: int, fractional: bool,
-                 tracker: CostTracker) -> None:
-    """UPDATE-FUNC (Algorithm 2, lines 5-12) for one discovered s-clique."""
-    ordered = tuple(sorted(s_clique))
-    tracker.add_work(float(len(s_clique)))
-    alive_cells = []
-    peeling = []
-    for subset in combinations(ordered, r):
-        cell = table.cell_of(subset)
-        state = status[cell]
-        if state == _PEELED:
-            return  # an r-clique of this s-clique was peeled earlier
-        if state == _PEELING:
-            peeling.append(subset)
-        else:
-            alive_cells.append(cell)
-    if not alive_cells:
-        return
-    a = len(peeling)
-    if fractional:
-        delta = -1.0 / a
-    else:
-        # Exact-integer mode: only the least peeling subset subtracts 1;
-        # the recursion passes the peeled r-clique as the s-clique's prefix.
-        if tuple(sorted(s_clique[:r])) != min(peeling):
-            return
-        delta = -1.0
-    # PAR010 waiver: the fractional delta (-1/a) makes the atomic
-    # accumulation order-dependent in float arithmetic, but every consumer
-    # re-rounds (np.rint at the bucket update and at result extraction), and
-    # the fractional-vs-exact agreement gate in tests/test_decomp.py pins
-    # the re-rounded totals; interleaving noise cannot reach a reported
-    # number.
-    for cell in alive_cells:
-        table.add_count_at(cell, delta)  # parlint: disable=PAR010
-        if last_round[cell] != round_id:
-            last_round[cell] = round_id
-            aggregator.record(int(cell), thread)

@@ -51,14 +51,14 @@ def k_clique_densest(graph: CSRGraph, k: int,
     tracker = tracker or CostTracker()
     result = arb_nucleus_decomp(graph, 1, k, NucleusConfig.optimal(1, k),
                                 tracker)
-    cores = np.zeros(graph.n, dtype=np.int64)
-    for (v,), value in result.as_dict().items():
-        cores[v] = value
-    # Peeling order: ascending core, ties by id; suffixes are candidate
-    # subgraphs.  Evaluate each distinct core threshold.
-    order = np.lexsort((np.arange(graph.n), cores))
     best = DensestResult(k, [], 0.0, 0)
     with tracker.phase("scan"):
+        cores = np.zeros(graph.n, dtype=np.int64)
+        for (v,), value in result.as_dict().items():
+            cores[v] = value
+        # Peeling order: ascending core, ties by id; suffixes are candidate
+        # subgraphs.  Evaluate each distinct core threshold.
+        order = np.lexsort((np.arange(graph.n), cores))
         for threshold in np.unique(cores):
             members = order[cores[order] >= threshold]
             if members.size < k:

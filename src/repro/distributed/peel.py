@@ -38,19 +38,17 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
 from ..bucketing import make_bucketing
-from ..cliques.listing import rec_list_cliques
 from ..core.config import NucleusConfig
-from ..core.decomp import _PEELED, _PEELING, prepare_decomposition
+from ..core.decomp import (_PEELED, _PEELING, CoreReport, _update_one,
+                           prepare_decomposition)
 from ..core.tables import CliqueTable
 from ..graph.contraction import WorkingGraph
 from ..graph.csr import CSRGraph
 from ..observe.trace import TraceRecorder
-from ..parallel.primitives import intersect_many
 from ..parallel.runtime import CostTracker, _log2
 from ..sanitize.racecheck import maybe_shadow
 from .batchexchange import exchange_batch, local_round_batch
@@ -59,7 +57,7 @@ from .partition import PARTITIONERS, Partition
 
 
 @dataclass
-class ShardedResult:
+class ShardedResult(CoreReport):
     """Output of one sharded nucleus decomposition run.
 
     Core numbers (``as_dict`` / ``core_of``) are reported exactly like
@@ -95,20 +93,6 @@ class ShardedResult:
     _cores: np.ndarray = field(repr=False, default=None)
     _table: CliqueTable = field(repr=False, default=None)
     _original_of: np.ndarray = field(repr=False, default=None)
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        """Map every r-clique to its (r,s)-clique-core number."""
-        out = {}
-        for cell, core in zip(self._cells, self._cores):
-            clique = self._table.decode(int(cell))
-            original = tuple(sorted(int(self._original_of[v]) for v in clique))
-            out[original] = int(core)
-        return out
-
-    def core_histogram(self) -> dict[int, int]:
-        """Number of r-cliques at each core value."""
-        values, counts = np.unique(self._cores, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 def _first_touches(cells: np.ndarray, stamp: np.ndarray,
@@ -253,79 +237,34 @@ def _exchange_scalar(cells, deltas, owner_of, ledger, dst_trackers,
     return messages, total_bytes
 
 
-def _update_sharded_func(shard: int, s_clique: tuple, r: int, table,
-                         status, owner_of, ledger, outbox,
-                         tracker: CostTracker) -> None:
-    """UPDATE-FUNC for one discovered s-clique, ownership-routed.
-
-    Mirrors the single-node :func:`repro.core.decomp._update_func` in
-    "representative" arithmetic: the same status walk and the same
-    least-peeling-subset rule, but the surviving decrements route by cell
-    owner --- owned cells apply through the ledger, remote cells buffer
-    into the shard's outbox for the next exchange.
-    """
-    ordered = tuple(sorted(s_clique))
-    tracker.add_work(float(len(s_clique)))
-    alive_cells = []
-    peeling = []
-    for subset in combinations(ordered, r):
-        cell = table.cell_of(subset)
-        state = status[cell]
-        if state == _PEELED:
-            return  # an r-clique of this s-clique was peeled earlier
-        if state == _PEELING:
-            peeling.append(subset)
-        else:
-            alive_cells.append(cell)
-    if not alive_cells:
-        return
-    # Representative rule: only the least peeling subset subtracts 1, so
-    # the deltas are exact integers and the cross-shard application order
-    # cannot perturb the floating-point sums (bit-for-bit oracle parity).
-    if tuple(sorted(s_clique[:r])) != min(peeling):
-        return
-    for cell in alive_cells:
-        if owner_of[cell] == shard:
-            ledger.fetch_sub(cell, 1, tracker)
-        else:
-            outbox.buffer_remote(cell, tracker)
-
-
-def _update_one_sharded(shard: int, clique: tuple, r: int, s: int, table,
-                        dg, working, status, owner_of, ledger, outbox,
-                        tracker: CostTracker) -> None:
-    """UPDATE for one peeled r-clique owned by ``shard``."""
-    if r == 1:
-        candidates = working.neighbors(clique[0])
-        tracker.add_work(1.0)
-    else:
-        candidates = intersect_many(
-            [working.neighbors(v) for v in clique], tracker)
-    if candidates.size < s - r:
-        return
-
-    def update_func(s_clique):
-        _update_sharded_func(shard, s_clique, r, table, status, owner_of,
-                             ledger, outbox, tracker)
-
-    rec_list_cliques(dg, candidates, s - r, clique, update_func, tracker)
-
-
 def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
                  table, dg, working, status, owner_of, ledger, outbox,
                  tracker: CostTracker) -> None:
     """One shard's local peel work for one super-round, one peeled
     r-clique at a time --- the reference oracle of
     :func:`repro.distributed.batchexchange.local_round_batch`."""
+
+    def apply(alive_cells, n_peeling, representative):
+        """Route one surviving s-clique's decrements by owner: only the
+        representative subtracts (exact integer deltas, so the cross-shard
+        application order cannot perturb the sums); owned cells apply
+        through the ledger, remote cells buffer into the outbox."""
+        if not representative:
+            return
+        for cell in alive_cells:
+            if owner_of[cell] == shard:
+                ledger.fetch_sub(cell, 1, tracker)
+            else:
+                outbox.buffer_remote(cell, tracker)
+
     with tracker.phase("local_peel"):
         tracker.add_round()
         with tracker.parallel(int(mine.size)) as region:
             for cell in mine:
                 with region.task():
                     clique = table.decode(int(cell))
-                    _update_one_sharded(shard, clique, r, s, table, dg,
-                                        working, status, owner_of, ledger,
-                                        outbox, tracker)
+                    _update_one(table, dg, working, clique, r, s, status,
+                                apply, tracker)
                     # One O(log n) intersection per completion level.
                     tracker.add_span(_log2(graph_n) * (s - r + 1))
 

@@ -17,30 +17,47 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..parallel.primitives import segment_gather, segment_offsets
 from ..parallel.runtime import CostTracker, _log2
 from .csr import CSRGraph
 
 
 class WorkingGraph:
-    """A mutable adjacency view over a :class:`CSRGraph`.
+    """The peel's adjacency: CSR slots plus live lengths.
 
-    Starts as zero-copy views into the CSR arrays; contraction replaces
-    individual adjacency lists with filtered copies.  Neighbor arrays stay
-    sorted, so intersection code is unaffected.
+    Vertex ``v``'s live neighbors are ``targets[offsets[v] :
+    offsets[v] + lengths[v]]``, sorted ascending.  Offsets never move:
+    contraction packs a vertex's surviving neighbors to the front of its
+    own slot (:meth:`compact`), so a slot can only shrink.  Discovery reads
+    many live lists at once with :meth:`gather`.
     """
 
     def __init__(self, graph: CSRGraph):
         self.n = graph.n
-        self._adj: list[np.ndarray] = [graph.neighbors(v) for v in range(graph.n)]
+        self.offsets = graph.offsets
+        self.targets = graph.targets.copy()
+        self.lengths = graph.degrees
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._adj[v]
+        start = self.offsets[v]
+        return self.targets[start:start + self.lengths[v]]
 
-    def degree(self, v: int) -> int:
-        return int(self._adj[v].size)
+    def gather(self, vertices: np.ndarray) -> np.ndarray:
+        """The live lists of ``vertices``, concatenated in order (segment
+        ``i`` has length ``lengths[vertices[i]]``)."""
+        return segment_gather(self.targets, self.offsets[vertices],
+                              self.lengths[vertices])
 
-    def replace(self, v: int, neighbors: np.ndarray) -> None:
-        self._adj[v] = neighbors
+    def compact(self, vertices: np.ndarray, keep: np.ndarray) -> None:
+        """Keep the live entries of ``vertices`` (distinct ids, laid out as
+        :meth:`gather` returns them) where ``keep`` is true, packing each
+        vertex's survivors in order to the front of its slot."""
+        kept = self.gather(vertices)[keep]
+        owner = np.repeat(np.arange(vertices.size), self.lengths[vertices])
+        new_lens = np.bincount(owner[keep], minlength=vertices.size)
+        self.targets[np.repeat(self.offsets[vertices], new_lens)
+                     + segment_offsets(new_lens)] = kept
+        self.lengths[vertices] = new_lens
 
 
 class ContractionManager:
@@ -80,43 +97,22 @@ class ContractionManager:
         if self._peeled_since < self.PEEL_FACTOR * self.working.n:
             return False
         self.contractions += 1
-        rebuilt_work = 0
-        if edges_alive_many is not None:
-            rebuild = [v for v in range(self.working.n)
-                       if self.working.degree(v) > 0
-                       and self._lost_since[v] * self.LOSS_DIVISOR
-                       >= self.working.degree(v)]
-            sizes = [self.working.degree(v) for v in rebuild]
-            if rebuild:
-                pairs = np.empty((sum(sizes), 2), dtype=np.int64)
-                pairs[:, 0] = np.repeat(np.asarray(rebuild, dtype=np.int64),
-                                        sizes)
-                pairs[:, 1] = np.concatenate(
-                    [self.working.neighbors(v) for v in rebuild])
-                alive = edges_alive_many(pairs)
-                offset = 0
-                for v, size in zip(rebuild, sizes):
-                    kept = self.working.neighbors(v)[
-                        alive[offset:offset + size]].astype(np.int64)
-                    offset += size
-                    self.working.replace(v, kept)
-                    rebuilt_work += size
-                    self._lost_since[v] = 0
-        else:
-            # Charged in aggregate below: n for the scan + rebuilt_work
-            # for the filters (same totals as the batched branch).
-            for v in range(self.working.n):
-                degree = self.working.degree(v)
-                if degree == 0 or \
-                        self._lost_since[v] * self.LOSS_DIVISOR < degree:
-                    continue
-                nbrs = self.working.neighbors(v)
-                kept = np.asarray(
-                    [w for w in nbrs if edge_alive(int(v), int(w))],
-                    dtype=np.int64)
-                self.working.replace(v, kept)
-                rebuilt_work += degree
-                self._lost_since[v] = 0
+        working = self.working
+        lengths = working.lengths
+        rebuild = np.flatnonzero(
+            (lengths > 0) & (self._lost_since * self.LOSS_DIVISOR >= lengths))
+        rebuilt_work = int(lengths[rebuild].sum())
+        if rebuild.size:
+            if edges_alive_many is not None:
+                pairs = np.column_stack([np.repeat(rebuild, lengths[rebuild]),
+                                         working.gather(rebuild)])
+                keep = edges_alive_many(pairs)
+            else:
+                keep = np.asarray([edge_alive(int(v), int(w))
+                                   for v in rebuild
+                                   for w in working.neighbors(v)], dtype=bool)
+            working.compact(rebuild, keep)
+            self._lost_since[rebuild] = 0
         if self.tracker is not None:
             # Checking every vertex plus the parallel filters that rebuilt.
             self.tracker.add_work(float(self.working.n + rebuilt_work))

@@ -7,6 +7,8 @@ alongside the engine (clique-table probe overflow, simple-array
 aggregator growth).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from repro.graph.generators import planted_partition
 from repro.machine.cache import AddressSpace, CacheSimulator
 from repro.parallel.atomics import ContentionMeter
 from repro.parallel.hashtable import hash64, hash64_many
+from repro.parallel import primitives
 from repro.parallel.primitives import (interleave_segments, intersect_many,
-                                       segment_offsets)
+                                       intersect_segments, intersect_sorted,
+                                       segment_gather, segment_offsets)
 from repro.parallel.runtime import CostTracker
 
 
@@ -343,33 +347,99 @@ class TestSegmentPrimitives:
             interleave_segments(np.array([1]), [1], np.array([2]), [1, 0])
 
 
-class TestIntersectManyRows:
+class TestSegmentGather:
+    def test_gathers_segments_in_order(self):
+        source = np.arange(100, 120, dtype=np.int64)
+        starts = np.array([5, 0, 12, 3], dtype=np.int64)
+        lengths = np.array([3, 0, 4, 2], dtype=np.int64)
+        want = np.concatenate([source[st:st + ln]
+                               for st, ln in zip(starts, lengths)])
+        assert segment_gather(source, starts, lengths).tolist() == \
+            want.tolist()
+
+    def test_all_empty(self):
+        source = np.arange(5, dtype=np.int64)
+        out = segment_gather(source, [1, 3], [0, 0])
+        assert out.size == 0 and out.dtype == source.dtype
+        assert segment_gather(source, [], []).size == 0
+
+
+def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
+    lens = np.array([row.size for row in rows], dtype=np.int64)
+    values = np.concatenate(rows) if rows else np.empty(0, np.int64)
+    return values.astype(np.int64), lens
+
+
+class TestIntersectSegments:
+    """``intersect_segments`` against one ``intersect_sorted`` call per
+    row: the same values, lengths and charges."""
+
+    @staticmethod
+    def assert_rowwise(a_rows, b_rows):
+        t_flat, t_rows = CostTracker(), CostTracker()
+        values, lengths = intersect_segments(
+            *_flatten(a_rows), *_flatten(b_rows), t_flat)
+        want = [intersect_sorted(a, b, t_rows)
+                for a, b in zip(a_rows, b_rows)]
+        assert lengths.tolist() == [w.size for w in want]
+        assert values.tolist() == [int(x) for w in want for x in w]
+        assert dataclasses.asdict(t_flat.total) == \
+            dataclasses.asdict(t_rows.total)
+        assert t_flat.span == t_rows.span == 0
+
     def test_matches_per_row_results_and_charge(self):
         rng = np.random.default_rng(9)
-        rows = []
-        for _ in range(40):
-            row = [np.unique(rng.choice(80, size=rng.integers(0, 25)))
-                   for _ in range(3)]
-            rows.append(row)
-        tracker_batch = CostTracker()
-        batch = intersect_many(rows, tracker_batch)
-        tracker_loop = CostTracker()
-        loop = [intersect_many(row, tracker_loop) for row in rows]
-        assert tracker_batch.total.work == tracker_loop.total.work
-        assert len(batch) == len(loop)
-        for got, want in zip(batch, loop):
-            assert np.array_equal(got, np.asarray(want))
+        rows = [[np.unique(rng.choice(80, size=rng.integers(0, 25)))
+                 for _ in range(2)] for _ in range(40)]
+        self.assert_rowwise([a for a, _ in rows], [b for _, b in rows])
 
-    def test_negative_values_fall_back(self):
-        rows = [[np.array([-3, 1, 5]), np.array([-3, 5])]]
-        result = intersect_many(rows, CostTracker())
-        assert np.array_equal(result[0], np.array([-3, 5]))
+    def test_empty_segments(self):
+        empty = np.empty(0, dtype=np.int64)
+        self.assert_rowwise([empty, np.array([1, 2]), empty],
+                            [np.array([1, 2]), empty, empty])
+        self.assert_rowwise([], [])
 
-    def test_two_dim_charge_equals_one_dim(self):
-        a = np.array([1, 4, 9])
-        b = np.array([4, 9, 11, 20])
-        t1, t2 = CostTracker(), CostTracker()
-        one = intersect_many([a, b], t1)
-        two = intersect_many([[a, b]], t2)[0]
-        assert np.array_equal(one, two)
-        assert t1.total.work == t2.total.work
+    def test_negative_values_fall_back(self, monkeypatch):
+        calls = _spy_loop(monkeypatch)
+        self.assert_rowwise([np.array([-3, 1, 5]), np.array([-7, 0])],
+                            [np.array([-3, 5]), np.array([-7, 2])])
+        assert calls == [2]
+
+    def test_int64_overflow_falls_back(self, monkeypatch):
+        calls = _spy_loop(monkeypatch)
+        big = 2 ** 61
+        self.assert_rowwise(
+            [np.array([1, big]), np.array([4, big - 1]), np.array([big])],
+            [np.array([big]), np.array([4, 9]), np.array([2, big])])
+        assert calls == [3]
+
+    def test_chain_charged_once_matches_intersect_many(self):
+        """The UPDATE kernel's r-way form: chain the segment lists, charge
+        ``min_i |a_i| + 1`` once per row --- exactly ``intersect_many``."""
+        rng = np.random.default_rng(4)
+        rows = [[np.unique(rng.choice(60, size=rng.integers(0, 30)))
+                 for _ in range(3)] for _ in range(30)]
+        t_many = CostTracker()
+        want = [intersect_many(row, t_many) for row in rows]
+        columns = [_flatten([row[j] for row in rows]) for j in range(3)]
+        values, lengths = columns[0]
+        for other, other_lens in columns[1:]:
+            values, lengths = intersect_segments(values, lengths, other,
+                                                 other_lens)
+        charge = int(np.minimum.reduce([lens for _, lens in columns]).sum())
+        assert charge + len(rows) == t_many.total.work
+        assert lengths.tolist() == [w.size for w in want]
+        assert values.tolist() == [int(x) for w in want for x in w]
+
+
+def _spy_loop(monkeypatch) -> list:
+    """Record the row count of every per-row fallback call."""
+    calls = []
+    original = primitives._intersect_segments_loop
+
+    def spy(a_values, a_lens, b_values, b_lens):
+        calls.append(int(a_lens.size))
+        return original(a_values, a_lens, b_values, b_lens)
+
+    monkeypatch.setattr(primitives, "_intersect_segments_loop", spy)
+    return calls

@@ -1,15 +1,18 @@
 """Tests for graph contraction (Section 5.6) and relabeling (Section 5.4)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cliques.orient import orientation_rank
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
 from repro.core.verify import brute_force_nucleus
 from repro.graph.contraction import ContractionManager, WorkingGraph
 from repro.graph.generators import complete_graph, erdos_renyi
 from repro.graph.relabel import relabel_by_rank
-from repro.cliques.orient import orientation_rank
+from repro.machine.cache import CacheSimulator
 from repro.parallel.runtime import CostTracker
 
 
@@ -17,14 +20,33 @@ class TestWorkingGraph:
     def test_starts_as_views(self, fig1):
         w = WorkingGraph(fig1)
         assert list(w.neighbors(6)) == [2, 3]
-        assert w.degree(0) == 5
+        assert np.array_equal(w.lengths, fig1.degrees)
+        assert np.array_equal(w.gather(np.arange(fig1.n)), fig1.targets)
 
-    def test_replace(self, fig1):
+    def test_compact_shrinks_slots_in_place(self, fig1):
         w = WorkingGraph(fig1)
-        w.replace(0, np.array([1, 2], dtype=np.int64))
-        assert w.degree(0) == 2
-        # Other vertices untouched.
-        assert w.degree(1) == 5
+        vertices = np.array([3, 0], dtype=np.int64)
+        lists = w.gather(vertices)
+        keep = np.isin(lists, [1, 2, 6])
+        w.compact(vertices, keep)
+        assert list(w.neighbors(3)) == [v for v in fig1.neighbors(3)
+                                        if v in (1, 2, 6)]
+        assert list(w.neighbors(0)) == [v for v in fig1.neighbors(0)
+                                        if v in (1, 2, 6)]
+        # Offsets never move, other vertices are untouched, and the
+        # survivors sit at the front of their own slot.
+        assert np.array_equal(w.offsets, fig1.offsets)
+        assert list(w.neighbors(1)) == list(fig1.neighbors(1))
+        start = int(fig1.offsets[0])
+        assert list(w.targets[start:start + w.lengths[0]]) == \
+            list(w.neighbors(0))
+
+    def test_compact_does_not_touch_the_graph(self, fig1):
+        before = fig1.targets.copy()
+        w = WorkingGraph(fig1)
+        w.compact(np.array([0]), np.zeros(fig1.degree(0), dtype=bool))
+        assert w.lengths[0] == 0
+        assert np.array_equal(fig1.targets, before)
 
 
 class TestContractionManager:
@@ -60,7 +82,7 @@ class TestContractionManager:
             (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)}
         manager.maybe_contract(lambda u, v: ((min(u, v), max(u, v))
                                              not in dead))
-        assert w.degree(0) == 0
+        assert w.lengths[0] == 0
 
     def test_charges_tracker(self):
         g = complete_graph(8)
@@ -82,13 +104,76 @@ class TestContractionInDecomposition:
                             relabel=False)
         assert arb_nucleus_decomp(g, 2, 3, cfg).as_dict() == expected
 
-    def test_contraction_happens_on_peel_heavy_graph(self):
+    def test_contraction_happens_on_peel_heavy_graph(self, monkeypatch):
         g = erdos_renyi(40, 500, seed=9)  # dense: many peeled edges
-        tracker = CostTracker()
+        snapshots = _record_contractions(monkeypatch)
         cfg = NucleusConfig(contraction=True, aggregation="hash",
                             relabel=False)
-        result = arb_nucleus_decomp(g, 2, 3, cfg, tracker=tracker)
-        assert result.as_dict() == brute_force_nucleus(g, 2, 3)
+        for reference in (True, False):
+            tracker = CostTracker()
+            tracker.reference = reference
+            result = arb_nucleus_decomp(g, 2, 3, cfg, tracker=tracker)
+            assert result.as_dict() == brute_force_nucleus(g, 2, 3)
+            assert len(snapshots) == 5
+            assert any(lost for _, _, lost in snapshots)
+            snapshots.clear()
+
+
+def _record_contractions(monkeypatch) -> list:
+    """Spy on ``maybe_contract``: after every contraction that fired,
+    record the working graph's live segments, the contraction's own
+    charges, and how many adjacency entries it dropped."""
+    snapshots = []
+    original = ContractionManager.maybe_contract
+
+    def counters(tracker):
+        cache = tracker.cache
+        return {**dataclasses.asdict(tracker.total),
+                "accesses": cache.accesses if cache is not None else 0}
+
+    def spy(self, *args, **kwargs):
+        before = self.working.lengths.sum()
+        totals = counters(self.tracker)
+        fired = original(self, *args, **kwargs)
+        if fired:
+            after = counters(self.tracker)
+            charged = {k: after[k] - totals[k] for k in after}
+            live = [self.working.neighbors(v).tolist()
+                    for v in range(self.working.n)]
+            snapshots.append((live, charged,
+                              int(before - self.working.lengths.sum())))
+        return fired
+
+    monkeypatch.setattr(ContractionManager, "maybe_contract", spy)
+    return snapshots
+
+
+class TestContractionBranchParity:
+    """The scalar branch of ``maybe_contract`` (one ``edge_alive`` call
+    per edge) and the batch branch (one ``edges_alive_many`` call) leave
+    the same live neighbor segments and charge the same costs, cache
+    misses included, after every contraction."""
+
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_branches_agree_after_every_contraction(self, monkeypatch,
+                                                    seed):
+        g = erdos_renyi(40, 500, seed=seed)
+        cfg = NucleusConfig(contraction=True, aggregation="hash",
+                            relabel=False)
+        snapshots = _record_contractions(monkeypatch)
+        runs = []
+        for reference in (True, False):
+            tracker = CostTracker()
+            tracker.reference = reference
+            tracker.cache = CacheSimulator(line_words=4, n_sets=16, ways=2)
+            arb_nucleus_decomp(g, 2, 3, cfg, tracker=tracker)
+            runs.append(list(snapshots))
+            snapshots.clear()
+        scalar, batch = runs
+        assert len(scalar) >= 2
+        assert scalar == batch
+        assert all(charged["table_probes"] and charged["accesses"]
+                   and charged["cache_misses"] for _, charged, _ in batch)
 
 
 class TestRelabel:
