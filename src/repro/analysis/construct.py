@@ -6,10 +6,10 @@ s-cliques, re-tests survival, and regroups from scratch.  Correct, and
 retained as the differential oracle, but quadratic in the number of
 levels and off the simulated machine.  This module is the first-class
 engine (after the parallel dendrogram construction of Sariyuce--Pinar
-hierarchies, arXiv:2306.08623): every step is tracker-charged, the
-s-clique enumeration reuses the decomposition's frontier lister, and
-connectivity is built *incrementally* down the levels instead of
-per-level from scratch.
+hierarchies, arXiv:2306.08623): every step is tracker-charged, it reads
+the decomposition's r-cliques, oriented graph and clique table instead of
+recomputing them, and connectivity is built *incrementally* down the
+levels instead of per-level from scratch.
 
 The key observation is that an s-clique "dies" at a single level --- the
 minimum core number among its C(s, r) member r-cliques --- and survives
@@ -26,8 +26,9 @@ Three phases land in the tracker (and in ``phase_wall``, which the bench
 trajectory's ``--min-hierarchy-speedup`` gate reads):
 
 ``hier_list``
-    s-clique enumeration plus the subset-to-r-clique-index mapping
-    (the lister's reference oracle changes only host wall-clock, never
+    decoding the decomposition's cells, listing s-cliques on its oriented
+    graph, and resolving every r-subset through its clique table (the
+    lister's reference oracle changes only host wall-clock, never
     simulated charges).
 ``hier_levels``
     the descending level sweep --- the registered batch/scalar kernel
@@ -47,9 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cliques.encode import CliqueEncoder, KeyWidthError
 from ..cliques.listing import collect_cliques
-from ..cliques.orient import orient
 from ..core.decomp import NucleusResult
 from ..graph.csr import CSRGraph
 from ..parallel.connectivity import connected_components
@@ -58,28 +57,30 @@ from .hierarchy import Nucleus, NucleusHierarchy
 
 
 def nucleus_hierarchy(graph: CSRGraph, result: NucleusResult,
-                      tracker: CostTracker | None = None,
-                      s_cliques=None) -> NucleusHierarchy:
+                      tracker: CostTracker | None = None) -> NucleusHierarchy:
     """Build the connected-nucleus hierarchy on the simulated machine.
 
-    The level sweep and the s-clique lister run their vectorized kernels,
-    or their scalar reference oracles when the tracker
-    :attr:`~repro.parallel.runtime.CostTracker.runs_reference`; by the
-    kernels' cost-parity contract the simulated charges are the same
-    either way --- only host wall-clock differs.  Pass ``s_cliques`` (an
-    iterable of vertex tuples) to skip the enumeration, e.g. when the
-    caller already holds the list.
+    Reads what the decomposition already holds --- its cells and cores,
+    its clique table and its oriented graph --- so ``graph`` must be the
+    graph ``result`` decomposed (``ValueError`` if its vertex count
+    differs).  The level sweep and the s-clique lister run their
+    vectorized kernels, or their scalar reference oracles when the
+    tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference`;
+    by the kernels' cost-parity contract the simulated charges are the
+    same either way --- only host wall-clock differs.
 
     Returns the same :class:`~repro.analysis.hierarchy.NucleusHierarchy`
     (bit-identical node ids, members, and parent links) as the post-hoc
     :func:`~repro.analysis.hierarchy.build_hierarchy` oracle.
     """
+    if graph.n != result._original_of.size:
+        raise ValueError(f"graph has {graph.n} vertices; result decomposed "
+                         f"a graph of {result._original_of.size}")
     if tracker is None:
         tracker = CostTracker()
 
     with tracker.phase("hier_list"):
-        cliques, cores, members = _prepare(graph, result, tracker,
-                                           s_cliques)
+        cliques, cores, members = _prepare(result, tracker)
     with tracker.phase("hier_levels"):
         if tracker.runs_reference:
             levels_data = _levels_scalar(cores, members, tracker)
@@ -92,80 +93,51 @@ def nucleus_hierarchy(graph: CSRGraph, result: NucleusResult,
     return hierarchy
 
 
-def _prepare(graph: CSRGraph, result: NucleusResult,
-             tracker: CostTracker,
-             s_cliques) -> tuple[list, np.ndarray, np.ndarray]:
+def _prepare(result: NucleusResult, tracker: CostTracker
+             ) -> tuple[list, np.ndarray, np.ndarray]:
     """Sorted r-clique list, core array, and the (m_s, C(s,r)) member
     matrix mapping every s-clique to its r-subset indices.
 
-    The simulated charges here are the same whichever lister runs (its
-    own parity contract) and whether the vectorized key-packing path or
-    the dict fallback resolves the subsets (both charge the same closed
-    forms).
+    Charges the decode of every cell (:meth:`~repro.core.tables
+    .CliqueTable.decode_many`), the semisort of the r-cliques, the
+    s-clique listing on the decomposition's oriented graph (the same
+    whichever lister runs), a per-row sort, and per r-subset what
+    :meth:`~repro.core.tables.CliqueTable.cell_of` charges, its route and
+    slot addresses included.
     """
-    r, s = result.r, result.s
-    cores_dict = result.as_dict()
-    cliques = sorted(cores_dict)
+    r, s, table = result.r, result.s, result._table
+    table.tracker = tracker
+    try:
+        working, _, _ = table.decode_many(result._cells)
+    finally:
+        table.tracker = None  # later queries on the result charge nothing
+    original = np.sort(result._original_of[working], axis=1)
+    order = np.lexsort(original.T[::-1])
+    cliques = list(map(tuple, original[order].tolist()))
     n_r = len(cliques)
     # Semisort the r-cliques by key and build the core array.
     tracker.add_work(float(n_r) * _log2(max(n_r, 2)))
     tracker.add_work_int(n_r)
-    cores = np.fromiter((cores_dict[clique] for clique in cliques),
-                        dtype=np.int64, count=n_r)
-    if s_cliques is None:
-        dg, _ = orient(graph, "degeneracy", tracker)
-        raw = collect_cliques(dg, s, tracker)
-    else:
-        raw = np.asarray([tuple(int(v) for v in clique)
-                          for clique in s_cliques],
-                         dtype=np.int64).reshape(-1, s)
-    rows = np.sort(raw, axis=1)
+    cores = result._cores[order]
+    rows = np.sort(collect_cliques(result._dg, s, tracker), axis=1)
     m_s = int(rows.shape[0])
     # Per-row sort into ascending vertex order (s log s comparisons).
     tracker.add_work_frac_repeated(float(s) * _log2(s), m_s)
     combs = list(combinations(range(s), r))
-    n_sub = len(combs)
-    if m_s:
-        subs = np.stack([rows[:, comb] for comb in combs], axis=1)
-    else:
-        subs = np.empty((0, n_sub, r), dtype=np.int64)
-    members = _map_subsets(graph.n, subs, cliques, tracker)
-    return cliques, cores, members
-
-
-def _map_subsets(n_vertices: int, subs: np.ndarray, cliques: list,
-                 tracker: CostTracker) -> np.ndarray:
-    """Map every r-subset row to its index in the sorted r-clique list.
-
-    Packs subsets into integer keys and binary-searches the (already
-    lexicographically sorted) clique key array; falls back to a dict
-    probe when the keys overflow 63 bits.  Charges r units to pack plus
-    a log-time sorted probe per subset, identically on both paths.
-    """
-    m_s, n_sub, r = (int(subs.shape[0]), int(subs.shape[1]),
-                     int(subs.shape[2]))
-    n_r = len(cliques)
-    tracker.add_work_int(m_s * n_sub * r)
-    tracker.add_work_frac_repeated(_log2(max(n_r, 2)), m_s * n_sub)
-    if m_s == 0 or n_r == 0:
-        return np.empty((m_s, n_sub), dtype=np.int64)
-    try:
-        encoder = CliqueEncoder(max(n_vertices, 2), r)
-    except KeyWidthError:
-        index = {clique: i for i, clique in enumerate(cliques)}
-        out = np.empty((m_s, n_sub), dtype=np.int64)
-        for j in range(m_s):
-            for k in range(n_sub):
-                out[j, k] = index[tuple(int(v) for v in subs[j, k])]
-        return out
-    clique_keys = encoder.encode_many(
-        np.asarray(cliques, dtype=np.int64).reshape(n_r, r))
-    sub_keys = encoder.encode_many(subs.reshape(m_s * n_sub, r))
-    idx = np.minimum(np.searchsorted(clique_keys, sub_keys), n_r - 1)
-    if not bool(np.all(clique_keys[idx] == sub_keys)):
-        raise ValueError("an s-clique has an r-subset that is not in "
-                         "the decomposition's r-clique table")
-    return idx.reshape(m_s, n_sub).astype(np.int64)
+    found, probes, slot_addrs, route_addrs = table.lookup_many(
+        rows[:, combs].reshape(-1, r))
+    # What cell_of charges per subset: its route, probes x key width and
+    # the probes, then the route and final-slot addresses.
+    route_work, route_probes, _ = table.route_charge_profile()
+    total_probes = int(probes.sum())
+    tracker.add_work_int(found.size * route_work
+                         + total_probes * table.suffix_width)
+    tracker.add_probes(found.size * route_probes + total_probes)
+    tracker.access_sequence(np.concatenate(
+        [route_addrs, slot_addrs[:, np.newaxis]], axis=1).reshape(-1))
+    index_of_cell = np.empty(table.total_cells, dtype=np.int64)
+    index_of_cell[result._cells[order]] = np.arange(n_r)
+    return cliques, cores, index_of_cell[found].reshape(m_s, len(combs))
 
 
 def _levels_scalar(cores: np.ndarray, members: np.ndarray,

@@ -79,16 +79,55 @@ def hierarchy_to_payload(hierarchy: NucleusHierarchy) -> dict:
 
 
 def payload_to_hierarchy(payload: dict) -> NucleusHierarchy:
-    """Rebuild a :class:`NucleusHierarchy` from its payload dict."""
-    hierarchy = NucleusHierarchy(int(payload["r"]), int(payload["s"]))
-    for record in payload["nuclei"]:
-        hierarchy.nuclei.append(Nucleus(
-            level=int(record["level"]),
-            members=tuple(tuple(int(v) for v in clique)
-                          for clique in record["members"]),
-            node_id=int(record["node_id"]),
-            parent_id=int(record["parent_id"])))
+    """Rebuild a :class:`NucleusHierarchy` from its payload dict.
+
+    Payloads come from files, so they are checked as they are read:
+    ``r``, ``s`` and ``nuclei`` must be present with ``1 <= r < s``, and
+    every record needs ``node_id``, ``parent_id``, ``level`` and
+    ``members``, a node id no other record has, members of ``r`` vertex
+    ids each, and a ``parent_id`` that is -1 or names a node at a strictly
+    lower level.  Raises ``ValueError`` naming the first bad record.
+    """
+    try:
+        r, s = int(payload["r"]), int(payload["s"])
+        records = list(payload["nuclei"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"hierarchy payload: {_reason(exc)}") from None
+    if not 1 <= r < s:
+        raise ValueError(f"hierarchy payload: need 1 <= r < s, got r={r}, "
+                         f"s={s}")
+    hierarchy = NucleusHierarchy(r, s)
+    level_of: dict[int, int] = {}
+    for i, record in enumerate(records):
+        try:
+            nucleus = Nucleus(
+                level=int(record["level"]),
+                members=tuple(tuple(map(int, clique))
+                              for clique in record["members"]),
+                node_id=int(record["node_id"]),
+                parent_id=int(record["parent_id"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"hierarchy record {i}: {_reason(exc)}") \
+                from None
+        if nucleus.node_id in level_of:
+            raise ValueError(f"hierarchy record {i}: node id "
+                             f"{nucleus.node_id} is not unique")
+        if any(len(clique) != r for clique in nucleus.members):
+            raise ValueError(f"hierarchy record {i}: a member does not "
+                             f"have {r} vertex ids")
+        level_of[nucleus.node_id] = nucleus.level
+        hierarchy.nuclei.append(nucleus)
+    for i, nucleus in enumerate(hierarchy.nuclei):
+        parent = nucleus.parent_id
+        if parent != -1 and \
+                level_of.get(parent, nucleus.level) >= nucleus.level:
+            raise ValueError(f"hierarchy record {i}: parent_id {parent} "
+                             f"names no node below level {nucleus.level}")
     return hierarchy
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def save_hierarchy_json(hierarchy: NucleusHierarchy, path) -> None:
@@ -97,6 +136,13 @@ def save_hierarchy_json(hierarchy: NucleusHierarchy, path) -> None:
 
 
 def load_hierarchy_json(path) -> NucleusHierarchy:
-    """Load a hierarchy saved by :func:`save_hierarchy_json`."""
+    """Load a hierarchy saved by :func:`save_hierarchy_json`.
+
+    Raises ``ValueError("<path>: ...")`` when the file is not JSON or
+    fails :func:`payload_to_hierarchy`'s checks.
+    """
     with open(path) as handle:
-        return payload_to_hierarchy(json.load(handle))
+        try:
+            return payload_to_hierarchy(json.load(handle))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

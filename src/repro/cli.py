@@ -281,7 +281,11 @@ def _cmd_hierarchy(args) -> int:
     from .analysis import (HierarchyIndex, load_hierarchy_json,
                            nucleus_hierarchy, save_hierarchy_json)
     if args.load:
-        hierarchy = load_hierarchy_json(args.load)
+        try:
+            hierarchy = load_hierarchy_json(args.load)
+        except (OSError, ValueError) as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
         print(f"loaded ({hierarchy.r},{hierarchy.s}) hierarchy from "
               f"{args.load}: {len(hierarchy)} nuclei")
     else:

@@ -115,6 +115,8 @@ class NucleusResult(CoreReport):
     _cells: np.ndarray = field(repr=False, default=None)
     _cores: np.ndarray = field(repr=False, default=None)
     _table: CliqueTable = field(repr=False, default=None)
+    #: The oriented working graph the peel listed s-cliques on.
+    _dg: DirectedGraph = field(repr=False, default=None)
     _original_of: np.ndarray = field(repr=False, default=None)
 
 
@@ -232,9 +234,11 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
     original_of, n_r, n_s = prep.original_of, prep.n_r, prep.n_s
 
     if n_r == 0:
+        table.tracker = None
         return NucleusResult(r, s, 0, 0, 0, 0, table.memory_units, tracker,
                              config, [], np.array([], dtype=np.int64),
-                             np.array([], dtype=np.int64), table, original_of)
+                             np.array([], dtype=np.int64), table, dg,
+                             original_of)
 
     # -- Phase 4: bucket and peel (lines 23-29).
     cells = table.occupied_cells()
@@ -286,7 +290,7 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
         max_core=max_core, table_memory_units=table.memory_units,
         tracker=tracker, config=config, round_log=round_log,
         _cells=cells[order], _cores=cores[cells[order]], _table=table,
-        _original_of=original_of)
+        _dg=dg, _original_of=original_of)
 
 
 def _count_scalar(dg, table, r: int, s: int, relabeled: bool,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -83,6 +85,56 @@ class TestInputErrors:
         path = tmp_path / "missing.txt"
         with pytest.raises(SystemExit) as info:
             main(["decompose", "--input", str(path), "--r", "2", "--s", "3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+
+class TestHierarchy:
+    """``repro hierarchy`` answers alike from a built and a loaded
+    hierarchy, and rejects a malformed ``--load`` with exit status 2."""
+
+    @staticmethod
+    def _answers(argv, capsys) -> list[str]:
+        """The query lines: everything after the build or load report."""
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        last = max(i for i, line in enumerate(lines)
+                   if line.startswith(("wrote hierarchy", "loaded (")))
+        return lines[last + 1:]
+
+    @pytest.mark.parametrize("query", [
+        ["--edge", "0", "1", "--vertex", "0", "--summary"],
+        ["--vertex", "0", "--level", "3"],
+        ["--level", "2"],
+    ], ids=["edge-vertex-summary", "vertex-level", "level"])
+    def test_loaded_answers_like_built(self, query, tmp_path, capsys):
+        path = str(tmp_path / "amazon.json")
+        built = self._answers(["hierarchy", "--dataset", "amazon", "--r",
+                               "2", "--s", "3", "-o", path] + query, capsys)
+        loaded = self._answers(["hierarchy", "--load", path] + query,
+                               capsys)
+        assert built == loaded
+        assert any(line.lstrip().startswith(("node ", "vertex 0 at"))
+                   for line in built)
+
+    def test_malformed_load_exits_2(self, malformed_hierarchy, tmp_path,
+                                    capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(malformed_hierarchy))
+        with pytest.raises(SystemExit) as info:
+            main(["hierarchy", "--load", str(path), "--vertex", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {path}: hierarchy ")
+        assert captured.err.count("\n") == 1
+
+    def test_missing_load_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as info:
+            main(["hierarchy", "--load", str(path)])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and str(path) in err

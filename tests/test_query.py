@@ -137,3 +137,14 @@ class TestHierarchySerialization:
         for level in index.levels():
             assert [n.node_id for n in reloaded.at_level(level)] == \
                 [n.node_id for n in index.at_level(level)]
+
+    def test_valid_small_payload_loads(self, hierarchy_payload):
+        loaded = payload_to_hierarchy(hierarchy_payload)
+        assert [(n.node_id, n.parent_id, n.level) for n in loaded.nuclei] \
+            == [(0, -1, 1), (1, 0, 2)]
+        assert [n.node_id for n in loaded.roots()] == [0]
+
+    def test_malformed_payload_rejected(self, malformed_hierarchy):
+        with pytest.raises(ValueError,
+                           match=r"^hierarchy (payload|record \d+): "):
+            payload_to_hierarchy(malformed_hierarchy)
