@@ -27,7 +27,7 @@ def test_ablation_update_arithmetic(benchmark):
                 rows.append({
                     "graph": name, "mode": mode,
                     "atomics": arb.result.tracker.total.atomic_ops,
-                    "T60": arb.time_parallel,
+                    "T60": arb.record["T60"],
                 })
             assert results["fractional"] == results["representative"]
         return rows

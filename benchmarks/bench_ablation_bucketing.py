@@ -27,7 +27,7 @@ def test_ablation_bucketing(benchmark):
                 outputs[backend] = arb.result.max_core
                 rows.append({
                     "graph": name, "backend": backend,
-                    "T60": arb.time_parallel,
+                    "T60": arb.record["T60"],
                     "bucket_work": arb.result.tracker.phases["peel"].work
                     + arb.result.tracker.phases["bucket"].work,
                     "max_core": arb.result.max_core,

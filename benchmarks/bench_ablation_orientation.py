@@ -32,7 +32,7 @@ def test_ablation_orientation(benchmark):
                     "graph": name, "method": method,
                     "max_out_degree": dg.max_out_degree,
                     "orient_span": arb.result.tracker.phases["orient"].span,
-                    "T60": arb.time_parallel,
+                    "T60": arb.record["T60"],
                 })
             assert len(outputs) == 1  # the orientation never changes output
         return rows

@@ -10,6 +10,7 @@ Subcommands::
     python -m repro.cli lint src/repro --json
     python -m repro.cli sanitize
     python -m repro.cli bench --compare BENCH_nucleus.json -o BENCH_new.json
+    python -m repro.cli bench --engine-gate --compare BENCH_nucleus.json
     python -m repro.cli profile --dataset dblp --r 2 --s 3 -o trace.json
     python -m repro.cli shard --dataset dblp --r 2 --s 3 --shards 4 --verify
     python -m repro.cli hierarchy --dataset dblp --r 2 --s 3 --summary
@@ -25,8 +26,9 @@ interprocedural charge-flow analyzer adds PAR005--PAR011: the
 batch/scalar parity registry plus the static race, atomic-commutativity,
 and race-coverage rules) and ``sanitize`` drives the dynamic race
 detector over the main algorithm and the baselines.
-``bench`` runs the pinned perf-trajectory suite (optionally gating on a
-baseline) and ``profile`` runs one decomposition under the trace recorder,
+``bench`` runs every pinned perf-trajectory section (optionally gating on
+a baseline, and with ``--engine-gate`` on parity with the reference
+oracles) and ``profile`` runs one decomposition under the trace recorder,
 writing a Chrome-trace JSON and printing the six-term time breakdown.
 ``shard`` runs the sharded multi-node decomposition (docs/sharding.md)
 and reports partition quality, communication volume, and the composed
@@ -40,7 +42,9 @@ nucleus containing an edge.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import NoReturn
 
 from .core.config import NucleusConfig
 from .core.decomp import arb_nucleus_decomp
@@ -48,7 +52,15 @@ from .experiments import figures
 from .graph.datasets import dataset_names, load_dataset
 from .graph.generators import erdos_renyi, planted_partition, rmat_graph
 from .graph.io import read_edge_list, write_edge_list
-from .parallel.runtime import CostTracker, MachineModel
+from .observe import bench
+from .parallel.runtime import CostTracker
+
+
+def _usage_error(message) -> NoReturn:
+    """A malformed input or argument is the caller's error: one line on
+    stderr and exit status 2, no traceback."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _load_graph(args):
@@ -58,14 +70,13 @@ def _load_graph(args):
         try:
             return read_edge_list(args.input), args.input
         except (OSError, ValueError) as exc:
-            # A malformed or unreadable input is the caller's error: one
-            # located line on stderr and exit status 2, no traceback.
-            print(f"repro: error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+            _usage_error(exc)
     raise SystemExit("provide --input FILE or --dataset NAME")
 
 
-def _build_config(args) -> NucleusConfig:
+def _run_config(args, graph) -> NucleusConfig:
+    """The run's config, checked against the instance before the run: a
+    bad (r, s), config value or shard count is the caller's error."""
     if getattr(args, "unoptimized", False):
         config = NucleusConfig.unoptimized()
     else:
@@ -80,23 +91,38 @@ def _build_config(args) -> NucleusConfig:
     if overrides:
         from dataclasses import replace
         config = replace(config, **overrides)
+    try:
+        config.validated(graph.n, args.r, args.s)
+    except ValueError as exc:
+        _usage_error(exc)
+    _check_shards(args)
     return config
+
+
+def _check_shards(args) -> None:
+    shards = getattr(args, "shards", None)
+    if shards is not None and shards < 1:
+        _usage_error(f"--shards must be at least 1, got {shards}")
+
+
+def _times(tracker: CostTracker) -> str:
+    """The run record's simulated times, as every report prints them."""
+    record = bench.run_record(tracker)
+    return (f"T(1)={record['T1']:.0f} T(60)={record['T60']:.0f} "
+            f"(speedup {record['speedup']:.1f}x)")
 
 
 def _cmd_decompose(args) -> int:
     graph, name = _load_graph(args)
-    config = _build_config(args)
+    config = _run_config(args, graph)
     tracker = CostTracker()
     result = arb_nucleus_decomp(graph, args.r, args.s, config, tracker)
-    machine = MachineModel()
     print(f"graph {name}: n={graph.n} m={graph.m}")
     print(f"({args.r},{args.s}) nucleus decomposition:")
     print(f"  r-cliques: {result.n_r_cliques}  s-cliques: {result.n_s_cliques}")
     print(f"  peeling rounds (rho): {result.rho}  max core: {result.max_core}")
     print(f"  T memory units: {result.table_memory_units}")
-    print(f"  simulated time: T(1)={machine.time(tracker, 1):.0f} "
-          f"T(60)={machine.time(tracker, 60):.0f} "
-          f"(speedup {machine.speedup(tracker, 60):.1f}x)")
+    print(f"  simulated time: {_times(tracker)}")
     if args.histogram:
         print("  core histogram:")
         for core, count in sorted(result.core_histogram().items()):
@@ -137,6 +163,7 @@ def _print_partition_quality(quality: dict, indent: str = "  ") -> None:
 
 def _cmd_stats(args) -> int:
     graph, name = _load_graph(args)
+    _check_shards(args)
     from .cliques.orient import degeneracy
     from .cliques.counting import triangle_count
     print(f"graph {name}:")
@@ -245,25 +272,106 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the pinned perf-trajectory suite; optionally gate on a baseline."""
-    from .observe import bench
+    """Run every pinned section; gate on a baseline and, with
+    ``--engine-gate``, on the default path against the reference
+    oracles."""
     # Load the baseline up front: --output may name the same file.
     baseline = bench.load_payload(args.compare) if args.compare else None
-    payload = bench.run_suite(threads=args.threads, label=args.label,
-                              progress=lambda msg: print(msg, flush=True))
-    bench.write_payload(payload, args.output)
-    print(f"wrote {len(payload['suite'])} suite entries to {args.output}")
+    references = (True, False) if args.engine_gate else (False,)
+    payloads = bench.run_payloads(*references, label=args.label,
+                                  progress=lambda msg: print(msg, flush=True))
+    written = payloads[-1]
+    bench.write_payload(written, args.output)
+    counts = ", ".join(f"{len(written[section])} {section}"
+                       for section in bench.SECTIONS if section in written)
+    print(f"wrote {counts} entries to {args.output}")
+    failures = []
+    if args.engine_gate:
+        root, ext = os.path.splitext(args.output)
+        reference_path = f"{root}.reference{ext or '.json'}"
+        bench.write_payload(payloads[0], reference_path)
+        print(f"wrote the reference payload to {reference_path}")
+        failures = _engine_gate(args, *payloads)
+    regressions = []
     if baseline is not None:
-        regressions = bench.compare(payload, baseline,
-                                    tolerance=args.tolerance)
+        for reference, payload in zip(references, payloads):
+            tag = "[reference] " if reference else ""
+            regressions += [f"{tag}{line}" for line in bench.compare(
+                payload, baseline, tolerance=args.tolerance)]
         if regressions:
             print(f"REGRESSIONS vs {args.compare}:")
             for line in regressions:
                 print(f"  {line}")
-            return 1
-        print(f"no regressions vs {args.compare} "
-              f"(tolerance {100.0 * args.tolerance:.1f}%)")
-    return 0
+        else:
+            print(f"no regressions vs {args.compare} "
+                  f"(tolerance {100.0 * args.tolerance:.1f}%)")
+    if failures:
+        print("ENGINE GATE FAILURES:")
+        for line in failures:
+            print(f"  {line}")
+    elif args.engine_gate:
+        print("engine gate passed: identical simulated metrics, every "
+              "floor met")
+    return 1 if failures or regressions else 0
+
+
+def _wall(payload: dict, section: str, phase: str) -> float:
+    """Host seconds in ``phase`` summed over a section's entries;
+    ``"hot_phase"`` reads each entry's own hot phase."""
+    return sum(entry["wall_clock"].get(
+        entry[phase] if phase == "hot_phase" else phase, 0.0)
+        for entry in payload[section])
+
+
+def _engine_gate(args, reference: dict, default: dict) -> list[str]:
+    """The engine gate's failures: any simulated field differing between
+    the reference oracles and the default path, a wall-clock speedup
+    below its floor, and a sharded entry off the single-node oracle or
+    below the comm-reduction floor."""
+    failures = []
+    for section, (_, _, key) in bench.SECTIONS.items():
+        for ref, cur in zip(reference[section], default[section]):
+            diffs = sorted(field for field in ref.keys() | cur.keys()
+                           if field != "wall_clock"
+                           and ref.get(field) != cur.get(field))
+            if diffs:
+                failures.append(f"{key.format_map(ref)}: simulated metrics "
+                                f"differ between the reference and the "
+                                f"default path in fields {diffs}")
+    # (report label, section, phase, floor); no floor = report only.
+    for label, section, phase, floor in (
+            ("suite peel", "suite", "peel", args.min_speedup),
+            ("suite count_s", "suite", "count_s", args.min_listing_speedup),
+            ("suite build_table", "suite", "build_table", None),
+            ("baseline-suite hot-phase", "baselines", "hot_phase",
+             args.min_baseline_speedup),
+            ("hierarchy-suite level-sweep", "hierarchy", "hot_phase",
+             args.min_hierarchy_speedup),
+            ("sharded total", "sharded", "total", None)):
+        slow = _wall(reference, section, phase)
+        fast = _wall(default, section, phase)
+        ratio = slow / fast if fast > 0 else float("inf")
+        print(f"{label} wall-clock: reference {slow:.3f}s, default "
+              f"{fast:.3f}s (speedup x{ratio:.2f})")
+        if floor is not None and ratio < floor:
+            failures.append(f"{label} speedup x{ratio:.2f} below the "
+                            f"required x{floor:.2f}")
+    key = bench.SECTIONS["sharded"][2]
+    for entry in default["sharded"]:
+        name, reduction = key.format_map(entry), entry["comm_reduction"]
+        print(f"sharded {name}: comm time hash "
+              f"{entry['hash']['comm_time']:.0f} -> mincut "
+              f"{entry['mincut']['comm_time']:.0f} (x{reduction:.2f}), "
+              f"speedup vs 1 node x{entry['speedup']:.2f}, "
+              f"oracle match {entry['matches_oracle']}")
+        if not entry["matches_oracle"]:
+            failures.append(f"{name}: sharded cores differ from the "
+                            f"single-node oracle")
+        if reduction < args.min_comm_reduction:
+            failures.append(f"{name}: mincut comm reduction "
+                            f"x{reduction:.2f} below the required "
+                            f"x{args.min_comm_reduction:.2f}")
+    return failures
 
 
 def _describe_nucleus(nucleus) -> str:
@@ -284,26 +392,22 @@ def _cmd_hierarchy(args) -> int:
         try:
             hierarchy = load_hierarchy_json(args.load)
         except (OSError, ValueError) as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+            _usage_error(exc)
         print(f"loaded ({hierarchy.r},{hierarchy.s}) hierarchy from "
               f"{args.load}: {len(hierarchy)} nuclei")
     else:
         if args.r is None or args.s is None:
             raise SystemExit("provide --r and --s (or --load FILE)")
         graph, name = _load_graph(args)
-        config = _build_config(args)
+        config = _run_config(args, graph)
         tracker = CostTracker()
         result = arb_nucleus_decomp(graph, args.r, args.s, config, tracker)
         hierarchy = nucleus_hierarchy(graph, result, tracker)
-        machine = MachineModel()
         print(f"graph {name}: n={graph.n} m={graph.m}")
         print(f"({args.r},{args.s}) hierarchy: {len(hierarchy)} nuclei "
               f"across {len({x.level for x in hierarchy.nuclei})} levels "
               f"(max core {result.max_core})")
-        print(f"  simulated time (decompose + build): "
-              f"T(1)={machine.time(tracker, 1):.0f} "
-              f"T(60)={machine.time(tracker, 60):.0f}")
+        print(f"  simulated time (decompose + build): {_times(tracker)}")
     if args.output:
         save_hierarchy_json(hierarchy, args.output)
         print(f"wrote hierarchy JSON to {args.output}")
@@ -364,11 +468,10 @@ def _cmd_profile(args) -> int:
     from .machine.cache import CacheSimulator
     from .observe import TraceRecorder, format_breakdown, write_merged_trace
     graph, name = _load_graph(args)
-    config = _build_config(args)
+    config = _run_config(args, graph)
     tracker = CostTracker()
     tracker.cache = CacheSimulator()
     tracker.trace = TraceRecorder(task_limit=args.task_limit)
-    machine = MachineModel()
     if args.shards:
         from .distributed import sharded_nucleus_decomp
         result = sharded_nucleus_decomp(graph, args.r, args.s, args.shards,
@@ -377,8 +480,9 @@ def _cmd_profile(args) -> int:
         print(f"graph {name}: n={graph.n} m={graph.m}  "
               f"({args.r},{args.s}) x{args.shards} shard(s) "
               f"rho={result.rho} max_core={result.max_core}")
-        print(format_breakdown(machine.time_breakdown(tracker, args.threads),
-                               title="coordinator time breakdown"))
+        print(format_breakdown(
+            bench.DEFAULT_MACHINE.time_breakdown(tracker, args.threads),
+            title="coordinator time breakdown"))
         recorders = [tracker.trace, *result.shard_traces]
         write_merged_trace(recorders, args.output)
         events = sum(len(recorder.events) for recorder in recorders)
@@ -387,8 +491,9 @@ def _cmd_profile(args) -> int:
         print(f"graph {name}: n={graph.n} m={graph.m}  "
               f"({args.r},{args.s}) rho={result.rho} "
               f"max_core={result.max_core}")
-        print(format_breakdown(machine.time_breakdown(tracker,
-                                                      args.threads)))
+        print(f"  simulated time: {_times(tracker)}")
+        print(format_breakdown(bench.DEFAULT_MACHINE.time_breakdown(
+            tracker, args.threads)))
         tracker.trace.write(args.output)
         events = len(tracker.trace.events)
     print(f"wrote {events} trace events to {args.output} "
@@ -402,15 +507,16 @@ def _cmd_shard(args) -> int:
     from .graph.stats import partition_statistics
     from .observe import TraceRecorder, write_merged_trace
     graph, name = _load_graph(args)
+    config = _run_config(args, graph)
     tracker = CostTracker()
     if args.trace:
         tracker.trace = TraceRecorder()
     result = sharded_nucleus_decomp(graph, args.r, args.s, args.shards,
                                     partitioner=args.partitioner,
-                                    tracker=tracker)
+                                    config=config, tracker=tracker)
     quality = partition_statistics(graph, result.partition.shard_of,
                                    args.shards, s=args.s)
-    machine = DistributedMachineModel(MachineModel())
+    machine = DistributedMachineModel(bench.DEFAULT_MACHINE)
     breakdown = machine.time_breakdown(result, args.threads)
     print(f"graph {name}: n={graph.n} m={graph.m}")
     print(f"({args.r},{args.s}) sharded decomposition on {args.shards} "
@@ -551,17 +657,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the pinned perf-trajectory suite (BENCH_nucleus.json)")
+        help="run every pinned perf-trajectory section "
+             "(BENCH_nucleus.json)")
     p.add_argument("-o", "--output", default="BENCH_nucleus.json",
                    help="output payload path (default: BENCH_nucleus.json)")
     p.add_argument("--compare", metavar="BASELINE",
                    help="baseline payload; exit non-zero on regressions")
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="relative regression tolerance (default 0.05)")
-    p.add_argument("--threads", type=int, default=60,
-                   help="parallel thread count for the T column")
     p.add_argument("--label", default="",
-                   help="free-form label stored in the payload")
+                   help="free-form label stored in the payload (e.g. a "
+                        "git revision)")
+    p.add_argument("--engine-gate", action="store_true",
+                   help="run every section twice, once on the default "
+                        "path (the batch kernels) and once on the scalar "
+                        "reference oracles; require bit-for-bit identical "
+                        "simulated metrics and the --min-* wall-clock "
+                        "and comm floors; writes the reference payload "
+                        "next to --output as *.reference.json")
+    p.add_argument("--min-speedup", type=float, default=1.0,
+                   help="minimum suite-total peel wall-clock speedup of "
+                        "the default path over the reference (default "
+                        "1.0: strictly faster)")
+    p.add_argument("--min-listing-speedup", type=float, default=1.0,
+                   help="minimum suite-total count-phase wall-clock "
+                        "speedup (default 1.0)")
+    p.add_argument("--min-baseline-speedup", type=float, default=1.0,
+                   help="minimum baseline-section hot-phase wall-clock "
+                        "speedup (default 1.0)")
+    p.add_argument("--min-hierarchy-speedup", type=float, default=1.0,
+                   help="minimum hierarchy-section level-sweep "
+                        "wall-clock speedup (default 1.0)")
+    p.add_argument("--min-comm-reduction", type=float, default=1.0,
+                   help="minimum simulated comm-time reduction (hash / "
+                        "mincut) of every sharded entry (default 1.0: "
+                        "mincut no worse than hash)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

@@ -99,12 +99,21 @@ class NucleusConfig:
     def validated(self, n: int, r: int, s: int) -> "NucleusConfig":
         """Check the configuration against a concrete problem instance.
 
-        Raises on impossible combinations; widens the table automatically
-        when one-level keys cannot fit (the paper's infeasibility point for
-        large r), returning a possibly-adjusted copy.
+        Raises ``ValueError`` naming the field on impossible values and
+        combinations; widens the table automatically when one-level keys
+        cannot fit (the paper's infeasibility point for large r),
+        returning a possibly-adjusted copy.
         """
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
+        if self.update_arithmetic not in ("fractional", "representative"):
+            raise ValueError(f"update_arithmetic must be 'fractional' or "
+                             f"'representative', got "
+                             f"{self.update_arithmetic!r}")
+        for field in ("levels", "threads", "buffer_size", "bucket_window"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1, got "
+                                 f"{getattr(self, field)}")
         if self.contraction and (r, s) != (2, 3):
             raise ValueError("graph contraction only applies to (2,3) "
                              "nucleus decomposition (Section 5.6)")

@@ -21,8 +21,9 @@ from ..core.config import NucleusConfig
 from ..graph.datasets import load_dataset
 from ..graph.generators import rmat_graph
 from ..machine.cache import CacheSimulator
-from .harness import (DEFAULT_MACHINE, PAPER_OMISSIONS, FigureResult,
-                      format_table, run_arb, run_baseline)
+from ..observe.bench import DEFAULT_MACHINE
+from .harness import (PAPER_OMISSIONS, FigureResult, format_table, run_arb,
+                      run_baseline)
 
 #: The T-layout combinations swept in Figures 8-10 (Section 6.2).  The
 #: non-T knobs stay at their unoptimized values during this sweep, exactly
@@ -102,13 +103,14 @@ def _t_combo_sweep(r: int, s: int, graphs: list[str],
         for label, run in runs.items():
             rows.append({
                 "graph": name, "combo": label,
-                "speedup": base.time_parallel / run.time_parallel,
+                "speedup": base.record["T60"] / run.record["T60"],
                 "space_saving": (base.result.table_memory_units
                                  / max(1, run.result.table_memory_units)),
                 "memory_units": run.result.table_memory_units,
-                "T60": run.time_parallel,
-                "miss_rate": (run.cache_misses / run.cache_accesses
-                              if run.cache_accesses else 0.0),
+                "T60": run.record["T60"],
+                "miss_rate": (run.record["cache_misses"]
+                              / run.record["cache_accesses"]
+                              if run.record["cache_accesses"] else 0.0),
             })
     return rows
 
@@ -175,22 +177,22 @@ def fig11(rs_list: list[tuple[int, int]] | None = None,
                 run = run_arb(graph, r, s,
                               NucleusConfig(**base_kwargs, **extra), name)
                 rows.append({"rs": f"({r},{s})", "graph": name,
-                             "variant": label,
-                             "speedup": base.time_parallel / run.time_parallel})
+                             "variant": label, "speedup":
+                             base.record["T60"] / run.record["T60"]})
             if (r, s) == (2, 3):
                 run = run_arb(graph, r, s,
                               NucleusConfig(**base_kwargs, relabel=False,
                                             aggregation="array",
                                             contraction=True), name)
                 rows.append({"rs": "(2,3)", "graph": name,
-                             "variant": "contraction",
-                             "speedup": base.time_parallel / run.time_parallel})
+                             "variant": "contraction", "speedup":
+                             base.record["T60"] / run.record["T60"]})
             # Combined: the paper's optimal config vs fully unoptimized.
             unopt = run_arb(graph, r, s, NucleusConfig.unoptimized(), name)
             best = run_arb(graph, r, s, NucleusConfig.optimal(r, s), name)
             rows.append({"rs": f"({r},{s})", "graph": name,
                          "variant": "combined(best/unopt)",
-                         "speedup": unopt.time_parallel / best.time_parallel})
+                         "speedup": unopt.record["T60"] / best.record["T60"]})
     text = format_table(rows, ["rs", "graph", "variant", "speedup"],
                         "Relabeling / aggregation / contraction speedups "
                         "over two-level + simple array")
@@ -221,12 +223,12 @@ def fig12(graphs: list[str] | None = None,
             arb_visits = arb.result.tracker.total.cliques_enumerated
             rows.append({"rs": f"({r},{s})", "graph": name,
                          "algorithm": "ARB", "slowdown": 1.0,
-                         "T60": arb.time_parallel,
-                         "self_speedup": arb.self_relative_speedup,
+                         "T60": arb.record["T60"],
+                         "self_speedup": arb.record["speedup"],
                          "rounds": arb.result.rho, "visits": arb_visits})
             rows.append({"rs": f"({r},{s})", "graph": name,
                          "algorithm": "ARB (1 thread)",
-                         "slowdown": arb.time_serial / arb.time_parallel})
+                         "slowdown": arb.record["speedup"]})
 
             def consider(label, fn, *args, serial=False):
                 key = ("fig12", label, name, (r, s))
@@ -238,7 +240,7 @@ def fig12(graphs: list[str] | None = None,
                 result, time = run_baseline(fn, graph, *args, serial=serial)
                 rows.append({
                     "rs": f"({r},{s})", "graph": name, "algorithm": label,
-                    "slowdown": time / arb.time_parallel,
+                    "slowdown": time / arb.record["T60"],
                     "rounds": result.rounds,
                     "round_ratio": result.rounds / max(1, arb.result.rho),
                     "visits": result.s_clique_visits,
@@ -270,7 +272,7 @@ def fig13(graphs: list[str] | None = None) -> FigureResult:
         times = {}
         for r, s in RS_BY_GRAPH[name]:
             run = run_arb(graph, r, s, NucleusConfig.optimal(r, s), name)
-            times[(r, s)] = run.time_parallel
+            times[(r, s)] = run.record["T60"]
         fastest = min(times.values())
         for (r, s), time in sorted(times.items()):
             if (r, s) in ((2, 3), (3, 4)):
@@ -297,7 +299,7 @@ def fig14(graphs: list[str] | None = None,
             run = run_arb(graph, r, s, NucleusConfig.optimal(r, s), name)
             tracker = run.result.tracker
             row = {"graph": name, "rs": f"({r},{s})"}
-            t1 = DEFAULT_MACHINE.time(tracker, 1)
+            t1 = run.record["T1"]
             for p in thread_counts:
                 row[f"T{p}"] = DEFAULT_MACHINE.time(tracker, p)
                 row[f"S{p}"] = t1 / row[f"T{p}"]
@@ -324,7 +326,7 @@ def fig15(scales: list[int] | None = None,
             for r, s in rs_list:
                 run = run_arb(graph, r, s, NucleusConfig.optimal(r, s),
                               f"rmat{scale}x{ef}")
-                row[f"T({r},{s})"] = run.time_parallel
+                row[f"T({r},{s})"] = run.record["T60"]
                 row[f"n_s({r},{s})"] = run.result.n_s_cliques
             rows.append(row)
     columns = ["scale", "edge_factor", "n", "m"] + \

@@ -1,8 +1,10 @@
 """Shared experiment-running machinery for the Section 6 reproduction.
 
 The drivers in :mod:`repro.experiments.figures` call :func:`run_arb` /
-:func:`run_baseline` to execute algorithms under cost tracking, and use the
-formatting helpers here to print paper-style tables.
+:func:`run_baseline` to execute algorithms under cost tracking --- both
+measure a run by :func:`repro.observe.bench.run_record`, the record the
+perf trajectory stores --- and use the formatting helpers here to print
+paper-style tables.
 
 A note on "OOM" and "timeout" rows: the paper omits bars where a competitor
 ran out of memory or exceeded 6 hours on *million/billion-edge* inputs.
@@ -23,11 +25,8 @@ from ..core.config import NucleusConfig
 from ..core.decomp import NucleusResult, arb_nucleus_decomp
 from ..graph.csr import CSRGraph
 from ..machine.cache import CacheSimulator
-from ..parallel.runtime import CostTracker, MachineModel
-
-#: Default simulated machine: the paper's 30-core / 60-hyper-thread box.
-DEFAULT_MACHINE = MachineModel(cores=30)
-PARALLEL_THREADS = 60
+from ..observe.bench import run_record
+from ..parallel.runtime import CostTracker
 
 #: (figure, algorithm, graph, (r, s)) -> reason, straight from the paper's
 #: figure captions and Section 6.3 text.
@@ -52,64 +51,44 @@ PAPER_OMISSIONS: dict[tuple, str] = {
 
 @dataclass
 class ArbRun:
-    """One tracked ARB-NUCLEUS-DECOMP execution plus simulated timings."""
+    """One tracked ARB-NUCLEUS-DECOMP execution and its run record
+    (:func:`repro.observe.bench.run_record`)."""
 
     graph_name: str
     r: int
     s: int
-    config: NucleusConfig
     result: NucleusResult
-    machine: MachineModel
-    time_serial: float
-    time_parallel: float
-    cache_misses: int = 0
-    cache_accesses: int = 0
-
-    @property
-    def self_relative_speedup(self) -> float:
-        return self.time_serial / self.time_parallel
+    record: dict
 
     def row(self) -> dict:
-        summary = self.result.tracker.summary()
+        """The run as one flat row: identity, result shape, record."""
         return {
             "graph": self.graph_name, "r": self.r, "s": self.s,
             "n_r": self.result.n_r_cliques, "n_s": self.result.n_s_cliques,
             "rho": self.result.rho, "max_core": self.result.max_core,
-            "T1": self.time_serial, "T60": self.time_parallel,
-            "speedup": self.self_relative_speedup,
-            "work": summary["work"], "span": summary["span"],
             "memory_units": self.result.table_memory_units,
-            "cache_misses": self.cache_misses,
+            **self.record,
         }
 
 
 def run_arb(graph: CSRGraph, r: int, s: int,
             config: NucleusConfig | None = None, graph_name: str = "?",
-            machine: MachineModel = DEFAULT_MACHINE,
-            threads: int = PARALLEL_THREADS,
             with_cache: bool = False,
             cache: CacheSimulator | None = None) -> ArbRun:
-    """Run ARB-NUCLEUS-DECOMP and evaluate the machine model's timings."""
+    """Run ARB-NUCLEUS-DECOMP and record it."""
     tracker = CostTracker()
     if with_cache or cache is not None:
         tracker.cache = cache or CacheSimulator()
     result = arb_nucleus_decomp(graph, r, s, config, tracker)
-    return ArbRun(
-        graph_name=graph_name, r=r, s=s, config=result.config, result=result,
-        machine=machine,
-        time_serial=machine.time(tracker, 1),
-        time_parallel=machine.time(tracker, threads),
-        cache_misses=tracker.cache.misses if tracker.cache else 0,
-        cache_accesses=tracker.cache.accesses if tracker.cache else 0)
+    return ArbRun(graph_name, r, s, result, run_record(tracker))
 
 
-def run_baseline(fn, graph: CSRGraph, *args,
-                 machine: MachineModel = DEFAULT_MACHINE,
-                 threads: int = PARALLEL_THREADS, serial: bool = False):
-    """Run one baseline; returns (BaselineResult, simulated_time)."""
+def run_baseline(fn, graph: CSRGraph, *args, serial: bool = False):
+    """Run one baseline; returns (BaselineResult, simulated time): the
+    record's T1 when ``serial``, else its T60."""
     result = fn(graph, *args)
-    time = machine.time(result.tracker, 1 if serial else threads)
-    return result, time
+    record = run_record(result.tracker)
+    return result, record["T1" if serial else "T60"]
 
 
 # -- formatting ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import product
 
 from ..core.config import NucleusConfig
 from ..graph.csr import CSRGraph
-from .harness import DEFAULT_MACHINE, PARALLEL_THREADS, run_arb
+from .harness import run_arb
 
 
 def config_grid(base: NucleusConfig | None = None,
@@ -51,13 +51,12 @@ def config_grid(base: NucleusConfig | None = None,
 
 def sweep(graphs: dict[str, CSRGraph],
           rs_pairs: list[tuple[int, int]],
-          configs: list[tuple[str, NucleusConfig]] | None = None,
-          machine=DEFAULT_MACHINE,
-          threads: int = PARALLEL_THREADS) -> list[dict]:
+          configs: list[tuple[str, NucleusConfig]] | None = None
+          ) -> list[dict]:
     """Run every (graph, (r,s), config) combination; one row per run.
 
     Rows carry the run's identity (graph / rs / config label) plus the
-    standard measurement columns from
+    result's shape and the run record, from
     :meth:`repro.experiments.harness.ArbRun.row`.
     """
     configs = configs or [("default", None)]
@@ -65,9 +64,7 @@ def sweep(graphs: dict[str, CSRGraph],
     for graph_name, graph in graphs.items():
         for r, s in rs_pairs:
             for label, config in configs:
-                run = run_arb(graph, r, s, config, graph_name,
-                              machine=machine, threads=threads)
-                row = run.row()
+                row = run_arb(graph, r, s, config, graph_name).row()
                 row["config"] = label
                 rows.append(row)
     return rows

@@ -1,23 +1,28 @@
-"""The perf-trajectory harness: a pinned suite of tracked decompositions.
+"""The perf-trajectory harness: pinned suites of tracked runs.
 
 Every future performance PR is judged against the numbers this module
-produces, so the suite is deliberately **pinned**: fixed surrogate
+produces, so the suites are deliberately **pinned**: fixed surrogate
 graphs, fixed (r, s) pairs covering the paper's three headline workloads
 (k-core, k-truss, and (3,4) nucleus), the default
 :class:`~repro.parallel.runtime.MachineModel`, and an exact (unsampled)
-cache simulator.  Everything measured is deterministic, so two runs of
-the same tree produce byte-identical metrics and any drift in
+cache simulator.  Everything simulated is deterministic, so two runs of
+the same tree write byte-identical payloads and any drift in
 ``--compare`` mode is a real accounting change.
 
-The canonical output (``BENCH_nucleus.json`` at the repo root) records,
-per suite entry, the quantities the paper's evaluation is built from ---
-work, span, rounds (rho), contention, cache misses, simulated T1/T60 and
-self-relative speedup --- plus the per-phase counters and the five-term
-:meth:`~repro.parallel.runtime.MachineModel.time_breakdown` so a
-regression can be localized, not just detected.
+Every tracked run --- a suite, baseline or hierarchy entry, the sharded
+entry's single-node reference, :func:`repro.experiments.harness.run_arb`
+and the CLI's reports --- is measured by one function,
+:func:`run_record`: work, span, rounds, contention, cache misses,
+simulated T1/T60 and self-relative speedup (the quantities the paper's
+evaluation is built from), plus the per-phase counters and the
+five-term :meth:`~repro.parallel.runtime.MachineModel.time_breakdown`
+so a regression can be localized, not just detected.
 
-:func:`compare` flags regressions beyond a relative tolerance; the CI
-``bench-trajectory`` job runs it against the committed baseline.
+:data:`SECTIONS` names the four sections of the canonical output
+(``BENCH_nucleus.json`` at the repo root), each with its pinned suite,
+entry runner and entry key.  :func:`compare` flags regressions beyond a
+relative tolerance; ``repro bench --compare`` runs it against the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -39,7 +44,16 @@ from ..machine.cache import CacheSimulator
 from ..parallel.runtime import CostTracker, MachineModel
 
 #: Schema version of the payload; bump on incompatible layout changes.
-SCHEMA_VERSION = 1
+#: Version 2 stores no host ``wall_clock`` and gives every entry the
+#: full run record.
+SCHEMA_VERSION = 2
+
+#: The simulated machine of every record: the paper's 30-core /
+#: 60-hyper-thread box.
+DEFAULT_MACHINE = MachineModel()
+
+#: Parallel thread count of the record's T_P column (the paper's 60).
+BENCH_THREADS = 60
 
 #: The pinned suite: (graph, r, s).  k-core (1,2), k-truss (2,3), and
 #: (3,4) nucleus on three surrogate graphs of increasing size; youtube's
@@ -49,9 +63,6 @@ PINNED_SUITE: tuple[tuple[str, int, int], ...] = (
     ("dblp", 1, 2), ("dblp", 2, 3), ("dblp", 3, 4),
     ("youtube", 1, 2), ("youtube", 2, 3), ("youtube", 3, 4),
 )
-
-#: Parallel thread count of the trajectory's T_P column (the paper's 60).
-BENCH_THREADS = 60
 
 #: Scalar metrics compared by :func:`compare`; True means lower-is-better.
 #: ``comm_time`` / ``comm_reduction`` only appear in sharded entries;
@@ -110,21 +121,38 @@ SHARDED_SUITE: tuple[tuple[str, int, int, int], ...] = (
 )
 
 
-def entry_key(entry: dict) -> str:
-    return f"{entry['graph']}({entry['r']},{entry['s']})"
+def run_record(tracker: CostTracker) -> dict:
+    """The run record of a finished tracked run.
 
-
-def baseline_entry_key(entry: dict) -> str:
-    return f"{entry['baseline']}@{entry['graph']}"
-
-
-def hierarchy_entry_key(entry: dict) -> str:
-    return f"hier:{entry['graph']}({entry['r']},{entry['s']})"
-
-
-def sharded_entry_key(entry: dict) -> str:
-    return (f"shard:{entry['graph']}({entry['r']},{entry['s']})"
-            f"x{entry['shards']}")
+    Simulated counters, T1 and T60 on :data:`DEFAULT_MACHINE`, the
+    self-relative speedup, per-phase counters and the total of the
+    five-term breakdown at :data:`BENCH_THREADS` threads, plus the one
+    host-side field, ``wall_clock`` (seconds per phase).  Cache fields
+    read 0 when no cache simulator is attached.
+    """
+    t1 = DEFAULT_MACHINE.time(tracker, 1)
+    tp = DEFAULT_MACHINE.time(tracker, BENCH_THREADS)
+    total, cache = tracker.total, tracker.cache
+    return {
+        "wall_clock": {"total": sum(tracker.phase_wall.values()),
+                       **dict(sorted(tracker.phase_wall.items()))},
+        "work": total.work,
+        "span": tracker.span,
+        "rounds": total.rounds,
+        "atomic_ops": total.atomic_ops,
+        "contention": total.contention,
+        "table_probes": total.table_probes,
+        "cliques": total.cliques_enumerated,
+        "cache_accesses": cache.accesses if cache is not None else 0,
+        "cache_misses": cache.misses if cache is not None else 0,
+        "T1": t1, "T60": tp, "speedup": t1 / tp,
+        "phases": {
+            name: {field: getattr(stats, field) for field in _PHASE_FIELDS}
+            for name, stats in tracker.phases.items()
+        },
+        "breakdown": DEFAULT_MACHINE.time_breakdown(
+            tracker, BENCH_THREADS)["total"],
+    }
 
 
 def _tracker(reference: bool) -> CostTracker:
@@ -137,168 +165,57 @@ def _tracker(reference: bool) -> CostTracker:
 
 
 def run_entry(graph_name: str, r: int, s: int,
-              machine: MachineModel | None = None,
-              threads: int = BENCH_THREADS,
               reference: bool = False) -> dict:
-    """Run one pinned decomposition and extract its canonical metrics.
+    """Run one pinned decomposition; its record plus the result's shape.
 
     ``reference`` runs the scalar reference oracles instead of the batch
     kernels; by their cost-parity invariant (docs/cost-model.md) every
-    *simulated* metric in the payload is the same either way --- only the
-    ``wall_clock`` section (host seconds per phase, outside the machine
-    model) may differ, and it is not in :data:`COMPARED_METRICS`.
+    *simulated* field of the entry is the same either way --- only
+    ``wall_clock`` (host seconds per phase, outside the machine model)
+    may differ, and it is neither compared nor written.
     """
-    machine = machine or MachineModel()
-    graph = load_dataset(graph_name)
     tracker = _tracker(reference)
-    result = arb_nucleus_decomp(graph, r, s, NucleusConfig.optimal(r, s),
-                                tracker)
-    t1 = machine.time(tracker, 1)
-    tp = machine.time(tracker, threads)
-    breakdown = machine.time_breakdown(tracker, threads)
+    result = arb_nucleus_decomp(load_dataset(graph_name), r, s,
+                                NucleusConfig.optimal(r, s), tracker)
     return {
         "graph": graph_name, "r": r, "s": s,
-        "wall_clock": {
-            "total": sum(tracker.phase_wall.values()),
-            **{name: seconds
-               for name, seconds in sorted(tracker.phase_wall.items())},
-        },
         "n_r": result.n_r_cliques, "n_s": result.n_s_cliques,
         "rho": result.rho, "max_core": result.max_core,
-        "work": tracker.total.work,
-        "span": tracker.span,
-        "rounds": tracker.total.rounds,
-        "atomic_ops": tracker.total.atomic_ops,
-        "contention": tracker.total.contention,
-        "table_probes": tracker.total.table_probes,
-        "cache_accesses": tracker.cache.accesses,
-        "cache_misses": tracker.cache.misses,
         "memory_units": result.table_memory_units,
-        "T1": t1, "T60": tp, "speedup": t1 / tp,
-        "phases": {
-            name: {field: getattr(stats, field) for field in _PHASE_FIELDS}
-            for name, stats in tracker.phases.items()
-        },
-        "breakdown": breakdown["total"],
-    }
-
-
-def run_suite(machine: MachineModel | None = None,
-              threads: int = BENCH_THREADS,
-              suite: tuple[tuple[str, int, int], ...] | None = None,
-              label: str = "", progress=None,
-              reference: bool = False) -> dict:
-    """Run the pinned suite; returns the canonical JSON payload (a dict)."""
-    if suite is None:
-        suite = PINNED_SUITE  # resolved at call time (tests shrink it)
-    machine = machine or MachineModel()
-    entries = []
-    for graph_name, r, s in suite:
-        if progress is not None:
-            progress(f"bench: {graph_name} ({r},{s})"
-                     + (" [reference]" if reference else ""))
-        entries.append(run_entry(graph_name, r, s, machine, threads,
-                                 reference=reference))
-    return {
-        "schema": SCHEMA_VERSION,
-        "label": label,
-        "threads": threads,
-        "machine": asdict(machine),
-        "suite": entries,
+        **run_record(tracker),
     }
 
 
 def run_baseline_entry(name: str, graph_name: str,
-                       machine: MachineModel | None = None,
-                       threads: int = BENCH_THREADS,
                        reference: bool = False) -> dict:
-    """Run one pinned baseline and extract its canonical metrics.
-
-    Mirrors :func:`run_entry`: by the kernels' cost-parity invariant,
-    every *simulated* metric is the same with ``reference`` set or not
-    --- only ``wall_clock`` may differ.
-    """
-    machine = machine or MachineModel()
-    graph = load_dataset(graph_name)
-    tracker = _tracker(reference)
-    if name == "nd":
-        nd_decomposition(graph, 2, 3, tracker)
-    elif name == "pnd":
-        pnd_decomposition(graph, 2, 3, tracker)
-    elif name == "pkt":
-        pkt_decomposition(graph, tracker)
-    elif name == "pkt-opt-cpu":
-        pkt_opt_cpu_decomposition(graph, tracker)
-    elif name == "msp":
-        msp_decomposition(graph, tracker)
-    elif name == "kcore":
-        k_core(graph, tracker)
-    elif name == "densest":
-        k_clique_densest(graph, 3, tracker)
-    else:
-        raise ValueError(f"unknown baseline {name!r}")
-    t1 = machine.time(tracker, 1)
-    tp = machine.time(tracker, threads)
-    return {
-        "baseline": name, "graph": graph_name,
-        "hot_phase": BASELINE_HOT_PHASE[name],
-        "wall_clock": {
-            "total": sum(tracker.phase_wall.values()),
-            **{phase: seconds
-               for phase, seconds in sorted(tracker.phase_wall.items())},
-        },
-        "work": tracker.total.work,
-        "span": tracker.span,
-        "rho": tracker.total.rounds,
-        "rounds": tracker.total.rounds,
-        "atomic_ops": tracker.total.atomic_ops,
-        "contention": tracker.total.contention,
-        "cliques": tracker.total.cliques_enumerated,
-        "cache_accesses": tracker.cache.accesses,
-        "cache_misses": tracker.cache.misses,
-        "T1": t1, "T60": tp, "speedup": t1 / tp,
-        "phases": {
-            phase: {field: getattr(stats, field)
-                    for field in _PHASE_FIELDS}
-            for phase, stats in tracker.phases.items()
-        },
+    """Run one pinned baseline; its record (see :func:`run_entry` for
+    ``reference``)."""
+    runs = {
+        "nd": lambda graph, t: nd_decomposition(graph, 2, 3, t),
+        "pnd": lambda graph, t: pnd_decomposition(graph, 2, 3, t),
+        "pkt": pkt_decomposition,
+        "pkt-opt-cpu": pkt_opt_cpu_decomposition,
+        "msp": msp_decomposition,
+        "kcore": k_core,
+        "densest": lambda graph, t: k_clique_densest(graph, 3, t),
     }
-
-
-def run_baseline_suite(machine: MachineModel | None = None,
-                       threads: int = BENCH_THREADS,
-                       suite: tuple[tuple[str, str], ...] | None = None,
-                       progress=None,
-                       reference: bool = False) -> list[dict]:
-    """Run the pinned baseline suite; returns the entry list (stored
-    under the main payload's ``"baselines"`` key by the trajectory
-    tool)."""
-    if suite is None:
-        suite = BASELINE_SUITE  # resolved at call time (tests shrink it)
-    machine = machine or MachineModel()
-    entries = []
-    for name, graph_name in suite:
-        if progress is not None:
-            progress(f"bench baseline: {name} @ {graph_name}"
-                     + (" [reference]" if reference else ""))
-        entries.append(run_baseline_entry(name, graph_name, machine,
-                                          threads, reference=reference))
-    return entries
+    if name not in runs:
+        raise ValueError(f"unknown baseline {name!r}")
+    tracker = _tracker(reference)
+    runs[name](load_dataset(graph_name), tracker)
+    return {"baseline": name, "graph": graph_name,
+            "hot_phase": BASELINE_HOT_PHASE[name],
+            "rho": tracker.total.rounds, **run_record(tracker)}
 
 
 def run_hierarchy_entry(graph_name: str, r: int, s: int,
-                        machine: MachineModel | None = None,
-                        threads: int = BENCH_THREADS,
                         reference: bool = False) -> dict:
-    """Run one pinned hierarchy construction; canonical metrics.
+    """Run one pinned hierarchy construction; its record.
 
     The decomposition feeding the hierarchy runs on a throwaway tracker
-    so the entry's simulated metrics cover hierarchy construction only.
-    Mirrors :func:`run_entry`: by the hierarchy kernels' cost-parity
-    invariant every simulated metric is the same with ``reference`` set
-    or not --- only ``wall_clock`` may differ.
+    so the record covers hierarchy construction only (see
+    :func:`run_entry` for ``reference``).
     """
-    machine = machine or MachineModel()
     graph = load_dataset(graph_name)
     throwaway = CostTracker()
     throwaway.reference = reference
@@ -306,58 +223,14 @@ def run_hierarchy_entry(graph_name: str, r: int, s: int,
                                 throwaway)
     tracker = _tracker(reference)
     hierarchy = nucleus_hierarchy(graph, result, tracker)
-    t1 = machine.time(tracker, 1)
-    tp = machine.time(tracker, threads)
-    return {
-        "graph": graph_name, "r": r, "s": s,
-        "hot_phase": HIERARCHY_HOT_PHASE,
-        "wall_clock": {
-            "total": sum(tracker.phase_wall.values()),
-            **{name: seconds
-               for name, seconds in sorted(tracker.phase_wall.items())},
-        },
-        "n_nuclei": len(hierarchy),
-        "n_levels": len({nucleus.level for nucleus in hierarchy.nuclei}),
-        "work": tracker.total.work,
-        "span": tracker.span,
-        "rho": tracker.total.rounds,
-        "rounds": tracker.total.rounds,
-        "atomic_ops": tracker.total.atomic_ops,
-        "contention": tracker.total.contention,
-        "cache_accesses": tracker.cache.accesses,
-        "cache_misses": tracker.cache.misses,
-        "T1": t1, "T60": tp, "speedup": t1 / tp,
-        "phases": {
-            name: {field: getattr(stats, field) for field in _PHASE_FIELDS}
-            for name, stats in tracker.phases.items()
-        },
-    }
-
-
-def run_hierarchy_suite(machine: MachineModel | None = None,
-                        threads: int = BENCH_THREADS,
-                        suite: tuple[tuple[str, int, int], ...] | None = None,
-                        progress=None,
-                        reference: bool = False) -> list[dict]:
-    """Run the pinned hierarchy suite; returns the entry list (stored
-    under the main payload's ``"hierarchy"`` key by the trajectory
-    tool)."""
-    if suite is None:
-        suite = HIERARCHY_SUITE  # resolved at call time (tests shrink it)
-    machine = machine or MachineModel()
-    entries = []
-    for graph_name, r, s in suite:
-        if progress is not None:
-            progress(f"bench hierarchy: {graph_name} ({r},{s})"
-                     + (" [reference]" if reference else ""))
-        entries.append(run_hierarchy_entry(graph_name, r, s, machine,
-                                           threads, reference=reference))
-    return entries
+    return {"graph": graph_name, "r": r, "s": s,
+            "hot_phase": HIERARCHY_HOT_PHASE,
+            "n_nuclei": len(hierarchy),
+            "n_levels": len({nucleus.level for nucleus in hierarchy.nuclei}),
+            "rho": tracker.total.rounds, **run_record(tracker)}
 
 
 def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
-                      machine: MachineModel | None = None,
-                      threads: int = BENCH_THREADS,
                       reference: bool = False) -> dict:
     """Run one pinned sharded decomposition under both partitioners.
 
@@ -366,25 +239,21 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     metrics: ``comm_time`` (mincut's --- lower is better),
     ``comm_reduction`` (hash comm time over mincut comm time --- the
     quantity the engine gate's ``--min-comm-reduction`` floor pins), and
-    ``speedup`` (single-node simulated time over the mincut distributed
-    time).  By the exchange kernels' cost-parity invariant every
-    simulated metric is the same with ``reference`` set or not --- only
-    ``wall_clock`` may differ.
+    ``speedup`` (the single-node record's T60 over the mincut distributed
+    time).  See :func:`run_entry` for ``reference``.
     """
     # Imported here: repro.distributed pulls in repro.observe.trace, so a
     # module-level import would be circular through the package __init__.
     from ..distributed import DistributedMachineModel, sharded_nucleus_decomp
-    machine = machine or MachineModel()
-    distributed = DistributedMachineModel(machine)
+    distributed = DistributedMachineModel(DEFAULT_MACHINE)
     graph = load_dataset(graph_name)
     single_tracker = CostTracker()
     single_tracker.reference = reference
     single = arb_nucleus_decomp(graph, r, s, tracker=single_tracker)
-    single_time = machine.time(single_tracker, threads)
+    single_time = run_record(single_tracker)["T60"]
     single_cores = single.as_dict()
     per_partitioner = {}
     wall = 0.0
-    mincut_result = None
     for name in ("hash", "mincut"):
         coordinator = CostTracker()
         coordinator.reference = reference
@@ -398,7 +267,7 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
             "comm_bytes": result.comm_bytes,
             "comm_time": distributed.comm_time(result.comm_messages,
                                                result.comm_bytes),
-            "T60": distributed.time(result, threads),
+            "T60": distributed.time(result, BENCH_THREADS),
             "edge_cut": quality["edge_cut"],
             "cut_fraction": quality["cut_fraction"],
             "imbalance": quality["imbalance"],
@@ -408,8 +277,7 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
         }
         wall += sum(result.tracker.phase_wall.values()) + sum(
             sum(st.phase_wall.values()) for st in result.shard_trackers)
-        if name == "mincut":
-            mincut_result = result
+    # ``result`` is the mincut run, the loop's last.
     hash_stats = per_partitioner["hash"]
     mincut_stats = per_partitioner["mincut"]
     if mincut_stats["comm_time"] > 0:
@@ -420,8 +288,8 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     return {
         "graph": graph_name, "r": r, "s": s, "shards": shards,
         "wall_clock": {"total": wall},
-        "n_r": mincut_result.n_r_cliques, "n_s": mincut_result.n_s_cliques,
-        "rho": mincut_result.rho, "max_core": mincut_result.max_core,
+        "n_r": result.n_r_cliques, "n_s": result.n_s_cliques,
+        "rho": result.rho, "max_core": result.max_core,
         "comm_messages": mincut_stats["comm_messages"],
         "comm_bytes": mincut_stats["comm_bytes"],
         "comm_time": mincut_stats["comm_time"],
@@ -436,30 +304,52 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     }
 
 
-def run_sharded_suite(machine: MachineModel | None = None,
-                      threads: int = BENCH_THREADS,
-                      suite: tuple[tuple[str, int, int, int], ...]
-                      | None = None,
-                      progress=None,
-                      reference: bool = False) -> list[dict]:
-    """Run the pinned sharded suite; returns the entry list (stored under
-    the main payload's ``"sharded"`` key by the trajectory tool)."""
-    if suite is None:
-        suite = SHARDED_SUITE  # resolved at call time (tests shrink it)
-    machine = machine or MachineModel()
-    entries = []
-    for graph_name, r, s, shards in suite:
-        if progress is not None:
-            progress(f"bench sharded: {graph_name} ({r},{s}) x{shards}"
-                     + (" [reference]" if reference else ""))
-        entries.append(run_sharded_entry(graph_name, r, s, shards, machine,
-                                         threads, reference=reference))
-    return entries
+#: The payload's sections: name -> (pinned suite, entry runner, entry
+#: key).  Each suite item is the runner's positional arguments; the key
+#: (formatted with the entry) identifies an entry across payloads.
+SECTIONS: dict[str, tuple[tuple, object, str]] = {
+    "suite": (PINNED_SUITE, run_entry, "{graph}({r},{s})"),
+    "baselines": (BASELINE_SUITE, run_baseline_entry, "{baseline}@{graph}"),
+    "hierarchy": (HIERARCHY_SUITE, run_hierarchy_entry,
+                  "hier:{graph}({r},{s})"),
+    "sharded": (SHARDED_SUITE, run_sharded_entry,
+                "shard:{graph}({r},{s})x{shards}"),
+}
+
+
+def run_payloads(*references: bool, label: str = "",
+                 progress=None) -> list[dict]:
+    """One payload holding every section of :data:`SECTIONS` per
+    ``reference`` flag.
+
+    Runs section by section, so the runs the engine gate compares by
+    wall-clock sit next to each other in time (host speed drifts).
+    """
+    payloads = [{"schema": SCHEMA_VERSION, "label": label,
+                 "threads": BENCH_THREADS,
+                 "machine": asdict(DEFAULT_MACHINE)} for _ in references]
+    for section, (suite, run, _) in SECTIONS.items():
+        for payload, reference in zip(payloads, references):
+            payload[section] = []
+            for item in suite:
+                if progress is not None:
+                    progress(f"bench {section}: "
+                             + " ".join(map(str, item))
+                             + (" [reference]" if reference else ""))
+                payload[section].append(run(*item, reference=reference))
+    return payloads
 
 
 def write_payload(payload: dict, path) -> None:
+    """Write ``payload`` without host ``wall_clock``: the written file
+    holds only simulated, byte-for-byte repeatable fields."""
+    stored = dict(payload)
+    for section in SECTIONS.keys() & stored.keys():
+        stored[section] = [{k: v for k, v in entry.items()
+                            if k != "wall_clock"}
+                           for entry in stored[section]]
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
+        json.dump(stored, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
@@ -475,26 +365,25 @@ def compare(current: dict, baseline: dict,
     Returns human-readable descriptions (empty when clean).  A metric
     regresses when it worsens by more than ``tolerance`` relative to the
     baseline --- grows for lower-is-better metrics (work, span, rho, times,
-    contention, cache misses), shrinks for speedup.  Entries present in
-    the baseline but missing from the current run are regressions;
-    entries new in the current run are not.  The optional ``"baselines"``,
-    ``"hierarchy"`` and ``"sharded"`` sections are compared the same way,
-    but only when both payloads record them (``repro bench``, for
-    example, writes the pinned suite alone).
+    contention, cache misses), shrinks for speedup.  A section or entry
+    present in the baseline but missing from the current run is a
+    regression; a section the baseline predates is skipped, and entries
+    new in the current run are not regressions.
     """
     regressions = []
-    sections = (("suite", entry_key), ("baselines", baseline_entry_key),
-                ("hierarchy", hierarchy_entry_key),
-                ("sharded", sharded_entry_key))
-    for section, key_of in sections:
-        if section not in current or section not in baseline:
+    for section, (_, _, key) in SECTIONS.items():
+        if section not in baseline:
             continue
-        base_by_key = {key_of(e): e for e in baseline.get(section, [])}
-        cur_by_key = {key_of(e): e for e in current.get(section, [])}
-        for key, base in base_by_key.items():
-            cur = cur_by_key.get(key)
+        if section not in current:
+            regressions.append(f"{section}: section missing from current "
+                               f"run")
+            continue
+        cur_by_key = {key.format_map(e): e for e in current[section]}
+        for base in baseline[section]:
+            name = key.format_map(base)
+            cur = cur_by_key.get(name)
             if cur is None:
-                regressions.append(f"{key}: entry missing from current run")
+                regressions.append(f"{name}: entry missing from current run")
                 continue
             for metric, lower_is_better in COMPARED_METRICS.items():
                 if metric not in base or metric not in cur:
@@ -508,7 +397,7 @@ def compare(current: dict, baseline: dict,
                 if worsened:
                     direction = "rose" if lower_is_better else "fell"
                     regressions.append(
-                        f"{key}: {metric} {direction} "
+                        f"{name}: {metric} {direction} "
                         f"{old:.6g} -> {new:.6g} "
                         f"({100.0 * (new - old) / scale:+.1f}%, "
                         f"tolerance {100.0 * tolerance:.1f}%)")

@@ -215,24 +215,31 @@ class TestProfile:
                    if e["ph"] == "X")
 
 
+@pytest.fixture
+def one_entry_sections(monkeypatch):
+    """Every bench section shrunk to its first pinned entry."""
+    from repro.observe import bench
+    monkeypatch.setattr(bench, "SECTIONS", {
+        section: (suite[:1], run, key)
+        for section, (suite, run, key) in bench.SECTIONS.items()})
+    return bench
+
+
 class TestBench:
-    def test_writes_payload(self, tmp_path, capsys, monkeypatch):
-        # Shrink the pinned suite so the CLI test stays fast.
-        from repro.observe import bench as bench_mod
-        monkeypatch.setattr(bench_mod, "PINNED_SUITE",
-                            (("amazon", 1, 2),))
+    SECTIONS = ("suite", "baselines", "hierarchy", "sharded")
+
+    def test_writes_payload(self, tmp_path, capsys, one_entry_sections):
         out_path = tmp_path / "BENCH.json"
         assert main(["bench", "-o", str(out_path)]) == 0
-        import json
         payload = json.loads(out_path.read_text())
-        assert len(payload["suite"]) == 1
+        assert payload["schema"] == one_entry_sections.SCHEMA_VERSION
+        for section in self.SECTIONS:
+            assert len(payload[section]) == 1
+            assert "wall_clock" not in payload[section][0]
         assert payload["suite"][0]["graph"] == "amazon"
 
     def test_compare_gates_on_regression(self, tmp_path, capsys,
-                                         monkeypatch):
-        from repro.observe import bench as bench_mod
-        monkeypatch.setattr(bench_mod, "PINNED_SUITE",
-                            (("amazon", 1, 2),))
+                                         one_entry_sections):
         baseline = tmp_path / "BASE.json"
         assert main(["bench", "-o", str(baseline)]) == 0
         # Clean against itself.
@@ -242,13 +249,85 @@ class TestBench:
         assert "no regressions" in capsys.readouterr().out
         # Inject a regression into the baseline (pretend it used to be
         # faster) and the gate must fail.
-        import json
         doctored = json.loads(baseline.read_text())
         doctored["suite"][0]["T60"] *= 0.5
         baseline.write_text(json.dumps(doctored))
         assert main(["bench", "-o", str(out_path),
                      "--compare", str(baseline)]) == 1
         assert "REGRESSIONS" in capsys.readouterr().out
+
+    def test_compare_flags_dropped_section(self, tmp_path, capsys,
+                                           one_entry_sections,
+                                           monkeypatch):
+        baseline = tmp_path / "BASE.json"
+        assert main(["bench", "-o", str(baseline)]) == 0
+        run_payloads = one_entry_sections.run_payloads
+
+        def dropping_sharded(*args, **kwargs):
+            payloads = run_payloads(*args, **kwargs)
+            for payload in payloads:
+                del payload["sharded"]
+            return payloads
+
+        monkeypatch.setattr(one_entry_sections, "run_payloads",
+                            dropping_sharded)
+        assert main(["bench", "-o", str(tmp_path / "CUR.json"),
+                     "--compare", str(baseline)]) == 1
+        assert "sharded: section missing from current run" in \
+            capsys.readouterr().out
+
+    def test_engine_gate_checks_parity(self, tmp_path, capsys,
+                                       one_entry_sections):
+        # Every floor at 0: the gate checks parity and sections, not the
+        # host's speed.
+        out_path = tmp_path / "BENCH.json"
+        floors = [arg for flag in (
+            "--min-speedup", "--min-listing-speedup",
+            "--min-baseline-speedup", "--min-hierarchy-speedup",
+            "--min-comm-reduction") for arg in (flag, "0")]
+        assert main(["bench", "--engine-gate", "-o", str(out_path),
+                     *floors]) == 0
+        assert "engine gate passed" in capsys.readouterr().out
+        default = json.loads(out_path.read_text())
+        reference = json.loads(
+            (tmp_path / "BENCH.reference.json").read_text())
+        assert default == reference
+        assert set(self.SECTIONS) <= set(default)
+
+
+class TestArgumentErrors:
+    """Arguments the run cannot take: one line on stderr, exit status 2,
+    before the run starts."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["decompose", "--r", "3", "--s", "2"], "r < s"),
+        (["hierarchy", "--r", "1", "--s", "1"], "r < s"),
+        (["profile", "--r", "0", "--s", "2"], "r < s"),
+        (["decompose", "--r", "2", "--s", "3", "--levels", "0"], "levels"),
+        (["shard", "--r", "2", "--s", "3", "--shards", "0"], "--shards"),
+        (["profile", "--r", "2", "--s", "3", "--shards", "0"], "--shards"),
+        (["stats", "--shards", "-2"], "--shards"),
+    ], ids=["decompose-rs", "hierarchy-rs", "profile-rs", "levels",
+            "shard-shards", "profile-shards", "stats-shards"])
+    def test_rejected_with_exit_2(self, argv, named, graph_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--input", graph_file])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert named in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_error_inside_a_run_keeps_its_traceback(self, graph_file,
+                                                    monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("inside the run")
+
+        monkeypatch.setattr("repro.cli.arb_nucleus_decomp", broken)
+        with pytest.raises(ValueError, match="inside the run"):
+            main(["decompose", "--input", graph_file, "--r", "2",
+                  "--s", "3"])
 
 
 def test_parser_subcommands():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.config import NucleusConfig
+from repro.core.decomp import arb_nucleus_decomp
+from repro.parallel.runtime import CostTracker
 
 
 class TestPresets:
@@ -75,3 +77,17 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(Exception):
             NucleusConfig().levels = 5
+
+
+@pytest.mark.parametrize("reference", [False, True],
+                         ids=["default", "reference"])
+@pytest.mark.parametrize("field,value", [
+    ("update_arithmetic", "bogus"), ("threads", 0), ("levels", 0),
+    ("levels", -1), ("buffer_size", 0), ("bucket_window", 0),
+])
+def test_bad_value_rejected_naming_the_field(fig1, field, value, reference):
+    tracker = CostTracker()
+    tracker.reference = reference
+    with pytest.raises(ValueError, match=field):
+        arb_nucleus_decomp(fig1, 2, 3, NucleusConfig(**{field: value}),
+                           tracker)

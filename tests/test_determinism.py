@@ -39,8 +39,8 @@ def test_simulated_times_identical():
     graph = rmat_graph(7, 6, seed=2)
     a = run_arb(graph, 2, 3, NucleusConfig.optimal(2, 3), "g")
     b = run_arb(graph, 2, 3, NucleusConfig.optimal(2, 3), "g")
-    assert a.time_parallel == b.time_parallel
-    assert a.time_serial == b.time_serial
+    assert a.record["T60"] == b.record["T60"]
+    assert a.record["T1"] == b.record["T1"]
 
 
 def test_cache_simulation_identical():
@@ -49,7 +49,8 @@ def test_cache_simulation_identical():
     for _ in range(2):
         run = run_arb(graph, 2, 3, NucleusConfig(), "g",
                       cache=CacheSimulator())
-        results.append((run.cache_misses, run.cache_accesses))
+        results.append((run.record["cache_misses"],
+                        run.record["cache_accesses"]))
     assert results[0] == results[1]
 
 

@@ -7,9 +7,11 @@ import pytest
 from repro.core.decomp import arb_nucleus_decomp
 from repro.graph.generators import figure1_graph
 from repro.machine.cache import CacheSimulator
-from repro.observe import (TraceRecorder, breakdown_rows, compare,
-                           format_breakdown, load_payload, run_entry,
-                           run_suite, write_payload)
+from repro.observe import (PINNED_SUITE, TraceRecorder, breakdown_rows,
+                           compare, format_breakdown, load_payload,
+                           run_entry, run_payloads, run_record,
+                           write_payload)
+from repro.observe import bench
 from repro.parallel.runtime import CostTracker, MachineModel
 
 
@@ -139,19 +141,35 @@ class TestBreakdownRendering:
         assert "TOTAL" in text
 
 
+def _suite_payload() -> dict:
+    # Two small pinned entries keep the tests fast; every section runs
+    # in tests/test_trajectory_pin.py and the CI bench-trajectory job.
+    return {"suite": [run_entry("amazon", 1, 2), run_entry("amazon", 2, 3)]}
+
+
+class TestRunRecord:
+    def test_fields_without_cache(self):
+        tracker = _traced_run()
+        record = run_record(tracker)
+        assert record["work"] == tracker.total.work
+        assert record["cache_accesses"] == record["cache_misses"] == 0
+        assert record["speedup"] == record["T1"] / record["T60"]
+        assert record["breakdown"]["time"] == pytest.approx(record["T60"])
+        assert set(record["phases"]) == {"alpha", "beta"}
+        assert record["wall_clock"]["total"] == pytest.approx(
+            record["wall_clock"]["alpha"] + record["wall_clock"]["beta"])
+
+
 class TestBenchSuite:
     @pytest.fixture(scope="class")
     def payload(self):
-        # One small pinned entry keeps the test fast; the full suite runs
-        # in the CI bench-trajectory job.
-        return run_suite(suite=(("amazon", 1, 2), ("amazon", 2, 3)),
-                         label="test")
+        return _suite_payload()
 
     def test_entry_metrics(self, payload):
         entry = payload["suite"][0]
         for key in ("graph", "r", "s", "rho", "work", "span", "rounds",
                     "T1", "T60", "speedup", "contention", "cache_misses",
-                    "phases", "breakdown"):
+                    "cliques", "phases", "breakdown"):
             assert key in entry
         assert entry["T1"] > entry["T60"]
         assert entry["speedup"] == pytest.approx(
@@ -177,24 +195,28 @@ class TestBenchSuite:
                 entry["cache_misses"]
 
     def test_deterministic(self, payload):
-        again = run_suite(suite=(("amazon", 1, 2), ("amazon", 2, 3)),
-                          label="test")
         # Everything except host wall-clock seconds is exactly repeatable.
-        assert _simulated(again) == _simulated(payload)
+        assert _simulated(_suite_payload()) == _simulated(payload)
 
     def test_roundtrip(self, payload, tmp_path):
+        # The written file leaves out host wall-clock.
         path = tmp_path / "BENCH.json"
         write_payload(payload, path)
-        assert load_payload(path) == payload
+        assert load_payload(path) == _simulated(payload)
 
-    def test_run_entry_matches_suite(self, payload):
-        entry = run_entry("amazon", 1, 2)
-        assert _strip_host(entry) == _strip_host(payload["suite"][0])
+    def test_run_entry_matches_suite(self, payload, monkeypatch):
+        _, run, key = bench.SECTIONS["suite"]
+        monkeypatch.setattr(bench, "SECTIONS",
+                            {"suite": (PINNED_SUITE[:1], run, key)})
+        ran, = run_payloads(False, label="test")
+        assert (ran["schema"], ran["label"]) == (bench.SCHEMA_VERSION, "test")
+        assert _strip_host(ran["suite"][0]) == \
+            _strip_host(payload["suite"][0])
 
 
 class TestCompare:
     def _payloads(self):
-        base = run_suite(suite=(("amazon", 1, 2),), label="base")
+        base = {"suite": [run_entry("amazon", 1, 2)]}
         current = json.loads(json.dumps(base))  # deep copy
         return current, base
 

@@ -12,8 +12,8 @@ import pytest
 
 from repro import cli
 from repro.observe import bench
-from repro.observe.bench import (SHARDED_SUITE, compare, run_sharded_entry,
-                                 sharded_entry_key)
+from repro.observe.bench import (SECTIONS, SHARDED_SUITE, compare,
+                                 run_sharded_entry)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,8 @@ class TestShardedEntry:
             entry["T60_single"] / entry["T60"])
 
     def test_entry_key(self, entry):
-        assert sharded_entry_key(entry) == "shard:dblp(1,2)x2"
+        _, _, key = SECTIONS["sharded"]
+        assert key.format_map(entry) == "shard:dblp(1,2)x2"
 
     def test_suite_covers_gated_shard_counts(self):
         shard_counts = {shards for _, _, _, shards in SHARDED_SUITE}
@@ -61,10 +62,12 @@ class TestCompareShardedSection:
         assert any("comm_time" in f for f in findings)
 
     def test_section_skipped_when_absent(self, entry):
-        # Older payloads predate the sharded suite; comparing against
-        # them must not fail.
+        # Older baselines predate the sharded suite; comparing against
+        # them must not fail.  A current run without the section the
+        # baseline records has dropped it: that is a regression.
         assert compare({"sharded": [entry]}, {}) == []
-        assert compare({}, {"sharded": [entry]}) == []
+        assert compare({}, {"sharded": [entry]}) == [
+            "sharded: section missing from current run"]
 
     def test_comm_reduction_is_higher_better(self):
         assert bench.COMPARED_METRICS["comm_reduction"] is False
