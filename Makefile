@@ -3,7 +3,7 @@
 PYTHON ?= python3
 
 .PHONY: install test bench profile benchmarks examples experiments lint \
-	race-static sanitize clean
+	sanitize clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -47,16 +47,7 @@ lint:
 	else \
 		echo "ruff not installed; skipping style checks"; \
 	fi
-	PYTHONPATH=src $(PYTHON) -m repro.sanitize.parlint src/repro
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint --strict \
-		--baseline parlint-baseline.json src/repro
-
-# The static race rules (PAR009-PAR011) run as part of the strict
-# analyzer; this target mirrors `make lint`'s strict invocation under a
-# name that matches what it gates.
-race-static:
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint --strict \
-		--baseline parlint-baseline.json src/repro
+	PYTHONPATH=src $(PYTHON) -m repro.cli lint src/repro
 
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize

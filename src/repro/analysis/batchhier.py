@@ -17,8 +17,8 @@ charge here is an integer closed form over a segment whose elements the
 scalar loop charges one at a time --- and identical outputs (the same
 ``(level, active, labels)`` triples, down to array order), because both
 engines feed the identical per-level edge arrays to the shared
-:func:`repro.parallel.connectivity.connected_components`.  Rule PAR007
-pins the pairing below.
+:func:`repro.parallel.connectivity.connected_components`.  The table
+below registers the pairing; ``tests/test_parity_registry.py`` checks it.
 """
 
 from __future__ import annotations
@@ -28,21 +28,10 @@ import numpy as np
 from ..parallel.connectivity import connected_components
 from ..parallel.runtime import CostTracker, _log2
 
-#: Batch<->scalar parity contract, verified statically by ``repro lint
-#: --strict`` (rule PAR007); see :data:`repro.core.batchpeel.PARLINT_PARITY`
-#: for the format.  Regenerate fingerprints with ``repro lint --strict
-#: --emit-registry`` after re-running the differential parity tests
-#: (tests/test_hierarchy_engine.py).
+#: Batch kernel -> scalar oracle, checked by running both paths; see
+#: :data:`repro.core.batchpeel.PARLINT_PARITY`.
 PARLINT_PARITY = {
-    "batch_levels": {
-        "oracle": "repro.analysis.construct._levels_scalar",
-        "fingerprint": {
-            "add_round": 1,
-            "add_span": 1,
-            "add_work_int": 6,
-            "connected_components": 1,
-        },
-    },
+    "batch_levels": "repro.analysis.construct._levels_scalar",
 }
 
 

@@ -33,8 +33,8 @@ trajectory's ``--min-hierarchy-speedup`` gate reads):
 ``hier_levels``
     the descending level sweep --- the registered batch/scalar kernel
     pair (``batch_levels`` in :mod:`repro.analysis.batchhier`, with
-    :func:`_levels_scalar` here as its reference oracle; rule PAR007 pins
-    their parity).
+    :func:`_levels_scalar` here as its reference oracle;
+    ``tests/test_parity_registry.py`` checks their parity).
 ``hier_emit``
     materializing :class:`~repro.analysis.hierarchy.Nucleus` records
     from the per-level label snapshots, reproducing the oracle's node

@@ -41,18 +41,10 @@ import numpy as np
 from ..parallel.primitives import segment_gather
 from ..parallel.runtime import CostTracker, _log2
 
-#: Batch<->scalar parity contract, verified statically by ``repro lint
-#: --strict`` (rule PAR007); regenerate fingerprints with
-#: ``repro lint --strict --emit-registry`` after editing charges.
+#: Batch kernel -> scalar oracle, checked by running both paths; see
+#: :data:`repro.core.batchpeel.PARLINT_PARITY`.
 PARLINT_PARITY = {
-    "peel_frontier_batch": {
-        "oracle": "repro.baselines.nd._peel_frontier_scalar",
-        "fingerprint": {
-            "add_cliques": 1,
-            "add_span_sequence": 1,
-            "add_work_int": 1,
-        },
-    },
+    "peel_frontier_batch": "repro.baselines.nd._peel_frontier_scalar",
 }
 
 

@@ -45,26 +45,11 @@ from ..parallel.primitives import (intersect_segments, interleave_segments,
                                    segment_gather)
 from ..parallel.runtime import CostTracker
 
-#: Batch<->scalar parity contract, verified statically by ``repro lint
-#: --strict`` (rule PAR007); regenerate fingerprints with
-#: ``repro lint --strict --emit-registry`` after editing charges.
+#: Batch kernel -> scalar oracle, checked by running both paths; see
+#: :data:`repro.core.batchpeel.PARLINT_PARITY`.
 PARLINT_PARITY = {
-    "pkt_subround_batch": {
-        "oracle": "repro.baselines.pkt._pkt_subround_scalar",
-        "fingerprint": {
-            "add_atomic": 1,
-            "add_cliques": 1,
-            "add_work_sequence": 1,
-        },
-    },
-    "msp_subround_batch": {
-        "oracle": "repro.baselines.msp._msp_subround_scalar",
-        "fingerprint": {
-            "add_atomic": 1,
-            "add_cliques": 1,
-            "add_work_sequence": 1,
-        },
-    },
+    "pkt_subround_batch": "repro.baselines.pkt._pkt_subround_scalar",
+    "msp_subround_batch": "repro.baselines.msp._msp_subround_scalar",
 }
 
 

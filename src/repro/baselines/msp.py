@@ -15,7 +15,7 @@ the vectorized :func:`repro.baselines.batchtruss.msp_subround_batch`; its
 scalar reference oracle :func:`_msp_subround_scalar` runs when the
 tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference`, with
 bit-for-bit simulated-cost parity enforced by
-tests/test_batch_baselines.py and rule PAR007.
+tests/test_batch_baselines.py and tests/test_parity_registry.py.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _msp_subround_scalar(frontier, graph: CSRGraph, edges, index, sup,
                          tracker: CostTracker) -> int:
     """Process one frontier sub-round one edge at a time, ascending id.
 
-    The batch kernel's registered oracle (PAR007).  Kills are applied by
+    The batch kernel's registered oracle (``PARLINT_PARITY``).  Kills are applied by
     the driver after the sub-round; returns the triangle visit count.
     """
     visits = 0

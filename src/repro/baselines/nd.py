@@ -29,7 +29,7 @@ vectorized :func:`repro.baselines.batchnd.peel_frontier_batch`; its
 scalar reference oracle :func:`_peel_frontier_scalar` runs when the
 tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference`, with
 bit-for-bit simulated-cost parity enforced by
-tests/test_batch_baselines.py and rule PAR007.
+tests/test_batch_baselines.py and tests/test_parity_registry.py.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _peel_frontier_scalar(frontier, inc: Incidence, counts, alive, s_alive,
                           tracker: CostTracker):
     """Peel one sub-frontier's r-cliques one at a time, ascending id.
 
-    The batch kernel's registered oracle (PAR007).  Returns
+    The batch kernel's registered oracle (``PARLINT_PARITY``).  Returns
     ``(s_clique_kills, next_frontier)`` where the next frontier is the
     ascending array of live cliques first dropping to the level here.
     """

@@ -30,7 +30,7 @@ frontier lengths.  The sub-round body runs as the vectorized
 reference oracle :func:`_pkt_subround_scalar` runs when the tracker
 :attr:`~repro.parallel.runtime.CostTracker.runs_reference`, with
 bit-for-bit simulated-cost parity enforced by
-tests/test_batch_baselines.py and rule PAR007.
+tests/test_batch_baselines.py and tests/test_parity_registry.py.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _pkt_subround_scalar(frontier, graph: CSRGraph, edges, index, sup,
                          tracker: CostTracker):
     """Process one frontier sub-round one edge at a time, ascending id.
 
-    The batch kernel's registered oracle (PAR007).  Returns
+    The batch kernel's registered oracle (``PARLINT_PARITY``).  Returns
     ``(triangle_visits, dropped_candidates)``; candidates may repeat and
     are deduplicated by the driver.
     """

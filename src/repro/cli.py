@@ -21,11 +21,10 @@ Subcommands::
 ``decompose`` reads a SNAP-style edge list (or a named surrogate dataset),
 runs ARB-NUCLEUS-DECOMP, and prints summary statistics, the core-number
 histogram, and optionally every r-clique's core number.  ``lint`` runs the
-parlint cost-accounting rules (PAR001--PAR004; with ``--strict`` the
-interprocedural charge-flow analyzer adds PAR005--PAR011: the
-batch/scalar parity registry plus the static race, atomic-commutativity,
-and race-coverage rules) and ``sanitize`` drives the dynamic race
-detector over the main algorithm and the baselines.
+analyzer over one package: the cost-accounting rules (PAR001--PAR006,
+PAR008) and the static race, atomic-commutativity and race-coverage
+rules (PAR009--PAR011).  ``sanitize`` drives the dynamic race detector
+over the main algorithm and the baselines.
 ``bench`` runs every pinned perf-trajectory section (optionally gating on
 a baseline, and with ``--engine-gate`` on parity with the reference
 oracles) and ``profile`` runs one decomposition under the trace recorder,
@@ -199,34 +198,47 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_lint(args) -> int:
+    from pathlib import Path
+
+    from .sanitize.catalog import explain
+    from .sanitize.chargeflow import analyze
+    from .sanitize.reporters import report_json, report_sarif
     if args.explain:
-        from .sanitize import chargeflow
-        return chargeflow.main(["--explain", args.explain])
-    if args.strict or args.sarif is not None or args.baseline \
-            or args.emit_registry or args.race_tests:
-        from .sanitize import chargeflow
-        root = args.paths[0] if args.paths else "src/repro"
-        argv = [root]
-        if args.json:
-            argv.append("--json")
-        if args.sarif is not None:
-            argv += ["--sarif", args.sarif] if args.sarif != "-" \
-                else ["--sarif"]
-        if args.baseline:
-            argv += ["--baseline", args.baseline]
-        if args.emit_registry:
-            argv.append("--emit-registry")
-        if args.race_tests:
-            argv += ["--race-tests", args.race_tests]
-        return chargeflow.main(argv)
-    from .sanitize.parlint import lint_paths, report_json
-    findings, n_files = lint_paths(args.paths)
+        text = explain(args.explain)
+        if text is None:
+            print(f"repro lint: unknown rule {args.explain!r}",
+                  file=sys.stderr)
+            return 2
+        print(text)
+        return 0
+    if len(args.package) > 1:
+        _usage_error(f"lint takes one package directory, got "
+                     f"{len(args.package)} paths")
+    root = Path(args.package[0] if args.package else "src/repro")
+    if not root.is_dir():
+        _usage_error(f"lint: {root} is not a package directory")
+    if args.json and args.sarif == "-":
+        _usage_error("lint: --json and --sarif without FILE both write "
+                     "to stdout")
+    result = analyze(root)
+    findings = result.findings
+    if args.sarif is not None:
+        sarif = report_sarif(findings)
+        if args.sarif == "-":
+            print(sarif)
+        else:
+            try:
+                Path(args.sarif).write_text(sarif + "\n", encoding="utf-8")
+            except OSError as exc:
+                _usage_error(f"lint: cannot write {args.sarif}: "
+                             f"{exc.strerror or exc}")
     if args.json:
-        print(report_json(findings, n_files))
-    else:
+        print(report_json(findings, result.n_files))
+    elif args.sarif != "-":
         for finding in findings:
             print(finding.render())
-        print(f"parlint: {len(findings)} finding(s) in {n_files} file(s)")
+        print(f"repro lint: {len(findings)} finding(s) in "
+              f"{result.n_files} file(s)")
     return 1 if findings else 0
 
 
@@ -620,32 +632,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="fig07 .. fig15")
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("lint",
-                       help="run the parlint cost-accounting rules "
-                            "(--strict: interprocedural charge-flow "
-                            "analyzer, PAR001-PAR011)")
-    p.add_argument("paths", nargs="*", default=["src/repro"],
-                   help="files or directories (with --strict: one "
-                        "package directory; default src/repro)")
+    p = sub.add_parser(
+        "lint",
+        usage="%(prog)s [-h] [PACKAGE] [--json] [--sarif [FILE]] "
+              "[--explain RULE]",
+        help="run the cost-accounting and static race rules "
+             "(PAR001-PAR011) over one package")
+    p.add_argument("package", nargs="*", metavar="PACKAGE",
+                   help="package directory to analyze (default: "
+                        "src/repro)")
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON report")
-    p.add_argument("--strict", action="store_true",
-                   help="run the interprocedural charge-flow analyzer "
-                        "(call graph + summaries + PAR005-PAR011)")
+    p.add_argument("--sarif", metavar="FILE", nargs="?", const="-",
+                   help="write a SARIF 2.1.0 report (default stdout)")
     p.add_argument("--explain", metavar="RULE",
                    help="print the rule-catalog entry for PARxxx and exit")
-    p.add_argument("--race-tests", metavar="DIR", dest="race_tests",
-                   help="directory of test files whose RACECHECK_COVERS "
-                        "stamps satisfy PAR011 (implies --strict)")
-    p.add_argument("--sarif", metavar="FILE", nargs="?", const="-",
-                   help="write a SARIF 2.1.0 report (implies --strict; "
-                        "default stdout)")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="committed baseline of accepted strict findings "
-                        "(implies --strict)")
-    p.add_argument("--emit-registry", action="store_true",
-                   help="print PARLINT_PARITY templates for engine "
-                        "modules (implies --strict)")
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(

@@ -54,36 +54,12 @@ BLOCK_ROWS = 65536
 #: order, so discovery order and charge sums are those of one expansion.
 ROOT_BLOCK_WEIGHT = 1 << 15
 
-#: Batch<->scalar parity contract, verified statically by ``repro lint
-#: --strict`` (rule PAR007); see :data:`repro.core.batchpeel.PARLINT_PARITY`
-#: for the format.  Regenerate fingerprints with ``repro lint --strict
-#: --emit-registry`` after re-running the differential parity tests.
+#: Batch kernel -> scalar oracle, checked by running both paths; see
+#: :data:`repro.core.batchpeel.PARLINT_PARITY`.
 PARLINT_PARITY = {
-    "expand_cliques": {
-        "oracle": "repro.cliques.listing.rec_list_cliques",
-        "fingerprint": {
-            "add_cliques": 2,
-            "add_work_int": 1,
-            "intersect_segments": 1,
-        },
-    },
-    "batch_list_cliques": {
-        "oracle": "repro.cliques.listing.list_cliques",
-        "fingerprint": {
-            "add_cliques": 1,
-            "add_span": 1,
-            "add_work": 1,
-            "add_work_int": 1,
-            "expand_cliques": 1,
-        },
-    },
-    "batch_count_phase": {
-        "oracle": "repro.core.decomp._count_scalar",
-        "fingerprint": {
-            "add_work_frac_repeated": 1,
-            "batch_list_cliques": 1,
-        },
-    },
+    "expand_cliques": "repro.cliques.listing.rec_list_cliques",
+    "batch_list_cliques": "repro.cliques.listing.list_cliques",
+    "batch_count_phase": "repro.core.decomp._count_scalar",
 }
 
 

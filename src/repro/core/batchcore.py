@@ -42,18 +42,10 @@ import numpy as np
 from ..parallel.primitives import segment_gather
 from ..parallel.runtime import CostTracker, _log2
 
-#: Batch<->scalar parity contract, verified statically by ``repro lint
-#: --strict`` (rule PAR007); regenerate fingerprints with
-#: ``repro lint --strict --emit-registry`` after editing charges.
+#: Batch kernel -> scalar oracle, checked by running both paths; see
+#: :data:`repro.core.batchpeel.PARLINT_PARITY`.
 PARLINT_PARITY = {
-    "k_core_peel_batch": {
-        "oracle": "repro.core.kcore._peel_scalar",
-        "fingerprint": {
-            "add_round": 1,
-            "add_span": 1,
-            "add_work_int": 3,
-        },
-    },
+    "k_core_peel_batch": "repro.core.kcore._peel_scalar",
 }
 
 

@@ -67,42 +67,14 @@ _ALIVE, _PEELING, _PEELED = 0, 1, 2
 #: runs as several blocks in task order.
 PEEL_BLOCK_TASKS = 256
 
-#: Batch<->scalar parity contract, verified statically by ``repro lint
-#: --strict`` (rule PAR007).  Each kernel names the scalar oracle whose
-#: tracker charges it must reproduce, plus its lexical charge fingerprint
-#: (direct charge-method calls and tracker-forwarding helper calls, with
-#: call-site counts).  Editing a kernel's charges requires re-running the
-#: differential parity tests and re-blessing the fingerprint here ---
-#: regenerate with ``repro lint --strict --emit-registry``.
+#: Batch kernel -> the scalar oracle whose answers and tracker charges it
+#: must reproduce bit for bit.  ``tests/test_parity_registry.py`` runs
+#: both paths and compares them; every top-level function of a ``batch*``
+#: module that takes a ``tracker`` needs an entry.
 PARLINT_PARITY = {
-    "peel_batch": {
-        "oracle": "repro.core.decomp._peel_scalar",
-        "fingerprint": {
-            "_edges_alive_many": 1,
-            "access_sequence": 1,
-            "add_round": 1,
-            "settle": 1,
-            "task_span": 1,
-            "update_block": 1,
-        },
-    },
-    "_edges_alive_many": {
-        "oracle": "repro.core.tables.CliqueTable.cell_of",
-        "fingerprint": {
-            "access_sequence": 1,
-            "add_probes": 1,
-            "add_work_int": 1,
-        },
-    },
-    "update_block": {
-        "oracle": "repro.core.decomp._update_one",
-        "fingerprint": {
-            "access_sequence": 2,
-            "add_probes": 1,
-            "add_work_int": 3,
-            "expand_cliques": 1,
-        },
-    },
+    "peel_batch": "repro.core.decomp._peel_scalar",
+    "_edges_alive_many": "repro.core.tables.CliqueTable.cell_of",
+    "update_block": "repro.core.decomp._update_one",
 }
 
 

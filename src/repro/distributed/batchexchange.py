@@ -34,26 +34,11 @@ from ..core.decomp import _ALIVE
 from ..parallel.runtime import CostTracker, _log2
 from .model import ENTRY_BYTES
 
+#: Batch kernel -> scalar oracle, checked by running both paths; see
+#: :data:`repro.core.batchpeel.PARLINT_PARITY`.
 PARLINT_PARITY = {
-    "local_round_batch": {
-        "oracle": "repro.distributed.peel._local_round",
-        "fingerprint": {
-            "add_atomic": 1,
-            "add_round": 1,
-            "add_work_int": 1,
-            "task_span": 1,
-            "update_block": 1,
-        },
-    },
-    "exchange_batch": {
-        "oracle": "repro.distributed.peel._exchange_scalar",
-        "fingerprint": {
-            "add_atomic": 1,
-            "add_comm": 1,
-            "add_work": 1,
-            "add_work_int": 2,
-        },
-    },
+    "local_round_batch": "repro.distributed.peel._local_round",
+    "exchange_batch": "repro.distributed.peel._exchange_scalar",
 }
 
 

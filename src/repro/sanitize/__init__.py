@@ -1,29 +1,30 @@
 """Static and dynamic analysis for the simulated parallel machine.
 
-Three layers guard the accounting discipline everything in EXPERIMENTS.md
+Two layers guard the accounting discipline everything in EXPERIMENTS.md
 depends on:
 
-* :mod:`repro.sanitize.parlint` -- a lexical AST lint pass over the
-  source tree with project-specific rules (PAR001--PAR004): parallel
-  regions must charge work/span, graph-scale loops must be
-  cost-accounted, shared writes inside tasks must be mediated,
-  contention meters must be settled.
-* :mod:`repro.sanitize.chargeflow` -- the interprocedural charge-flow
-  analyzer (``repro lint --strict``): a project-wide call graph
+* :func:`repro.sanitize.chargeflow.analyze` -- the analyzer behind
+  ``repro lint``.  A project-wide call graph
   (:mod:`~repro.sanitize.callgraph`) and per-function charge summaries
-  (:mod:`~repro.sanitize.summaries`) let PAR001/PAR002 accept
-  charging-via-helper without suppressions, and power the rules
-  PAR005--PAR008 (:mod:`~repro.sanitize.rules`) including the
-  batch/scalar parity registry (:mod:`~repro.sanitize.registry`).
-  SARIF/JSON reporters and the suppression baseline live in
-  :mod:`~repro.sanitize.reporters`.
+  (:mod:`~repro.sanitize.summaries`) feed the lexical rules PAR001--PAR004
+  (:mod:`~repro.sanitize.parlint`: parallel regions must charge
+  work/span, graph-scale loops must be cost-accounted, shared writes
+  inside tasks must be mediated, contention meters must be settled), so
+  charging-via-helper needs no suppression, and power the
+  interprocedural rules PAR005, PAR006 and PAR008--PAR011
+  (:mod:`~repro.sanitize.rules`, :mod:`~repro.sanitize.effects`).  Rule
+  metadata lives in :mod:`~repro.sanitize.catalog`, the JSON/SARIF
+  reporters in :mod:`~repro.sanitize.reporters`.
 * :mod:`repro.sanitize.racecheck` -- a dynamic race detector (the
   ThreadSanitizer analog for the work-span simulator): instrumented
   structures shadow-log accesses per simulated task, and unmediated
   write-write / read-write pairs across tasks are flagged.
 
-CLI entry points: ``repro lint`` (``--strict`` for the analyzer) and
-``repro sanitize``.
+Batch/oracle cost parity is not a lint rule: each ``batch*`` module's
+``PARLINT_PARITY`` table names its kernels' scalar oracles, and
+``tests/test_parity_registry.py`` runs both paths and compares them.
+
+CLI entry points: ``repro lint`` and ``repro sanitize``.
 """
 
 from .racecheck import (Race, RaceDetector, RaceError, RaceStats,
@@ -32,12 +33,11 @@ from .racecheck import (Race, RaceDetector, RaceError, RaceStats,
 __all__ = [
     "RaceDetector", "RaceError", "Race", "RaceStats",
     "ShadowArray", "maybe_shadow",
-    "Finding", "lint_file", "lint_paths",
-    "analyze", "build_project", "compute_summaries",
+    "Finding", "analyze", "build_project", "compute_summaries",
 ]
 
-_PARLINT_EXPORTS = {"Finding", "lint_file", "lint_paths"}
 _LAZY_EXPORTS = {
+    "Finding": "parlint",
     "analyze": "chargeflow",
     "build_project": "callgraph",
     "compute_summaries": "summaries",
@@ -45,11 +45,8 @@ _LAZY_EXPORTS = {
 
 
 def __getattr__(name):
-    # Lazy so ``python -m repro.sanitize.parlint`` doesn't import the
-    # module twice (runpy would warn about the stale sys.modules entry).
-    if name in _PARLINT_EXPORTS:
-        from . import parlint
-        return getattr(parlint, name)
+    # Lazy so the engines, which import the race detector, load none of
+    # the static analyzer.
     if name in _LAZY_EXPORTS:
         import importlib
         module = importlib.import_module(

@@ -29,6 +29,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .parlint import Finding
+
 #: The real charge methods of :class:`repro.parallel.runtime.CostTracker`.
 TRACKER_CHARGE_METHODS = frozenset({
     "add_work", "add_work_int", "add_work_frac_repeated",
@@ -48,7 +50,7 @@ NORMALIZED_METHOD = {
 }
 
 #: Marker effect for a tracker handed to code outside the project (assumed
-#: to charge *something*; excluded from parity-set comparisons).
+#: to charge *something*).
 EXTERNAL_EFFECT = "@external"
 
 #: NumPy entry points that do O(n) bulk work in one call (PAR005: such a
@@ -106,7 +108,7 @@ class CallSite:
 
     lineno: int
     col: int
-    callee_display: str          # bare name for messages / fingerprints
+    callee_display: str          # bare name for messages
     targets: tuple[str, ...]     # candidate callee qualnames (may-call)
     passes_tracker: bool         # a tracker is among the arguments
     pass_conditional: bool       # the passed tracker is the caller's param
@@ -125,7 +127,6 @@ class FunctionInfo:
     node: ast.AST
     path: str
     lineno: int
-    end_lineno: int
     class_name: str | None = None
     params: tuple[str, ...] = ()
     mentions_tracker: bool = False
@@ -176,6 +177,10 @@ class Project:
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
     #: bare method name -> sorted tuple of function qualnames (all classes)
     methods_by_name: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: one ``IOERR`` / ``SYNTAX`` finding per file that could not be read
+    #: or parsed (kept out of ``modules``, so one bad file cannot hide the
+    #: findings of the rest)
+    unparsed: list[Finding] = field(default_factory=list)
 
     def functions_of_module(self, module: str) -> list[FunctionInfo]:
         return [fn for fn in self.functions.values() if fn.module == module]
@@ -432,8 +437,7 @@ def _collect_definitions(project: Project, module: ModuleInfo) -> None:
             module.scope[stmt.name] = qual
             project.functions[qual] = FunctionInfo(
                 qualname=qual, module=module.name, name=stmt.name,
-                node=stmt, path=module.path, lineno=stmt.lineno,
-                end_lineno=stmt.end_lineno or stmt.lineno)
+                node=stmt, path=module.path, lineno=stmt.lineno)
         elif isinstance(stmt, ast.ClassDef):
             cls_qual = f"{module.name}.{stmt.name}"
             module.scope[stmt.name] = cls_qual
@@ -445,7 +449,6 @@ def _collect_definitions(project: Project, module: ModuleInfo) -> None:
                     project.functions[qual] = FunctionInfo(
                         qualname=qual, module=module.name, name=sub.name,
                         node=sub, path=module.path, lineno=sub.lineno,
-                        end_lineno=sub.end_lineno or sub.lineno,
                         class_name=stmt.name)
             project.classes[cls_qual] = methods
 
@@ -486,11 +489,20 @@ def build_project(root: str | Path,
         path = str(file)
         source = overlay.get(path)
         if source is None:
-            source = file.read_text(encoding="utf-8")
+            try:
+                source = file.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                project.unparsed.append(Finding(
+                    "IOERR", path, 0, 0, f"cannot read file: {reason}"))
+                continue
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # reported separately by the lexical linter
+        except SyntaxError as exc:
+            project.unparsed.append(Finding(
+                "SYNTAX", path, exc.lineno or 0, exc.offset or 0,
+                f"syntax error: {exc.msg}"))
+            continue
         name = _module_name(file, root, package)
         project.modules[name] = ModuleInfo(
             name=name, path=path, tree=tree, source=source)

@@ -1,11 +1,12 @@
-"""The rule catalog: one entry per parlint/chargeflow rule.
+"""The rule catalog: one entry per ``repro lint`` rule.
 
 This is the single source of truth for rule metadata.  ``repro lint
---explain PARxxx`` prints an entry, the SARIF reporter embeds each
-entry's short/full description and ``helpUri``, and the per-rule
-sections of ``docs/static-analysis.md`` carry headings whose GitHub
-anchors match :attr:`RuleInfo.anchor` --- keep the three in sync by
-editing only this file and the doc section it points at.
+--explain PARxxx`` prints an entry, the JSON and SARIF reporters take
+each rule's title from it (SARIF also embeds the full description and
+``helpUri``), and the per-rule sections of ``docs/static-analysis.md``
+carry headings whose GitHub anchors match :attr:`RuleInfo.anchor` ---
+keep them in sync by editing only this file and the doc section it
+points at.  PAR007 is retired and its number stays unused.
 """
 
 from __future__ import annotations
@@ -98,17 +99,7 @@ scalar loop they replace.
 Iteration over a set, ``id()``-keyed structures, unseeded RNG, or
 ``argsort`` without ``kind='stable'`` inside cost-accounted code.  These
 silently break the bit-for-bit batch/scalar parity contract that the
-benchmark gate and PAR007 enforce.
-        """),
-    RuleInfo(
-        "PAR007", "batch/scalar parity registry violation",
-        "par007-parity-registry",
-        """
-Every cost-accounted kernel in an engine module must have a
-``PARLINT_PARITY`` entry naming its scalar oracle, the committed charge
-fingerprint must match the code, and kernel and oracle must move the
-same set of tracker counters.  Regenerate templates with
-``repro lint --strict --emit-registry``.
+engine gate and the parity tests enforce.
         """),
     RuleInfo(
         "PAR008", "charge outside any phase/parallel attribution scope",

@@ -1,10 +1,12 @@
-"""The interprocedural charge-flow analyzer (``repro lint --strict``).
+"""The analyzer behind ``repro lint``.
 
 Pipeline, per run:
 
 1. :func:`~repro.sanitize.callgraph.build_project` parses every module
    under the package root into a call graph (nested defs folded into
    their top-level kernels, call sites resolved to may-call target sets).
+   A file that cannot be read or parsed becomes one ``IOERR`` /
+   ``SYNTAX`` finding instead of a module.
 2. :func:`~repro.sanitize.summaries.compute_summaries` runs the monotone
    fixpoint that gives every function its transitive tracker-charge set
    and stamps every call site with a charging verdict.
@@ -13,54 +15,37 @@ Pipeline, per run:
    read-write sets, atomic/ownership proofs, race-coverage stamps).
 4. Per module, the lexical linter (PAR001--PAR004) runs with the
    summary-derived *charge oracle*, so charging-via-helper needs no
-   suppression; then the interprocedural rules PAR005--PAR011 run
-   (:mod:`~repro.sanitize.rules`), including the ``PARLINT_PARITY``
-   batch/scalar registry checks and the per-module slice of the
-   effects report.
-5. Inline/file-level suppressions are applied (unused ones reported),
-   then the optional committed baseline (stale entries reported).
+   suppression; then the interprocedural rules PAR005, PAR006 and
+   PAR008--PAR011 run (:mod:`~repro.sanitize.rules`), including the
+   per-module slice of the effects report.
+5. Inline/file-level suppressions are applied (unused ones reported).
    Coverage-stamp diagnostics (PAR011 entries pointing at test files)
    are appended last --- they live outside the analyzed package, so
    inline suppressions do not apply to them.
 
-Exit status is 1 when any finding survives, 0 otherwise --- CI's
-``lint-strict`` job runs this over ``src/repro`` with the committed
-baseline and uploads the SARIF report.
+``repro lint`` exits 1 when any finding survives, 0 otherwise; CI's
+``lint-strict`` job runs it over ``src/repro`` and uploads the SARIF
+report.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import parlint
-from .callgraph import Project, build_project
-from .catalog import explain as explain_rule
+from .callgraph import build_project
 from .effects import EffectsReport, analyze_effects
-from .registry import collect_registry, is_engine_module, render_registry
-from .reporters import apply_baseline, load_baseline, report_json, report_sarif
-from .rules import run_strict_rules
-from .summaries import Summary, charge_oracles, compute_summaries
+from .rules import run_rules
+from .summaries import charge_oracles, compute_summaries
 
 
 @dataclass
 class AnalysisResult:
     findings: list[parlint.Finding]
+    #: modules analyzed plus files that could not be read or parsed
     n_files: int
-    project: Project
-    summaries: dict[str, Summary] = field(default_factory=dict)
-    effects: EffectsReport | None = None
-
-    def scope_of(self, finding: parlint.Finding) -> str:
-        """Qualname of the function enclosing a finding (baseline key)."""
-        for fn in self.project.functions.values():
-            if fn.path == finding.path \
-                    and fn.lineno <= finding.line <= fn.end_lineno:
-                return fn.qualname
-        return "<module>"
+    effects: EffectsReport
 
 
 def _default_tests_dir(root: Path) -> Path | None:
@@ -78,15 +63,14 @@ def _default_tests_dir(root: Path) -> Path | None:
 def analyze(root: str | Path,
             overlay: dict[str, str] | None = None,
             tests_dir: str | Path | None = None) -> AnalysisResult:
-    """Run the full analyzer over a package directory."""
+    """Run every rule over a package directory."""
     root = Path(root).resolve()
     project = build_project(root, overlay=overlay)
     summaries = compute_summaries(project)
-    registry, registry_errors = collect_registry(project)
     if tests_dir is None:
         tests_dir = _default_tests_dir(root)
     effects = analyze_effects(project, tests_dir=tests_dir)
-    findings: list[parlint.Finding] = []
+    findings: list[parlint.Finding] = list(project.unparsed)
     for name in sorted(project.modules):
         module = project.modules[name]
         any_oracle, workspan_oracle = charge_oracles(
@@ -95,94 +79,11 @@ def analyze(root: str | Path,
                                  region_oracle=workspan_oracle)
         linter.visit(module.tree)
         raw = linter.findings
-        raw += run_strict_rules(project, summaries, module, registry,
-                                registry_errors, effects=effects)
+        raw += run_rules(project, summaries, module, effects=effects)
         findings += parlint._apply_suppressions(
             raw, module.source, module.path, report_unused=True)
     findings += effects.stamp_findings
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return AnalysisResult(findings, len(project.modules), project, summaries,
-                          effects=effects)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="chargeflow",
-        description="interprocedural charge-flow analyzer for the "
-                    "simulated parallel machine (rules PAR001-PAR011)")
-    parser.add_argument("root", nargs="?", default="src/repro",
-                        help="package directory to analyze "
-                             "(default: src/repro)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the JSON report on stdout")
-    parser.add_argument("--sarif", metavar="FILE", nargs="?", const="-",
-                        help="write a SARIF 2.1.0 report (default stdout)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="committed baseline of accepted findings")
-    parser.add_argument("--emit-registry", action="store_true",
-                        help="print PARLINT_PARITY templates for every "
-                             "engine module and exit")
-    parser.add_argument("--explain", metavar="RULE",
-                        help="print the rule-catalog entry for PARxxx "
-                             "and exit")
-    parser.add_argument("--race-tests", metavar="DIR",
-                        help="directory of test_*.py files whose "
-                             "RACECHECK_COVERS stamps PAR011 checks "
-                             "(default: <root>/../../tests for src "
-                             "layouts)")
-    args = parser.parse_args(argv)
-
-    if args.explain:
-        text = explain_rule(args.explain)
-        if text is None:
-            print(f"chargeflow: unknown rule {args.explain!r}",
-                  file=sys.stderr)
-            return 2
-        try:
-            print(text)
-        except BrokenPipeError:
-            # Piped into `head`/quit-early `less`; silence the flush at
-            # interpreter exit too.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-
-    root = Path(args.root)
-    if not root.is_dir():
-        print(f"chargeflow: {root} is not a directory", file=sys.stderr)
-        return 2
-    result = analyze(root, tests_dir=args.race_tests)
-
-    if args.emit_registry:
-        for name in sorted(result.project.modules):
-            module = result.project.modules[name]
-            if is_engine_module(module):
-                print(f"# {module.path}")
-                print(render_registry(result.project, result.summaries,
-                                      module))
-                print()
-        return 0
-
-    findings = result.findings
-    if args.baseline and Path(args.baseline).exists():
-        findings = apply_baseline(findings, load_baseline(args.baseline),
-                                  result.scope_of)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if args.sarif is not None:
-        sarif = report_sarif(findings)
-        if args.sarif == "-":
-            print(sarif)
-        else:
-            Path(args.sarif).write_text(sarif + "\n", encoding="utf-8")
-    if args.json:
-        print(report_json(findings, result.n_files))
-    elif args.sarif != "-":
-        for finding in findings:
-            print(finding.render())
-        print(f"chargeflow: {len(findings)} finding(s) in "
-              f"{result.n_files} file(s)")
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return AnalysisResult(findings,
+                          len(project.modules) + len(project.unparsed),
+                          effects)

@@ -58,7 +58,6 @@ from pathlib import Path
 from .callgraph import (TRACKER_CHARGE_METHODS, FunctionInfo, ModuleInfo,
                         Project, _attr_chain, _FunctionWalker, _receiver_root)
 from .parlint import Finding
-from .registry import is_engine_module
 
 # --------------------------------------------------------------------------
 # classification lattice for array-like values
@@ -1078,6 +1077,13 @@ def _collect_stamps(tests_dir: Path,
                         f"known function under the analyzed root; fix the "
                         f"stamp or remove it"))
     return stamps, findings
+
+
+def is_engine_module(module: ModuleInfo) -> bool:
+    """A module whose last name component starts with ``batch`` holds
+    batch kernels: PAR005 checks its bulk ops, and the coverage walk
+    below does not enter it from outside."""
+    return module.name.rsplit(".", 1)[-1].startswith("batch")
 
 
 def _coverage(project: Project, stamps: list[str]) -> set[str]:

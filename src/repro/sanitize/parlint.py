@@ -33,34 +33,21 @@ file-level comment anywhere in it (``# parlint: disable-file=PAR006``).
 Suppressions that no longer match a finding are themselves reported (rule
 ``UNUSED-SUPPRESSION``) so the committed set cannot rot.
 
-Run as a module (``python -m repro.sanitize.parlint src/repro``) or via
-``repro lint``; ``--json`` emits a machine-readable report.  Exit status is
-1 when findings remain, 0 otherwise.
-
-The interprocedural analyzer (:mod:`repro.sanitize.chargeflow`, ``repro
-lint --strict``) reuses this module's visitors with a project-wide *charge
-oracle*, so charging that lives in a helper function satisfies PAR001 and
-PAR002 without a suppression.
+These rules run as part of ``repro lint``
+(:func:`repro.sanitize.chargeflow.analyze`), which feeds this module's
+visitor a project-wide *charge oracle*, so charging that lives in a helper
+function satisfies PAR001 and PAR002 without a suppression.
+:func:`lint_source` runs the rules alone on one source string, without
+the oracle.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
-import json
 import re
-import sys
 import tokenize
-from dataclasses import asdict, dataclass
-from pathlib import Path
-
-RULES = {
-    "PAR001": "parallel region never charges work/span",
-    "PAR002": "graph-scale loop without a tracker charge",
-    "PAR003": "unmediated shared-array write inside a task",
-    "PAR004": "ContentionMeter constructed but never settled",
-}
+from dataclasses import dataclass
 
 #: Methods whose call constitutes a cost charge.
 _CHARGE_METHODS = frozenset({
@@ -90,7 +77,7 @@ _DISABLE_FILE_RE = re.compile(r"#\s*parlint:\s*disable-file=([A-Z0-9,\s-]+)")
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding, stable across runs (used for the JSON report)."""
+    """One lint finding, stable across runs (used by the reporters)."""
 
     rule: str
     path: str
@@ -442,8 +429,8 @@ class _Suppressions:
         """Suppression comments that silenced nothing (so the committed
         set cannot rot as the code underneath is fixed).  A run that only
         checks a subset of rules (*checked_rules*) cannot judge
-        suppressions of the others --- the lexical-only pass must not
-        call a strict-rule waiver stale."""
+        suppressions of the others --- :func:`lint_source` must not call
+        a waiver of an interprocedural rule stale."""
         stale = []
         for line, (rules, fired) in sorted(self.by_line.items()):
             for rule in sorted(rules - fired):
@@ -475,89 +462,16 @@ def _apply_suppressions(findings: list[Finding], source: str, path: str,
 
 
 def lint_source(source: str, path: str = "<string>",
-                charge_oracle: frozenset | None = None,
-                region_oracle: frozenset | None = None,
                 report_unused: bool = True) -> list[Finding]:
-    """Lint one source string; returns surviving findings.
+    """Lint one source string with PAR001--PAR004; returns surviving
+    findings.
 
-    This lexical-only entry point checks PAR001--PAR004, so it only
-    reports unused suppressions for those rules; strict-rule waivers are
-    policed by the chargeflow run that can actually match them."""
+    Only unused suppressions of those four rules are reported: waivers
+    of the other rules are policed by :func:`~repro.sanitize.chargeflow
+    .analyze`, which can match them."""
     tree = ast.parse(source, filename=path)
-    linter = _Linter(path, charge_oracle=charge_oracle,
-                     region_oracle=region_oracle)
+    linter = _Linter(path)
     linter.visit(tree)
-    return _apply_suppressions(linter.findings, source, path,
-                               report_unused=report_unused,
-                               checked_rules=frozenset(RULES))
-
-
-def lint_file(path: str | Path) -> list[Finding]:
-    """Lint one Python file.
-
-    Unreadable or unparsable files are reported as findings (pseudo-rules
-    ``IOERR`` / ``SYNTAX``) rather than crashing the run, so one bad file
-    cannot hide findings in the rest of a tree.
-    """
-    path = Path(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return [Finding("IOERR", str(path), 0, 0,
-                        f"cannot read file: {exc.strerror or exc}")]
-    try:
-        return lint_source(source, str(path))
-    except SyntaxError as exc:
-        return [Finding("SYNTAX", str(path), exc.lineno or 0,
-                        exc.offset or 0, f"syntax error: {exc.msg}")]
-
-
-def lint_paths(paths: list[str | Path]) -> tuple[list[Finding], int]:
-    """Lint files and/or directory trees; returns (findings, files seen)."""
-    files: list[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            files.extend(sorted(entry.rglob("*.py")))
-        else:
-            files.append(entry)
-    findings: list[Finding] = []
-    for source in files:
-        findings.extend(lint_file(source))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, len(files)
-
-
-def report_json(findings: list[Finding], n_files: int) -> str:
-    """The machine-readable report consumed by CI and editor tooling."""
-    return json.dumps({
-        "tool": "parlint",
-        "version": 1,
-        "checked_files": n_files,
-        "rules": RULES,
-        "findings": [asdict(finding) for finding in findings],
-    }, indent=2)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: ``python -m repro.sanitize.parlint [--json] PATH [PATH ...]``."""
-    parser = argparse.ArgumentParser(
-        prog="parlint",
-        description="lint the cost-accounting discipline of the simulated "
-                    "parallel machine (rules PAR001-PAR004)")
-    parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report")
-    args = parser.parse_args(argv)
-    findings, n_files = lint_paths(args.paths)
-    if args.json:
-        print(report_json(findings, n_files))
-    else:
-        for finding in findings:
-            print(finding.render())
-        print(f"parlint: {len(findings)} finding(s) in {n_files} file(s)")
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return _apply_suppressions(
+        linter.findings, source, path, report_unused=report_unused,
+        checked_rules=frozenset({"PAR001", "PAR002", "PAR003", "PAR004"}))

@@ -1,17 +1,11 @@
-"""Reporters and the suppression baseline for the charge-flow analyzer.
+"""Reporters for ``repro lint``.
 
-Two machine-readable formats:
+Two machine-readable formats, both titled from the rule catalog
+(:data:`~repro.sanitize.catalog.CATALOG`):
 
-* JSON --- the same shape :func:`repro.sanitize.parlint.report_json`
-  emits, with the strict rule catalog merged in; consumed by CI logs.
+* JSON --- the findings plus a ``{rule id: title}`` map; consumed by CI
+  logs.
 * SARIF 2.1.0 --- for code-scanning UIs; uploaded as a CI artifact.
-
-The *baseline* is a committed JSON file of findings that are known and
-temporarily accepted.  Entries are matched by ``(rule, relative path,
-enclosing scope)`` --- deliberately not by line number, so unrelated
-edits don't churn the file.  Baseline entries that no longer match any
-finding are reported (pseudo-rule ``STALE-BASELINE``) so the file can
-only shrink as findings are fixed.
 """
 
 from __future__ import annotations
@@ -20,11 +14,7 @@ import json
 from pathlib import Path
 
 from .catalog import CATALOG
-from .parlint import RULES as LEXICAL_RULES
 from .parlint import Finding
-from .rules import STRICT_RULES
-
-ALL_RULES = {**LEXICAL_RULES, **STRICT_RULES}
 
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                  "master/Schemata/sarif-schema-2.1.0.json")
@@ -35,7 +25,7 @@ def report_json(findings: list[Finding], n_files: int) -> str:
         "tool": "parlint-chargeflow",
         "version": 1,
         "checked_files": n_files,
-        "rules": ALL_RULES,
+        "rules": {rule_id: info.title for rule_id, info in CATALOG.items()},
         "findings": [{
             "rule": f.rule, "path": f.path, "line": f.line,
             "col": f.col, "message": f.message,
@@ -47,15 +37,14 @@ def report_sarif(findings: list[Finding], base: str | Path = ".") -> str:
     """A SARIF 2.1.0 log.  Paths are made relative to *base* when
     possible (SARIF URIs should not leak absolute build paths)."""
     base = Path(base).resolve()
-    rule_ids = sorted({f.rule for f in findings} | set(ALL_RULES))
+    rule_ids = sorted({f.rule for f in findings} | set(CATALOG))
     rules = []
     for rule_id in rule_ids:
         info = CATALOG.get(rule_id)
         entry = {
             "id": rule_id,
             "shortDescription": {
-                "text": info.title if info
-                else ALL_RULES.get(rule_id, "analyzer diagnostic")},
+                "text": info.title if info else "analyzer diagnostic"},
         }
         if info is not None:
             entry["fullDescription"] = {
@@ -72,8 +61,8 @@ def report_sarif(findings: list[Finding], base: str | Path = ".") -> str:
         results.append({
             "ruleId": f.rule,
             "ruleIndex": index[f.rule],
-            "level": "warning" if f.rule in ("UNUSED-SUPPRESSION",
-                                             "STALE-BASELINE") else "error",
+            "level": "warning" if f.rule == "UNUSED-SUPPRESSION"
+            else "error",
             "message": {"text": f.message},
             "locations": [{
                 "physicalLocation": {
@@ -97,51 +86,3 @@ def report_sarif(findings: list[Finding], base: str | Path = ".") -> str:
         }],
     }, indent=2)
 
-
-# ---------------------------------------------------------------------------
-# baseline
-
-
-def _fingerprint(finding: Finding, scope: str, base: Path) -> tuple:
-    try:
-        rel = Path(finding.path).resolve().relative_to(base).as_posix()
-    except ValueError:
-        rel = Path(finding.path).as_posix()
-    return (finding.rule, rel, scope)
-
-
-def load_baseline(path: str | Path) -> list[dict]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = data.get("findings", data if isinstance(data, list) else [])
-    return [e for e in entries
-            if isinstance(e, dict) and "rule" in e and "path" in e]
-
-
-def apply_baseline(findings: list[Finding], entries: list[dict],
-                   scope_of, base: str | Path = ".") -> list[Finding]:
-    """Filter findings matched by the baseline; report stale entries.
-
-    *scope_of* maps a finding to the qualname of its enclosing function
-    (or ``"<module>"``), supplied by the analyzer which knows the spans.
-    """
-    base = Path(base).resolve()
-    wanted: dict[tuple, dict] = {}
-    for entry in entries:
-        key = (entry["rule"], Path(entry["path"]).as_posix(),
-               entry.get("scope", "<module>"))
-        wanted[key] = entry
-    used: set[tuple] = set()
-    kept = []
-    for finding in findings:
-        key = _fingerprint(finding, scope_of(finding), base)
-        if key in wanted:
-            used.add(key)
-            continue
-        kept.append(finding)
-    for key in sorted(wanted.keys() - used):
-        rule, rel, scope = key
-        kept.append(Finding(
-            "STALE-BASELINE", rel, 0, 0,
-            f"baseline entry ({rule} in {scope}) matches no finding; "
-            f"remove it from the baseline file"))
-    return kept

@@ -1,4 +1,4 @@
-"""The interprocedural rules PAR005--PAR011.
+"""The interprocedural rules PAR005, PAR006 and PAR008--PAR011.
 
 These run on top of the call graph (:mod:`~repro.sanitize.callgraph`)
 and the charge summaries (:mod:`~repro.sanitize.summaries`); the lexical
@@ -15,11 +15,6 @@ the summary-derived charge oracle by :mod:`~repro.sanitize.chargeflow`.
     ``set``, ``id()``-keyed structures, unseeded RNG, ``np.argsort``
     without ``kind="stable"`` --- the things that silently break the
     bit-for-bit batch/scalar parity contract.
-``PAR007``
-    The declared batch<->scalar pairing registry (``PARLINT_PARITY``):
-    every cost-accounted kernel in an engine module must name its scalar
-    oracle, the committed lexical charge fingerprint must match the
-    code, and both sides must move the same set of tracker counters.
 ``PAR008``
     A charge issued outside any ``tracker.phase(...)`` /
     ``tracker.parallel(...)`` attribution scope in a function that opens
@@ -28,31 +23,20 @@ the summary-derived charge oracle by :mod:`~repro.sanitize.chargeflow`.
     The static parallel-effect rules.  The heavy lifting happens in
     :mod:`~repro.sanitize.effects` (one pass over the whole project);
     the check functions here slice that report per module so findings
-    flow through the same suppression/baseline machinery as every other
-    rule.  PAR009 flags a potential static race in a parallel region,
-    PAR010 an atomic accumulation with an order-dependent operand, and
-    PAR011 a region with shared writes that no ``RACECHECK_COVERS``
-    stamp in the test suite reaches.
+    flow through the same suppression machinery as every other rule.
+    PAR009 flags a potential static race in a parallel region, PAR010
+    an atomic accumulation with an order-dependent operand, and PAR011
+    a region with shared writes that no ``RACECHECK_COVERS`` stamp in
+    the test suite reaches.
 """
 
 from __future__ import annotations
 
 import ast
 
-from .callgraph import EXTERNAL_EFFECT, FunctionInfo, ModuleInfo, Project
+from .callgraph import FunctionInfo, ModuleInfo, Project
+from .effects import is_engine_module
 from .parlint import Finding
-from .registry import (collect_registry, is_engine_module,
-                       kernel_fingerprint, tracked_kernels)
-
-STRICT_RULES = {
-    "PAR005": "uncharged vectorized bulk operation in engine code",
-    "PAR006": "nondeterminism hazard in cost-accounted code",
-    "PAR007": "batch/scalar parity registry violation",
-    "PAR008": "charge outside any phase/parallel attribution scope",
-    "PAR009": "potential static race in a parallel region",
-    "PAR010": "non-commutative atomic accumulation",
-    "PAR011": "parallel region without dynamic race coverage",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -161,77 +145,6 @@ def check_par006(project: Project, summaries: dict,
 
 
 # ---------------------------------------------------------------------------
-# PAR007
-
-
-def _parity_effects(summaries: dict, qual: str) -> set[str] | None:
-    summary = summaries.get(qual)
-    if summary is None:
-        return None
-    return summary.effects - {EXTERNAL_EFFECT}
-
-
-def check_par007(project: Project, summaries: dict,
-                 module: ModuleInfo,
-                 registry: dict, registry_errors: list) -> list[Finding]:
-    findings = []
-    for error in registry_errors:
-        if error.module == module.name:
-            findings.append(Finding(
-                "PAR007", error.path, error.lineno, 0, error.message))
-    if not is_engine_module(module):
-        return findings
-    kernels = tracked_kernels(project, summaries, module)
-    for fn in kernels:
-        entry = registry.get(fn.qualname)
-        if entry is None:
-            findings.append(Finding(
-                "PAR007", module.path, fn.lineno, 0,
-                f"batch kernel {fn.name!r} has no PARLINT_PARITY entry "
-                f"naming its scalar oracle (run --emit-registry for a "
-                f"template)"))
-            continue
-        oracle_effects = _parity_effects(summaries, entry.oracle)
-        if oracle_effects is None:
-            findings.append(Finding(
-                "PAR007", module.path, entry.lineno, 0,
-                f"registry entry {fn.name!r}: scalar oracle "
-                f"{entry.oracle!r} is not a known project function"))
-            continue
-        actual = kernel_fingerprint(fn)
-        if actual != entry.fingerprint:
-            missing = {k: v for k, v in entry.fingerprint.items()
-                       if actual.get(k) != v}
-            extra = {k: v for k, v in actual.items()
-                     if entry.fingerprint.get(k) != v}
-            findings.append(Finding(
-                "PAR007", module.path, fn.lineno, 0,
-                f"batch kernel {fn.name!r}: charge fingerprint drifted "
-                f"from the declared contract (declared-but-absent: "
-                f"{missing or '{}'}; present-but-undeclared: "
-                f"{extra or '{}'}); re-verify parity against "
-                f"{entry.oracle} and re-bless the registry"))
-        kernel_effects = _parity_effects(summaries, fn.qualname) or set()
-        if kernel_effects != oracle_effects:
-            batch_only = sorted(kernel_effects - oracle_effects)
-            scalar_only = sorted(oracle_effects - kernel_effects)
-            findings.append(Finding(
-                "PAR007", module.path, fn.lineno, 0,
-                f"batch kernel {fn.name!r} and scalar oracle "
-                f"{entry.oracle} move different tracker counters "
-                f"(batch-only: {batch_only}; scalar-only: {scalar_only})"))
-    known = {fn.qualname for fn in kernels}
-    for qual, entry in sorted(registry.items()):
-        if entry.module == module.name and qual not in known:
-            findings.append(Finding(
-                "PAR007", module.path, entry.lineno, 0,
-                f"registry names {qual.rsplit('.', 1)[1]!r} but no such "
-                f"cost-accounted kernel exists in the module; remove the "
-                f"stale entry"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # PAR008
 
 
@@ -298,14 +211,11 @@ def check_par011(project: Project, effects,
     return _effects_slice(effects, module, "PAR011")
 
 
-def run_strict_rules(project: Project, summaries: dict,
-                     module: ModuleInfo, registry: dict,
-                     registry_errors: list, effects=None) -> list[Finding]:
+def run_rules(project: Project, summaries: dict, module: ModuleInfo,
+              effects=None) -> list[Finding]:
     findings = []
     findings += check_par005(project, summaries, module)
     findings += check_par006(project, summaries, module)
-    findings += check_par007(project, summaries, module, registry,
-                             registry_errors)
     findings += check_par008(project, summaries, module)
     findings += check_par009(project, effects, module)
     findings += check_par010(project, effects, module)

@@ -16,12 +16,12 @@ methods the function may invoke, split by how the tracker reaches it:
     flows through a callee to which the function forwards that parameter.
 
 Method names are normalized (``add_work_int`` counts as ``add_work``,
-``task_span`` as ``add_span``, ``access_sequence`` as ``access``) so the
-batch/scalar parity comparison is about *which counters move*, not which
+``task_span`` as ``add_span``, ``access_sequence`` as ``access``) so
+PAR001's work/span test is about *which counters move*, not which
 convenience wrapper moved them.  A tracker handed to a call the graph
 cannot resolve inside the project contributes the marker effect
 ``@external`` --- treated as "charges something" by PAR001/PAR002/PAR005/
-PAR008, and excluded from PAR007's parity sets.
+PAR008.
 
 The propagation is a standard monotone fixpoint over the (may-call) graph
 and terminates because effect sets only grow and are drawn from a finite
@@ -46,11 +46,6 @@ class Summary:
 
     cond: set[str] = field(default_factory=set)
     uncond: set[str] = field(default_factory=set)
-
-    @property
-    def effects(self) -> set[str]:
-        """All effects when the function is run *with* a tracker."""
-        return self.cond | self.uncond
 
     @property
     def charges(self) -> bool:

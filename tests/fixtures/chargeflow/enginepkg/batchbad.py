@@ -1,7 +1,7 @@
-"""Shape: engine module with an uncharged bulk op and an unpaired kernel.
+"""Shape: engine module with an uncharged and a charged bulk op.
 
 ``batch_scale`` runs a vectorized op but never charges -> PAR005.
-``batch_accumulate`` charges but has no PARLINT_PARITY entry -> PAR007.
+``batch_accumulate`` runs the same op and charges -> clean.
 """
 
 import numpy as np

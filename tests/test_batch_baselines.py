@@ -191,28 +191,6 @@ class TestDensest:
         assert scan.span > 0
 
 
-class TestParityRegistry:
-    """The new batch kernels are registered for PAR007 with resolvable
-    scalar oracles and non-empty charge fingerprints."""
-
-    MODULES = ("repro.baselines.batchnd", "repro.baselines.batchtruss",
-               "repro.core.batchcore")
-
-    @pytest.mark.parametrize("module_name", MODULES)
-    def test_oracles_resolve(self, module_name):
-        import importlib
-        module = importlib.import_module(module_name)
-        registry = module.PARLINT_PARITY
-        assert registry, f"{module_name} registers no kernels"
-        for kernel, entry in registry.items():
-            assert hasattr(module, kernel)
-            oracle_module, oracle_name = entry["oracle"].rsplit(".", 1)
-            oracle = getattr(importlib.import_module(oracle_module),
-                             oracle_name)
-            assert callable(oracle)
-            assert entry["fingerprint"], f"{kernel}: empty fingerprint"
-
-
 class TestChargeSequences:
     """add_work_sequence / add_span_sequence replay a scalar charge
     stream: integer-valued amounts land in the exact bin, fractional

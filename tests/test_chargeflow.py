@@ -1,22 +1,20 @@
-"""Tests for the interprocedural charge-flow analyzer.
+"""Tests for the analyzer behind ``repro lint``.
 
 Covers the call-graph/summary machinery (repro.sanitize.callgraph,
-.summaries), the strict rules PAR005--PAR008 (.rules), the parity
-registry (.registry), the reporters, and the CLI entry point
-(.chargeflow) --- against both a fixture package with known charge-flow
-shapes and the real ``src/repro`` tree.
+.summaries), the interprocedural rules PAR005, PAR006 and PAR008
+(.rules), the reporters, and the ``repro lint`` front end --- against
+both a fixture package with known charge-flow shapes and the real
+``src/repro`` tree.
 """
 
 import json
 from pathlib import Path
 
-from repro.sanitize.callgraph import build_project
-from repro.sanitize.chargeflow import analyze, main
+from repro.cli import main
+from repro.sanitize.catalog import CATALOG
+from repro.sanitize.chargeflow import analyze
 from repro.sanitize.parlint import lint_source
-from repro.sanitize.registry import (collect_registry, is_engine_module,
-                                     tracked_kernels)
-from repro.sanitize.reporters import apply_baseline, report_sarif
-from repro.sanitize.summaries import compute_summaries
+from repro.sanitize.reporters import report_json, report_sarif
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -35,8 +33,6 @@ class TestFixturePackage:
             ("PAR006", "nondet.py", 8),
             ("PAR006", "nondet.py", 10),
             ("PAR006", "nondet.py", 12),
-            ("PAR007", "batchbad.py", 15),
-            ("PAR007", "batchpaired.py", 26),
             ("PAR008", "phases.py", 7),
         ]
 
@@ -50,20 +46,6 @@ class TestFixturePackage:
         assert not [f for f in result.findings
                     if f.path.endswith("charged_via_helper.py")]
 
-    def test_fixture_registry_parses(self):
-        project = build_project(ENGINEPKG)
-        entries, errors = collect_registry(project)
-        assert errors == []
-        assert sorted(entries) == [
-            "enginepkg.batchpaired.batch_drifted",
-            "enginepkg.batchpaired.batch_sum",
-        ]
-
-    def test_blessed_kernel_is_clean(self):
-        result = analyze(ENGINEPKG)
-        assert not [f for f in result.findings
-                    if "batch_sum" in f.message]
-
     def test_stable_sort_is_not_a_hazard(self):
         result = analyze(ENGINEPKG)
         assert not [f for f in result.findings
@@ -75,50 +57,6 @@ class TestRealTree:
         result = analyze(SRC)
         assert result.findings == []
 
-    def test_registry_covers_every_batch_kernel(self):
-        project = build_project(SRC)
-        summaries = compute_summaries(project)
-        entries, errors = collect_registry(project)
-        assert errors == []
-        engine = sorted((m for m in project.modules.values()
-                         if is_engine_module(m)), key=lambda m: m.name)
-        assert [m.name for m in engine] == [
-            "repro.analysis.batchhier",
-            "repro.baselines.batchnd", "repro.baselines.batchtruss",
-            "repro.cliques.batchlist", "repro.core.batchcore",
-            "repro.core.batchpeel", "repro.distributed.batchexchange"]
-        for module in engine:
-            kernels = tracked_kernels(project, summaries, module)
-            assert kernels, module.name
-            for fn in kernels:
-                assert fn.qualname in entries, fn.qualname
-
-
-class TestMutations:
-    """Deleting any one charge call from a batch kernel must trip a rule."""
-
-    @staticmethod
-    def _mutated(relpath, needle):
-        path = (SRC / relpath).resolve()
-        source = path.read_text(encoding="utf-8")
-        assert source.count(needle) == 1
-        return {str(path): source.replace(needle, "pass")}
-
-    def test_dropping_a_batchpeel_charge_breaks_parity(self):
-        overlay = self._mutated(
-            "core/batchpeel.py",
-            "tracker.add_work_int(m * route_work"
-            " + total_probes * table.suffix_width)")
-        result = analyze(SRC, overlay=overlay)
-        assert any(f.rule == "PAR007" and "_edges_alive_many" in f.message
-                   for f in result.findings)
-
-    def test_dropping_a_batchlist_charge_breaks_parity(self):
-        overlay = self._mutated(
-            "cliques/batchlist.py", "tracker.add_work(float(dg.n))")
-        result = analyze(SRC, overlay=overlay)
-        assert any(f.rule == "PAR007" for f in result.findings)
-
 
 class TestReporters:
     def test_sarif_shape(self):
@@ -127,47 +65,44 @@ class TestReporters:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"PAR005", "PAR006", "PAR007", "PAR008"} <= rule_ids
+        assert {"PAR005", "PAR006", "PAR008"} <= rule_ids
         assert len(run["results"]) == len(result.findings)
         for res in run["results"]:
             uri = (res["locations"][0]["physicalLocation"]
                    ["artifactLocation"]["uri"])
             assert not uri.startswith("/")
 
-    def test_baseline_filters_and_reports_stale(self):
-        result = analyze(ENGINEPKG)
-        entries = [
-            {"rule": "PAR005",
-             "path": "tests/fixtures/chargeflow/enginepkg/batchbad.py",
-             "scope": "enginepkg.batchbad.batch_scale"},
-            {"rule": "PAR001", "path": "gone.py", "scope": "<module>"},
-        ]
-        kept = apply_baseline(result.findings, entries, result.scope_of,
-                              base=REPO)
-        rules = [f.rule for f in kept]
-        assert "PAR005" not in rules
-        assert rules.count("STALE-BASELINE") == 1
+    def test_titles_come_from_the_catalog(self):
+        titles = {rule_id: info.title for rule_id, info in CATALOG.items()}
+        report = json.loads(report_json([], 0))
+        assert report["rules"] == titles
+        sarif = json.loads(report_sarif([]))
+        rules = sarif["runs"][0]["tool"]["driver"]["rules"]
+        assert {rule["id"]: rule["shortDescription"]["text"]
+                for rule in rules} == titles
 
 
 class TestCli:
     def test_strict_clean_tree_exits_zero(self, capsys):
-        assert main([str(SRC)]) == 0
-        capsys.readouterr()
+        # No PACKAGE argument: src/repro under the working directory.
+        assert main(["lint"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_findings_exit_nonzero(self, capsys):
-        assert main([str(ENGINEPKG)]) == 1
+        assert main(["lint", str(ENGINEPKG)]) == 1
         out = capsys.readouterr().out
-        assert "PAR007" in out
+        assert "PAR005" in out
+        assert "5 finding(s) in 5 file(s)" in out
 
     def test_json_report(self, capsys):
-        assert main([str(ENGINEPKG), "--json"]) == 1
+        assert main(["lint", str(ENGINEPKG), "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "parlint-chargeflow"
-        assert len(doc["findings"]) == 7
+        assert len(doc["findings"]) == 5
 
     def test_sarif_to_file(self, tmp_path, capsys):
         out = tmp_path / "out.sarif"
-        assert main([str(ENGINEPKG), "--sarif", str(out)]) == 1
+        assert main(["lint", str(ENGINEPKG), "--sarif", str(out)]) == 1
         capsys.readouterr()
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["runs"][0]["results"]

@@ -173,22 +173,72 @@ class TestFigure:
 
 
 class TestLint:
+    """``repro lint [PACKAGE] [--json] [--sarif [FILE]] [--explain RULE]``,
+    run in-process.  The parlint fixtures directory, as a package,
+    reports PAR001-PAR004 plus one PAR009."""
+
     FIXTURES = "tests/fixtures/parlint"
+
+    @staticmethod
+    def _usage_error(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        return err
 
     def test_clean_tree_exits_zero(self, capsys):
         assert main(["lint", "src/repro"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violation_exits_nonzero(self, capsys):
-        assert main(["lint", f"{self.FIXTURES}/bad_par001.py"]) == 1
-        assert "PAR001" in capsys.readouterr().out
+        assert main(["lint", self.FIXTURES]) == 1
+        out = capsys.readouterr().out
+        assert "PAR001" in out
+        assert "bad_par001.py:9:16: PAR009" in out
 
     def test_json_report(self, capsys):
-        import json
-        assert main(["lint", "--json", f"{self.FIXTURES}/bad_par002.py"]) == 1
+        assert main(["lint", "--json", self.FIXTURES]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["tool"] == "parlint"
-        assert [f["rule"] for f in report["findings"]] == ["PAR002"]
+        assert report["tool"] == "parlint-chargeflow"
+        assert [f["rule"] for f in report["findings"]] == [
+            "PAR001", "PAR009", "PAR002", "PAR003", "PAR004"]
+
+    def test_sarif_to_file(self, tmp_path, capsys):
+        out = tmp_path / "lint.sarif"
+        assert main(["lint", "--sarif", str(out), self.FIXTURES]) == 1
+        assert capsys.readouterr().out.endswith("5 finding(s) in 6 file(s)\n")
+        run = json.loads(out.read_text())["runs"][0]
+        assert sorted(r["ruleId"] for r in run["results"]) == [
+            "PAR001", "PAR002", "PAR003", "PAR004", "PAR009"]
+
+    def test_explain(self, capsys):
+        assert main(["lint", "--explain", "PAR009"]) == 0
+        assert capsys.readouterr().out.startswith("PAR009: ")
+
+    def test_second_path_is_a_usage_error(self, capsys):
+        err = self._usage_error(
+            capsys, "src/repro", "tests/fixtures/chargeflow/enginepkg")
+        assert "one package directory" in err
+
+    def test_file_is_a_usage_error(self, capsys):
+        err = self._usage_error(capsys, f"{self.FIXTURES}/bad_par001.py")
+        assert "bad_par001.py is not a package directory" in err
+
+    def test_missing_directory_is_a_usage_error(self, capsys):
+        err = self._usage_error(capsys, "no/such/package")
+        assert "not a package directory" in err
+
+    def test_json_and_sarif_on_stdout_is_a_usage_error(self, capsys):
+        err = self._usage_error(capsys, self.FIXTURES, "--json", "--sarif")
+        assert "both write to stdout" in err
+
+    def test_unwritable_sarif_is_a_usage_error(self, tmp_path, capsys):
+        err = self._usage_error(capsys, self.FIXTURES,
+                                "--sarif", str(tmp_path))
+        assert f"cannot write {tmp_path}" in err
 
 
 class TestSanitize:

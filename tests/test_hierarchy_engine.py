@@ -3,9 +3,10 @@
 ``nucleus_hierarchy`` (batch kernel and scalar reference oracle) must
 reproduce the post-hoc ``build_hierarchy`` oracle exactly --- same node
 ids, parent links, levels and member sets --- and the two kernels must
-charge the simulated machine bit-for-bit identically (the PAR007 parity
-contract for ``batch_levels``).  The engine reads the decomposition's
-clique table, so every case runs on each of the table's layouts.
+charge the simulated machine bit-for-bit identically (the parity
+contract ``PARLINT_PARITY`` registers for ``batch_levels``).  The engine
+reads the decomposition's clique table, so every case runs on each of
+the table's layouts.
 """
 
 from dataclasses import replace
@@ -96,7 +97,7 @@ class TestEngineMatchesOracle:
         assert hierarchy_key(engine) == hierarchy_key(oracle)
 
     def test_charge_parity(self, name, make, r, s, layout):
-        # The PAR007 contract made concrete: identical simulated cost,
+        # The parity contract made concrete: identical simulated cost,
         # not just identical output.
         graph = make()
         result = arb_nucleus_decomp(graph, r, s, layout(r, s))

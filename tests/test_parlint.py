@@ -1,10 +1,18 @@
-"""Tests for the cost-accounting lint rules (repro.sanitize.parlint)."""
+"""Tests for the lexical rules PAR001--PAR004 (repro.sanitize.parlint)
+and for how ``repro lint`` reports a package's files.
+
+The rule cases run :func:`lint_source`, the rules alone; the package
+cases run the analyzer (:func:`repro.sanitize.chargeflow.analyze`) and
+the ``repro lint`` front end.
+"""
 
 import json
 from pathlib import Path
 
-from repro.sanitize.parlint import (RULES, lint_file, lint_paths, lint_source,
-                                    main, report_json)
+from repro.cli import main
+from repro.sanitize.chargeflow import analyze
+from repro.sanitize.parlint import lint_source
+from repro.sanitize.reporters import report_json
 
 FIXTURES = Path(__file__).parent / "fixtures" / "parlint"
 
@@ -13,21 +21,36 @@ def rules_of(findings):
     return sorted(finding.rule for finding in findings)
 
 
+def lint_fixture(name):
+    path = FIXTURES / name
+    return lint_source(path.read_text(encoding="utf-8"), str(path))
+
+
+def package_with(tmp_path, name):
+    """A package of one valid module plus *name*, for the caller to
+    fill in."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "ok.py").write_text("def f():\n    return 1\n")
+    return package, package / name
+
+
 class TestFixtures:
     def test_each_rule_has_a_fixture(self):
-        for rule in RULES:
-            fixture = FIXTURES / f"bad_{rule.lower()}.py"
-            findings = lint_file(fixture)
-            assert rules_of(findings) == [rule], fixture
+        fixtures = sorted(FIXTURES.glob("bad_par*.py"))
+        assert len(fixtures) == 4
+        for fixture in fixtures:
+            rule = fixture.stem.removeprefix("bad_").upper()
+            assert rules_of(lint_fixture(fixture.name)) == [rule], fixture
 
     def test_clean_fixture_passes(self):
-        assert lint_file(FIXTURES / "clean.py") == []
+        assert lint_fixture("clean.py") == []
 
     def test_suppressions_silence_findings(self):
-        assert lint_file(FIXTURES / "suppressed.py") == []
+        assert lint_fixture("suppressed.py") == []
 
     def test_findings_carry_location(self):
-        (finding,) = lint_file(FIXTURES / "bad_par002.py")
+        (finding,) = lint_fixture("bad_par002.py")
         assert finding.line == 6
         assert finding.path.endswith("bad_par002.py")
         assert "bad_par002.py:6:" in finding.render()
@@ -119,49 +142,80 @@ class TestRules:
 
 class TestRepoIsClean:
     def test_src_tree_lints_clean(self):
+        # Without the charge oracle: no module of the tree leans on a
+        # helper to satisfy PAR001/PAR002.
         src = Path(__file__).parent.parent / "src" / "repro"
-        findings, n_files = lint_paths([src])
-        assert findings == []
-        assert n_files > 50
+        files = sorted(src.rglob("*.py"))
+        assert len(files) > 50
+        for path in files:
+            assert lint_source(path.read_text(encoding="utf-8"),
+                               str(path)) == [], path
 
 
 class TestReporting:
     def test_json_report_shape(self):
-        findings, n_files = lint_paths([FIXTURES / "bad_par001.py"])
-        report = json.loads(report_json(findings, n_files))
-        assert report["tool"] == "parlint"
-        assert report["checked_files"] == 1
-        assert report["rules"] == RULES
-        (entry,) = report["findings"]
+        result = analyze(FIXTURES)
+        report = json.loads(report_json(result.findings, result.n_files))
+        assert report["tool"] == "parlint-chargeflow"
+        assert report["checked_files"] == 6
+        assert report["rules"]["PAR001"] \
+            == "parallel region never charges work/span"
+        entry = report["findings"][0]
         assert entry["rule"] == "PAR001"
         assert entry["line"] > 0
 
-    def test_main_exit_codes(self, capsys):
-        assert main([str(FIXTURES / "clean.py")]) == 0
-        assert main([str(FIXTURES / "bad_par003.py")]) == 1
+    def test_main_exit_codes(self, tmp_path, capsys):
+        package, clean = package_with(tmp_path, "clean.py")
+        clean.write_text((FIXTURES / "clean.py").read_text())
+        assert main(["lint", str(package)]) == 0
+        assert main(["lint", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
         assert "PAR003" in out
 
     def test_main_json_flag(self, capsys):
-        assert main(["--json", str(FIXTURES / "bad_par004.py")]) == 1
+        assert main(["lint", "--json", str(FIXTURES)]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["findings"][0]["rule"] == "PAR004"
+        assert "PAR004" in {f["rule"] for f in report["findings"]}
 
-    def test_missing_file_is_a_finding_not_a_crash(self):
-        (finding,) = lint_file("/nonexistent/parlint-probe.py")
-        assert finding.rule == "IOERR"
+    def test_missing_file_is_a_finding_not_a_crash(self, tmp_path, capsys):
+        # A dangling symlink: listed by the directory walk, unreadable.
+        package, link = package_with(tmp_path, "x.py")
+        link.symlink_to(tmp_path / "missing.py")
+        result = analyze(package)
+        (finding,) = result.findings
+        assert (finding.rule, Path(finding.path).name) == ("IOERR", "x.py")
+        assert "cannot read file" in finding.message
+        assert result.n_files == 2
+        assert main(["lint", str(package)]) == 1
+        assert "1 finding(s) in 2 file(s)" in capsys.readouterr().out
 
-    def test_syntax_error_is_a_finding_not_a_crash(self, tmp_path):
-        bad = tmp_path / "bad.py"
+    def test_undecodable_file_is_a_finding_not_a_crash(self, tmp_path):
+        package, latin1 = package_with(tmp_path, "latin1.py")
+        latin1.write_bytes(b'name = "caf\xe9"\n')
+        (finding,) = analyze(package).findings
+        assert (finding.rule, Path(finding.path).name) \
+            == ("IOERR", "latin1.py")
+        assert "can't decode" in finding.message
+
+    def test_syntax_error_is_a_finding_not_a_crash(self, tmp_path, capsys):
+        package, bad = package_with(tmp_path, "bad.py")
         bad.write_text("def broken(:\n")
-        (finding,) = lint_file(bad)
-        assert finding.rule == "SYNTAX"
-        assert finding.line == 1
+        result = analyze(package)
+        (finding,) = result.findings
+        assert (finding.rule, Path(finding.path).name, finding.line) \
+            == ("SYNTAX", "bad.py", 1)
+        assert result.n_files == 2
+        assert main(["lint", str(package)]) == 1
+        assert "1 finding(s) in 2 file(s)" in capsys.readouterr().out
 
     def test_directory_discovery(self):
-        findings, n_files = lint_paths([FIXTURES])
-        assert n_files == len(list(FIXTURES.glob("*.py")))
-        assert rules_of(findings) == ["PAR001", "PAR002", "PAR003", "PAR004"]
+        result = analyze(FIXTURES)
+        assert result.n_files == len(list(FIXTURES.glob("*.py")))
+        assert rules_of(result.findings) == [
+            "PAR001", "PAR002", "PAR003", "PAR004", "PAR009"]
+        (par009,) = [f for f in result.findings if f.rule == "PAR009"]
+        assert (Path(par009.path).name, par009.line) \
+            == ("bad_par001.py", 9)
 
 
 class TestScaleDetection:

@@ -24,7 +24,8 @@ STAMPS = FIXTURES / "stamps"
 SRC = HERE.parent / "src" / "repro"
 DOC = HERE.parent / "docs" / "static-analysis.md"
 
-ALL_RULE_IDS = [f"PAR{i:03d}" for i in range(1, 12)]
+#: PAR007 (the retired parity fingerprints) keeps its number unused.
+ALL_RULE_IDS = [f"PAR{i:03d}" for i in range(1, 12) if i != 7]
 
 
 def rule_file_set(result):
@@ -182,6 +183,10 @@ class TestExplainCLI:
     def test_unknown_rule(self, capsys):
         assert cli.main(["lint", "--explain", "PAR042"]) == 2
         assert "unknown rule" in capsys.readouterr().err
+
+    def test_retired_rule_is_unknown(self, capsys):
+        assert cli.main(["lint", "--explain", "PAR007"]) == 2
+        assert "unknown rule 'PAR007'" in capsys.readouterr().err
 
 
 class TestSarifMetadata:

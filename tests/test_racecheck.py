@@ -285,9 +285,9 @@ class TestBatchEnginesRaceSmoke:
     is fallback losslessness: a run under the detector must produce the
     same answer as the uninstrumented default run, and the detector must
     certify the replayed schedule race-free.  Together with the
-    bit-for-bit batch/scalar cost-parity gates (tests/test_batch_*.py,
-    rule PAR007) this is what the ``RACECHECK_COVERS`` stamps for
-    ``peel_batch`` and ``local_round_batch`` assert.  The vectorized
+    bit-for-bit batch/scalar cost-parity tests (tests/test_batch_*.py and
+    tests/test_parity_registry.py) this is what the ``RACECHECK_COVERS``
+    stamps for ``peel_batch`` and ``local_round_batch`` assert.  The vectorized
     data-structure methods the kernels call are therefore never reached
     with a detector-carrying tracker, which the detector runs here pin.
     """
