@@ -17,41 +17,75 @@ locality differences visible, not to match Cascade Lake byte-for-byte.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+
+def _lru_step(tags: list[int], stamps: list[int], line: int,
+              clock: int) -> bool:
+    """Touch ``line`` in one set at time ``clock``; True on a hit.
+
+    A hit restamps the line's way.  A miss evicts the first way (in way
+    order) holding the smallest stamp and installs ``line`` there.
+    """
+    if line in tags:
+        stamps[tags.index(line)] = clock
+        return True
+    way = stamps.index(min(stamps))
+    tags[way] = line
+    stamps[way] = clock
+    return False
 
 
 class CacheSimulator:
     """A ``n_sets x ways`` LRU cache over a flat word-addressed space.
 
+    Address ``a`` lies on line ``a >> log2(line_words)``, which maps to set
+    ``line % n_sets``.  Each set has ``ways`` ways, each holding a tag (a
+    line, or -1 when empty) and a stamp (initially 0).  Every simulated
+    access advances a clock by one; a hit sets its way's stamp to the
+    clock, and a miss replaces the first way with the smallest stamp.
+
     Parameters
     ----------
     line_words:
-        Words (table cells) per cache line; must be a power of two.
+        Words (table cells) per cache line; a power of two.
     n_sets:
-        Number of sets; must be a power of two.
+        Number of sets; a power of two.
     ways:
-        Associativity.
+        Associativity; at least 1.
     sample:
-        Simulate only every ``sample``-th access (1 = all).  Miss and access
-        counts are scaled back up so ratios remain comparable.
+        Simulate only every ``sample``-th access (1 = all); at least 1.
+        Miss and access counts are scaled back up so ratios remain
+        comparable.
+
+    Every invalid parameter raises a :class:`ValueError` naming it.
     """
 
     def __init__(self, line_words: int = 8, n_sets: int = 256, ways: int = 8,
                  sample: int = 1):
-        if line_words & (line_words - 1):
-            raise ValueError("line_words must be a power of two")
-        if n_sets & (n_sets - 1):
-            raise ValueError("n_sets must be a power of two")
+        for name, value in (("line_words", line_words), ("n_sets", n_sets)):
+            if value < 1 or value & (value - 1):
+                raise ValueError(f"{name} must be a power of two, "
+                                 f"got {value}")
+        for name, value in (("ways", ways), ("sample", sample)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.line_bits = line_words.bit_length() - 1
         self.set_mask = n_sets - 1
         self.ways = ways
-        self.sample = max(1, sample)
-        self._tags = np.full((n_sets, ways), -1, dtype=np.int64)
-        self._stamp = np.zeros((n_sets, ways), dtype=np.int64)
+        self.sample = sample
+        # Per-set Python lists, so one LRU step is a few list operations.
+        self._tags = self._rows(-1)
+        self._stamp = self._rows(0)
         self._clock = 0
         self._skip = 0
         self._raw_accesses = 0
         self._raw_misses = 0
+
+    def _rows(self, value: int) -> list[list[int]]:
+        return [[value] * self.ways for _ in range(self.set_mask + 1)]
 
     @property
     def accesses(self) -> int:
@@ -66,13 +100,16 @@ class CacheSimulator:
         return self._raw_misses / self._raw_accesses if self._raw_accesses else 0.0
 
     def access(self, address: int) -> bool | None:
-        """Touch ``address``.
+        """Touch ``address``, a non-negative integer.
 
         Returns True on a simulated hit, False on a simulated miss, and
         ``None`` when the access was skipped by sampling (``sample > 1``).
         Skipped accesses are *not* hits --- callers attributing misses (e.g.
         per-phase profiling) must only act on an explicit False.
         """
+        address = operator.index(address)
+        if address < 0:
+            raise ValueError(f"address must be non-negative, got {address}")
         if self.sample > 1:
             self._skip += 1
             if self._skip < self.sample:
@@ -82,33 +119,34 @@ class CacheSimulator:
         self._clock += 1
         line = address >> self.line_bits
         set_idx = line & self.set_mask
-        tags = self._tags[set_idx]
-        hit = np.flatnonzero(tags == line)
-        if hit.size:
-            self._stamp[set_idx, hit[0]] = self._clock
+        if _lru_step(self._tags[set_idx], self._stamp[set_idx], line,
+                     self._clock):
             return True
         self._raw_misses += 1
-        victim = int(np.argmin(self._stamp[set_idx]))
-        tags[victim] = line
-        self._stamp[set_idx, victim] = self._clock
         return False
 
     def access_many(self, addresses) -> int:
         """Touch an ordered batch of addresses; returns the raw miss count.
 
         Exactly equivalent to calling :meth:`access` once per element in
-        order --- same sampling phase, same LRU clock values, same
-        first-minimum victim choice --- but grouped per cache set so the
-        Python-level work is proportional to the number of *simulated*
-        accesses rather than paying numpy dispatch per call.  Accesses to
-        different sets never interact (each set has its own tag/stamp rows
-        and the global clock values are preserved per access), which is what
-        makes the per-set replay legal.
+        order: same sampling phase, same clock values, same tags and
+        stamps.  A negative address raises :class:`ValueError` before any
+        state changes.
+
+        Accesses to different sets never interact, so the simulated
+        accesses are stable-sorted by set and each set's subsequence is
+        replayed on its own.  Within it, a run of consecutive accesses to
+        one line is one LRU step: the run's first access decides hit or
+        miss, every later one hits, and the stamp ends at the run's last
+        clock, because no other access to that set comes in between.
         """
         addrs = np.asarray(addresses, dtype=np.int64).ravel()
         n = addrs.size
         if n == 0:
             return 0
+        low = int(addrs.min())
+        if low < 0:
+            raise ValueError(f"address must be non-negative, got {low}")
         if self.sample > 1:
             # access() simulates every call where the incremented _skip
             # reaches sample; element i (0-based) is therefore simulated
@@ -122,30 +160,22 @@ class CacheSimulator:
             if n == 0:
                 return 0
         lines = addrs >> self.line_bits
-        sets = (lines & self.set_mask).astype(np.int64)
-        clocks = self._clock + 1 + np.arange(n, dtype=np.int64)
+        # The narrowest key type lets numpy's stable sort use radix sort.
+        sets = (lines & self.set_mask).astype(np.min_scalar_type(self.set_mask))
+        order = np.argsort(sets, kind="stable")
+        lines = lines[order]
+        # Last position of each run of one line in the set-sorted stream.
+        ends = np.append(np.flatnonzero(lines[1:] != lines[:-1]), n - 1)
+        run_lines = lines[ends]
+        run_sets = (run_lines & self.set_mask).tolist()
+        run_clocks = self._clock + 1 + order[ends]  # each run's last clock
+        hits = sum(map(_lru_step,
+                       map(self._tags.__getitem__, run_sets),
+                       map(self._stamp.__getitem__, run_sets),
+                       run_lines.tolist(), run_clocks.tolist()))
+        misses = len(run_sets) - hits
         self._clock += n
         self._raw_accesses += n
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        boundaries = np.flatnonzero(sorted_sets[1:] != sorted_sets[:-1]) + 1
-        misses = 0
-        for group in np.split(order, boundaries):
-            set_idx = int(sets[group[0]])
-            tags = self._tags[set_idx].tolist()
-            stamps = self._stamp[set_idx].tolist()
-            for i in group:
-                line = int(lines[i])
-                clock = int(clocks[i])
-                try:
-                    way = tags.index(line)
-                except ValueError:
-                    misses += 1
-                    way = stamps.index(min(stamps))
-                    tags[way] = line
-                stamps[way] = clock
-            self._tags[set_idx] = tags
-            self._stamp[set_idx] = stamps
         self._raw_misses += misses
         return misses
 
@@ -163,12 +193,12 @@ class CacheSimulator:
         self._raw_misses = 0
         self._skip = 0
         self._clock = 0
-        self._stamp[:] = 0
+        self._stamp = self._rows(0)
 
     def reset(self) -> None:
         """Full reset: counters, sampling state, and cache contents."""
         self.reset_counters()
-        self._tags[:] = -1
+        self._tags = self._rows(-1)
 
 
 class AddressSpace:
@@ -188,9 +218,12 @@ class AddressSpace:
         self._next = 0
 
     def alloc(self, words: int, contiguous_with_previous: bool = False) -> int:
-        """Reserve ``words`` cells; returns the base address."""
+        """Reserve ``words`` (non-negative) cells; returns the base address."""
+        words = int(words)
+        if words < 0:
+            raise ValueError(f"words must be non-negative, got {words}")
         if not contiguous_with_previous:
             self._next += self.SCATTER_GAP
         base = self._next
-        self._next += int(words)
+        self._next += words
         return base

@@ -424,11 +424,11 @@ class CostTracker:
         """Feed an ordered batch of addresses to the cache simulator.
 
         Equivalent to calling :meth:`access` once per element in order ---
-        the simulator replays the stream through its vectorized
-        :meth:`~repro.machine.cache.CacheSimulator.access_many`, so miss
-        counts, LRU state, and sampling phase come out identical.  This is
-        how the batch peeling engine preserves cache-simulation exactness
-        while charging per batch.
+        the simulator replays the whole stream in one
+        :meth:`~repro.machine.cache.CacheSimulator.access_many` call, so
+        miss counts, LRU state, and sampling phase come out identical.
+        This is how the batch peeling engine preserves cache-simulation
+        exactness while charging per batch.
         """
         if self._access_sink is not None:
             self._access_sink.extend(int(a) for a in addresses)

@@ -37,46 +37,6 @@ def build_table(r=2, s=3, **layout):
                        address_space=AddressSpace(), **layout), cliques
 
 
-class TestCacheAccessMany:
-    @pytest.mark.parametrize("sample", [1, 3, 13])
-    def test_equivalent_to_scalar_loop(self, sample):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 50_000, size=700)
-        a = CacheSimulator(sample=sample)
-        b = CacheSimulator(sample=sample)
-        for x in addrs:
-            a.access(int(x))
-        b.access_many(addrs)
-        assert a.misses == b.misses
-        assert a.accesses == b.accesses
-        assert np.array_equal(a._tags, b._tags)
-        assert np.array_equal(a._stamp, b._stamp)
-
-    @pytest.mark.parametrize("sample", [1, 4])
-    def test_interleaved_with_scalar_accesses(self, sample):
-        """Batched and scalar accesses mix freely: sampling phase and LRU
-        clocks carry across the boundary."""
-        rng = np.random.default_rng(1)
-        chunks = [rng.integers(0, 9_000, size=k) for k in (7, 1, 120, 3)]
-        a = CacheSimulator(sample=sample)
-        b = CacheSimulator(sample=sample)
-        for i, chunk in enumerate(chunks):
-            for x in chunk:
-                a.access(int(x))
-            if i % 2:
-                b.access_many(chunk)
-            else:
-                for x in chunk:
-                    b.access(int(x))
-        assert a.misses == b.misses
-        assert np.array_equal(a._stamp, b._stamp)
-
-    def test_empty_batch(self):
-        sim = CacheSimulator()
-        assert sim.access_many(np.empty(0, dtype=np.int64)) == 0
-        assert sim.accesses == 0
-
-
 class TestHashAndEncodeMany:
     def test_hash64_many_matches_scalar(self):
         keys = np.arange(0, 4000, 7, dtype=np.uint64)
