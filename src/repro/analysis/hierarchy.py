@@ -76,8 +76,7 @@ class NucleusHierarchy:
 
 def build_hierarchy(graph: CSRGraph, result: NucleusResult,
                     method: str = "union_find",
-                    tracker: CostTracker | None = None,
-                    s_cliques=None) -> NucleusHierarchy:
+                    tracker: CostTracker | None = None) -> NucleusHierarchy:
     """Refine a decomposition into the connected-nucleus hierarchy.
 
     Enumerates the graph's s-cliques once, then for each core level groups
@@ -88,11 +87,10 @@ def build_hierarchy(graph: CSRGraph, result: NucleusResult,
     space/connectivity work the paper's footnote 2 refers to).
 
     The s-clique enumeration runs the frontier lister (its reference
-    recursion when the tracker asks for it); alternatively pass
-    ``s_cliques`` (an iterable of vertex tuples) to skip the re-listing
-    entirely.  This per-level rescan is the differential *oracle* for the
-    level-batched engine in :mod:`repro.analysis.construct`, which is
-    what production callers should use.
+    recursion when the tracker asks for it).  This per-level rescan is
+    the differential *oracle* for the level-batched engine in
+    :mod:`repro.analysis.construct`, which is what production callers
+    should use.
     """
     if method not in ("union_find", "shiloach_vishkin"):
         raise ValueError("method must be 'union_find' or "
@@ -101,13 +99,9 @@ def build_hierarchy(graph: CSRGraph, result: NucleusResult,
     cores = result.as_dict()
     cliques = sorted(cores)
     index = {clique: i for i, clique in enumerate(cliques)}
-    if s_cliques is None:
-        dg, _ = orient(graph, "degeneracy", tracker)
-        s_cliques = [tuple(sorted(int(x) for x in row))
-                     for row in collect_cliques(dg, s, tracker)]
-    else:
-        s_cliques = [tuple(sorted(int(x) for x in clique))
-                     for clique in s_cliques]
+    dg, _ = orient(graph, "degeneracy", tracker)
+    s_cliques = [tuple(sorted(int(x) for x in row))
+                 for row in collect_cliques(dg, s, tracker)]
     s_members = [[index[sub] for sub in combinations(big, r)]
                  for big in s_cliques]
 

@@ -70,7 +70,7 @@ def _load_graph(args):
             return read_edge_list(args.input), args.input
         except (OSError, ValueError) as exc:
             _usage_error(exc)
-    raise SystemExit("provide --input FILE or --dataset NAME")
+    _usage_error("provide --input FILE or --dataset NAME")
 
 
 def _run_config(args, graph) -> NucleusConfig:
@@ -191,8 +191,8 @@ def _cmd_figure(args) -> int:
         "fig15": figures.fig15,
     }
     if args.name not in drivers:
-        raise SystemExit(f"unknown figure {args.name!r}; "
-                         f"options: {sorted(set(drivers))}")
+        _usage_error(f"unknown figure {args.name!r}; "
+                     f"options: {sorted(set(drivers))}")
     print(drivers[args.name]().show())
     return 0
 
@@ -409,7 +409,7 @@ def _cmd_hierarchy(args) -> int:
               f"{args.load}: {len(hierarchy)} nuclei")
     else:
         if args.r is None or args.s is None:
-            raise SystemExit("provide --r and --s (or --load FILE)")
+            _usage_error("provide --r and --s (or --load FILE)")
         graph, name = _load_graph(args)
         config = _run_config(args, graph)
         tracker = CostTracker()

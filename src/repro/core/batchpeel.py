@@ -1,12 +1,13 @@
 """The vectorized peeling kernel: how ARB-NUCLEUS-DECOMP peels.
 
-The scalar peel loop in :mod:`repro.core.decomp` (the reference oracle)
+The scalar peel round in :mod:`repro.core.decomp` (the reference oracle)
 executes one Python-level ``decode`` / intersection / ``combinations``
 chain per peeled r-clique; on large frontiers the interpreter overhead
 dwarfs the algorithm.  This kernel processes each peeled bucket as flat
-numpy arrays instead, in blocks of :data:`PEEL_BLOCK_TASKS` tasks.
+numpy arrays instead, in blocks of :data:`PEEL_BLOCK_TASKS` tasks; the
+round loop around it is :func:`repro.core.decomp.peel_rounds`.
 :func:`update_block` is UPDATE (Algorithm 2, lines 13-18) for one block,
-and both peels run it --- this module's :func:`peel_batch` and the
+and both peels run it --- this module's :func:`peel_round_batch` and the
 sharded local round
 (:func:`repro.distributed.batchexchange.local_round_batch`): batch
 decode, the live neighbor segments of the
@@ -52,7 +53,6 @@ detector's shadow arrays and per-task ownership only exist there).
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -72,30 +72,23 @@ PEEL_BLOCK_TASKS = 256
 #: both paths and compares them; every top-level function of a ``batch*``
 #: module that takes a ``tracker`` needs an entry.
 PARLINT_PARITY = {
-    "peel_batch": "repro.core.decomp._peel_scalar",
+    "peel_round_batch": "repro.core.decomp._peel_round",
+    "contract_round_batch": "repro.core.decomp._contract_round",
     "_edges_alive_many": "repro.core.tables.CliqueTable.cell_of",
     "update_block": "repro.core.decomp._update_one",
 }
 
 
-def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
-               status, last_round, cores, contraction, config,
-               tracker: CostTracker, n_r: int, r: int, s: int,
-               fractional: bool) -> tuple[int, int, list]:
-    """Run the peeling phase vectorized; returns (rho, max_core, log).
-
-    Mirrors the scalar loop round for round: same bucket extractions, same
-    begin_round/settle/finish_round sequence, same contraction triggers.
-    """
-    subsets_per_s = comb(s, r)
+def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
+                     dg, working, table, aggregator, status, last_round,
+                     threads: int, fractional: bool, r: int, s: int,
+                     tracker: CostTracker) -> None:
+    """One round's UPDATE region, vectorized: the peeled cells run through
+    :func:`update_block` in blocks of :data:`PEEL_BLOCK_TASKS` tasks, in
+    task order.  Same arguments, charges and effects as the scalar oracle
+    :func:`repro.core.decomp._peel_round`."""
     comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
-    task_span = _log2(graph.n) * (s - r + 1)
     cache_on = tracker.cache is not None
-    finished = 0
-    rho = 0
-    round_id = 0
-    max_core = 0
-    round_log: list[tuple[int, int, int]] = []
 
     def apply(row_task, cells, state, live, representative):
         """UPDATE-FUNC's count updates (Algorithm 2, lines 5-12) for one
@@ -136,7 +129,7 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
             # Thread ids come from the task's index within the whole round.
             aggregator.record_many(
                 record_cells, row_task[update_row_of[record_mask]]
-                % config.threads, address_sink=sink)
+                % threads, address_sink=sink)
         if not cache_on:
             return None
 
@@ -156,46 +149,32 @@ def peel_batch(*, graph, dg, working, table, buckets, aggregator, meter,
         np.add.at(row_lens, update_row_of, update_lens)
         return update_flat, row_lens
 
-    while finished < n_r:
-        level, peel_cells = buckets.next_bucket()
-        rho += 1
-        tracker.add_round()
-        max_core = max(max_core, level)
-        cores[peel_cells] = level
-        status[peel_cells] = _PEELING
-        finished += peel_cells.size
-        estimate = int(peel_cells.size) * max(1, level) * \
-            max(1, subsets_per_s - 1)
-        aggregator.begin_round(int(peel_cells.size), estimate)
+    with tracker.parallel(int(peel_cells.size)) as region:
+        for base in range(0, int(peel_cells.size), PEEL_BLOCK_TASKS):
+            update_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
+                         comb_cols, dg, working, table, status, apply, r, s,
+                         tracker)
+        # One O(log n) intersection per completion level.
+        region.task_span(_log2(graph_n) * (s - r + 1))
 
-        with tracker.parallel(int(peel_cells.size)) as region:
-            for base in range(0, int(peel_cells.size), PEEL_BLOCK_TASKS):
-                update_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
-                             comb_cols, dg, working, table, status, apply,
-                             r, s, tracker)
-            region.task_span(task_span)
 
-        meter.settle(tracker)
-        updated = aggregator.finish_round()
-        round_log.append((level, int(peel_cells.size), int(updated.size)))
-        status[peel_cells] = _PEELED
-        if updated.size:
-            new_values = np.rint(table.counts[updated]).astype(np.int64)
-            buckets.update(updated, new_values)
-        if contraction is not None:
-            edges, dec_addrs, _ = table.decode_many(
-                peel_cells, collect_addresses=cache_on)
-            if cache_on:
-                tracker.access_sequence(dec_addrs)
-            for u, v in edges:
-                contraction.note_peeled_edge(int(u), int(v))
-            contraction.maybe_contract(
-                lambda a, b: status[table.cell_of(
-                    (a, b) if a < b else (b, a))] != _PEELED,
-                edges_alive_many=lambda pairs: _edges_alive_many(
-                    pairs, table, status, tracker, cache_on))
-        round_id += 1
-    return rho, max_core, round_log
+def contract_round_batch(peel_cells: np.ndarray, contraction, table, status,
+                         tracker: CostTracker) -> None:
+    """Graph contraction after a round (Section 5.6), batched: one
+    ``decode_many`` for the peeled edges (its addresses replayed in scalar
+    order) and :func:`_edges_alive_many` for the liveness checks.  Same
+    charges as the scalar oracle :func:`repro.core.decomp._contract_round`.
+    """
+    cache_on = tracker.cache is not None
+    edges, dec_addrs, _ = table.decode_many(peel_cells,
+                                            collect_addresses=cache_on)
+    if cache_on:
+        tracker.access_sequence(dec_addrs)
+    for u, v in edges:
+        contraction.note_peeled_edge(int(u), int(v))
+    contraction.maybe_contract(
+        None, edges_alive_many=lambda pairs: _edges_alive_many(
+            pairs, table, status, tracker, cache_on))
 
 
 def _edges_alive_many(pairs, table, status, tracker, cache_on) -> np.ndarray:

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..bucketing import BUCKETING_BACKENDS
 from ..cliques.encode import min_levels
+from ..cliques.orient import _ORDERINGS
+from .aggregation import AGGREGATORS
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,26 @@ class NucleusConfig:
         """Check the configuration against a concrete problem instance.
 
         Raises ``ValueError`` naming the field on impossible values and
-        combinations; widens the table automatically when one-level keys
+        combinations, and on a choice field holding none of its options
+        (checked before any adjustment, so no field is silently
+        replaced); widens the table automatically when one-level keys
         cannot fit (the paper's infeasibility point for large r),
         returning a possibly-adjusted copy.
         """
         if not 1 <= r < s:
             raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
-        if self.update_arithmetic not in ("fractional", "representative"):
-            raise ValueError(f"update_arithmetic must be 'fractional' or "
-                             f"'representative', got "
-                             f"{self.update_arithmetic!r}")
+        choices = {
+            "update_arithmetic": ("fractional", "representative"),
+            "aggregation": AGGREGATORS,
+            "bucketing": BUCKETING_BACKENDS,
+            "orientation": _ORDERINGS,
+            "table_style": ("array", "hash"),
+            "inverse_map": ("binary_search", "stored_pointers"),
+        }
+        for field, options in choices.items():
+            if getattr(self, field) not in options:
+                raise ValueError(f"{field} must be one of {sorted(options)}, "
+                                 f"got {getattr(self, field)!r}")
         for field in ("levels", "threads", "buffer_size", "bucket_window"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be at least 1, got "

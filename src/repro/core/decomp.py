@@ -40,7 +40,7 @@ from ..parallel.primitives import intersect_many
 from ..parallel.runtime import CostTracker, _log2
 from ..sanitize.racecheck import maybe_shadow
 from .aggregation import make_aggregator
-from .batchpeel import peel_batch
+from .batchpeel import contract_round_batch, peel_round_batch
 from .config import NucleusConfig
 from .tables import CliqueTable
 
@@ -230,27 +230,14 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
     """
     prep = prepare_decomposition(graph, r, s, config, tracker)
     config, tracker = prep.config, prep.tracker
-    work_graph, dg, table = prep.work_graph, prep.dg, prep.table
-    original_of, n_r, n_s = prep.original_of, prep.n_r, prep.n_s
+    dg, table = prep.dg, prep.table
 
-    if n_r == 0:
-        table.tracker = None
-        return NucleusResult(r, s, 0, 0, 0, 0, table.memory_units, tracker,
-                             config, [], np.array([], dtype=np.int64),
-                             np.array([], dtype=np.int64), table, dg,
-                             original_of)
-
-    # -- Phase 4: bucket and peel (lines 23-29).
-    cells = table.occupied_cells()
-    counts0 = np.rint(table.counts[cells]).astype(np.int64)
-    with tracker.phase("bucket"):
-        buckets = make_bucketing(config.bucketing, cells, counts0,
-                                 tracker=tracker, window=config.bucket_window)
-    # Shared peeling state.  Under race checking (repro.sanitize) the
-    # arrays are shadow-wrapped: ``status``/``cores`` are written only at
-    # round barriers and read inside tasks (plain accesses), while the
-    # first-touch stamp ``last_round`` is test-and-set state that the real
-    # implementation mediates with a CAS, hence ``atomic=True``.
+    # -- Phase 4: bucket and peel (lines 23-29).  Shared peeling state.
+    # Under race checking (repro.sanitize) the arrays are shadow-wrapped:
+    # ``status``/``cores`` are written only at round barriers and read
+    # inside tasks (plain accesses), while the first-touch stamp
+    # ``last_round`` is test-and-set state that the real implementation
+    # mediates with a CAS, hence ``atomic=True``.
     status = maybe_shadow(np.zeros(table.total_cells, dtype=np.int8),
                           tracker, label="status")
     last_round = maybe_shadow(np.full(table.total_cells, -1, dtype=np.int64),
@@ -261,36 +248,83 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
     aggregator = make_aggregator(
         config.aggregation, table.total_cells, threads=config.threads,
         tracker=tracker, meter=meter, buffer_size=config.buffer_size)
+    working = WorkingGraph(prep.work_graph)
+    reference = tracker.runs_reference
+    peel_round = _peel_round if reference else peel_round_batch
+    fractional = config.update_arithmetic == "fractional"
+    subsets_per_s = comb(s, r)
 
-    working = WorkingGraph(work_graph)
-    contraction = None
+    def step(round_id, level, peel_cells):
+        """One round's UPDATE inside the aggregator's round (Section 5.5);
+        returns the updated set ``U``."""
+        peeled = int(peel_cells.size)
+        aggregator.begin_round(
+            peeled, peeled * max(1, level) * max(1, subsets_per_s - 1))
+        peel_round(round_id, peel_cells, graph.n, dg, working, table,
+                   aggregator, status, last_round, config.threads,
+                   fractional, r, s, tracker)
+        meter.settle(tracker)
+        return aggregator.finish_round()
+
+    after_round = None
     if config.contraction and (r, s) == (2, 3):
         contraction = ContractionManager(working, tracker)
+        contract = _contract_round if reference else contract_round_batch
 
-    fractional = config.update_arithmetic == "fractional"
+        def after_round(peel_cells):
+            contract(peel_cells, contraction, table, status, tracker)
 
-    with tracker.phase("peel"):
-        if tracker.runs_reference:
-            rho, max_core, round_log = _peel_scalar(
-                graph, dg, working, table, buckets, aggregator, meter,
-                status, last_round, cores, contraction, config, tracker,
-                n_r, r, s, fractional)
-        else:
-            rho, max_core, round_log = peel_batch(
-                graph=graph, dg=dg, working=working, table=table,
-                buckets=buckets, aggregator=aggregator, meter=meter,
-                status=status, last_round=last_round, cores=cores,
-                contraction=contraction, config=config, tracker=tracker,
-                n_r=n_r, r=r, s=s, fractional=fractional)
-
+    cells = table.occupied_cells()
+    counts = np.rint(table.counts[cells]).astype(np.int64)
+    with tracker.phase("bucket"):
+        buckets = make_bucketing(config.bucketing, cells, counts,
+                                 tracker=tracker, window=config.bucket_window)
+    rho, max_core, round_log = peel_rounds(buckets, table, status, cores,
+                                           step, tracker, after_round)
     table.tracker = None  # post-run queries should not keep charging
-    order = np.argsort(cells, kind="stable")
     return NucleusResult(
-        r=r, s=s, n_r_cliques=n_r, n_s_cliques=n_s, rho=rho,
+        r=r, s=s, n_r_cliques=prep.n_r, n_s_cliques=prep.n_s, rho=rho,
         max_core=max_core, table_memory_units=table.memory_units,
         tracker=tracker, config=config, round_log=round_log,
-        _cells=cells[order], _cores=cores[cells[order]], _table=table,
-        _dg=dg, _original_of=original_of)
+        _cells=cells, _cores=cores[cells], _table=table, _dg=dg,
+        _original_of=prep.original_of)
+
+
+def peel_rounds(buckets, table: CliqueTable, status, cores, step,
+                tracker: CostTracker,
+                after_round=None) -> tuple[int, int, list]:
+    """Algorithm 2's peeling phase (lines 23-29): the round loop of every
+    peel, single-node and sharded, in the ``peel`` phase.
+
+    Until ``buckets`` is empty, a round extracts the minimum bucket, gives
+    its r-cliques that level as their core number and marks them
+    PEELING, and runs ``step(round_id, level, peel_cells)`` --- the
+    peel's UPDATE, which returns the cells whose counts changed.  It then
+    marks the bucket PEELED, re-buckets the changed cells from the
+    table's counts, and calls ``after_round(peel_cells)`` if given.
+
+    Returns ``(rho, max_core, round_log)``, one ``(level, peeled,
+    updated)`` log entry per round.
+    """
+    rho = max_core = 0
+    round_log: list[tuple[int, int, int]] = []
+    with tracker.phase("peel"):
+        while len(buckets):
+            level, peel_cells = buckets.next_bucket()
+            tracker.add_round()
+            max_core = max(max_core, level)
+            cores[peel_cells] = level
+            status[peel_cells] = _PEELING
+            updated = step(rho, level, peel_cells)
+            round_log.append((level, int(peel_cells.size), int(updated.size)))
+            status[peel_cells] = _PEELED
+            if updated.size:
+                buckets.update(updated,
+                               np.rint(table.counts[updated]).astype(np.int64))
+            if after_round is not None:
+                after_round(peel_cells)
+            rho += 1
+    return rho, max_core, round_log
 
 
 def _count_scalar(dg, table, r: int, s: int, relabeled: bool,
@@ -318,30 +352,24 @@ def _count_scalar(dg, table, r: int, s: int, relabeled: bool,
     return list_cliques(dg, s, count_func, tracker)
 
 
-def _peel_scalar(graph, dg, working, table, buckets, aggregator, meter,
-                 status, last_round, cores, contraction, config,
-                 tracker: CostTracker, n_r: int, r: int, s: int,
-                 fractional: bool) -> tuple[int, int, list]:
-    """The per-clique peeling loop (Algorithm 2, lines 23-29).
+def _peel_round(round_id: int, peel_cells: np.ndarray, graph_n: int, dg,
+                working, table, aggregator, status, last_round, threads: int,
+                fractional: bool, r: int, s: int,
+                tracker: CostTracker) -> None:
+    """One round's UPDATE region (Algorithm 2, lines 24-28), one peeled
+    r-clique per task.
 
-    The reference oracle the batch kernel (:mod:`repro.core.batchpeel`)
-    must match cost-for-cost; keep the two in lockstep when changing
-    charges.  Runs when the tracker
+    The reference oracle of :func:`repro.core.batchpeel.peel_round_batch`,
+    which must match it cost for cost.  Runs when the tracker
     :attr:`~repro.parallel.runtime.CostTracker.runs_reference` (race
     detector attached, or a test or the bench gate asking for the
     reference).
     """
-    subsets_per_s = comb(s, r)
-    finished = 0
-    rho = 0
-    round_id = 0
-    max_core = 0
-    round_log: list[tuple[int, int, int]] = []
 
     def apply(alive_cells, n_peeling, representative):
         """UPDATE-FUNC's count updates (Algorithm 2, lines 5-12) for one
-        surviving s-clique of the current task (``thread`` and
-        ``round_id`` are the loops' current values)."""
+        surviving s-clique of the current task (``thread`` is the loop's
+        current value)."""
         if fractional:
             delta = -1.0 / n_peeling
         elif representative:
@@ -360,44 +388,29 @@ def _peel_scalar(graph, dg, working, table, buckets, aggregator, meter,
                 last_round[cell] = round_id
                 aggregator.record(int(cell), thread)
 
-    while finished < n_r:
-        level, peel_cells = buckets.next_bucket()
-        rho += 1
-        tracker.add_round()
-        max_core = max(max_core, level)
-        cores[peel_cells] = level
-        status[peel_cells] = _PEELING
-        finished += peel_cells.size
-        estimate = int(peel_cells.size) * max(1, level) * \
-            max(1, subsets_per_s - 1)
-        aggregator.begin_round(int(peel_cells.size), estimate)
+    with tracker.parallel(int(peel_cells.size)) as region:
+        for task, cell in enumerate(peel_cells):
+            thread = task % threads
+            with region.task():
+                clique = table.decode(int(cell))
+                _update_one(table, dg, working, clique, r, s, status, apply,
+                            tracker)
+                # One O(log n) intersection per completion level.
+                tracker.add_span(_log2(graph_n) * (s - r + 1))
 
-        with tracker.parallel(int(peel_cells.size)) as region:
-            for task, cell in enumerate(peel_cells):
-                thread = task % config.threads
-                with region.task():
-                    clique = table.decode(int(cell))
-                    _update_one(table, dg, working, clique, r, s, status,
-                                apply, tracker)
-                    # One O(log n) intersection per completion level.
-                    tracker.add_span(_log2(graph.n) * (s - r + 1))
 
-        meter.settle(tracker)
-        updated = aggregator.finish_round()
-        round_log.append((level, int(peel_cells.size), int(updated.size)))
-        status[peel_cells] = _PEELED
-        if updated.size:
-            new_values = np.rint(table.counts[updated]).astype(np.int64)
-            buckets.update(updated, new_values)
-        if contraction is not None:
-            for cell in peel_cells:
-                u, v = table.decode(int(cell))
-                contraction.note_peeled_edge(u, v)
-            contraction.maybe_contract(
-                lambda a, b: status[table.cell_of(
-                    (a, b) if a < b else (b, a))] != _PEELED)
-        round_id += 1
-    return rho, max_core, round_log
+def _contract_round(peel_cells: np.ndarray, contraction, table, status,
+                    tracker: CostTracker) -> None:
+    """Graph contraction after a round (Section 5.6), one peeled edge at a
+    time --- the reference oracle of
+    :func:`repro.core.batchpeel.contract_round_batch` (here ``table`` and
+    ``contraction`` charge ``tracker`` themselves)."""
+    for cell in peel_cells:
+        u, v = table.decode(int(cell))
+        contraction.note_peeled_edge(u, v)
+    contraction.maybe_contract(
+        lambda a, b: status[table.cell_of((a, b) if a < b else (b, a))]
+        != _PEELED)
 
 
 def _update_one(table: CliqueTable, dg: DirectedGraph, working: WorkingGraph,

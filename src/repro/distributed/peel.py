@@ -5,15 +5,17 @@ The distributed execution model (docs/sharding.md):
 * the graph itself is replicated read-only on every shard; the clique
   table's *count cells* are partitioned by owner --- the shard of the
   r-clique's minimum vertex under the chosen vertex partition;
-* peeling proceeds in BSP super-rounds that mirror the single-node
-  bucket rounds exactly: each shard re-discovers the s-cliques incident
-  to the peeled r-cliques *it owns* (``local_peel`` phase), applying
-  count decrements for owned cells directly and buffering decrements for
-  remote cells in a per-shard outbox;
-* between rounds, one batched ``exchange`` ships every outbox to the
-  owning shards --- one message per (source, destination) pair, priced by
-  the charged communication term (:meth:`MachineModel.comm_cost`) --- and
-  the owners apply the deltas before re-bucketing.
+* peeling runs the single-node round loop
+  (:func:`~repro.core.decomp.peel_rounds`), so its BSP super-rounds are
+  the single-node bucket rounds exactly; only the round's step differs:
+  each shard re-discovers the s-cliques incident to the peeled r-cliques
+  *it owns* (``local_peel`` phase), applying count decrements for owned
+  cells directly and buffering decrements for remote cells in a
+  per-shard outbox;
+* then one batched ``exchange`` ships every outbox to the owning shards
+  --- one message per (source, destination) pair, priced by the charged
+  communication term (:meth:`MachineModel.comm_cost`) --- and the owners
+  apply the deltas before the loop re-buckets.
 
 Because the driver forces ``update_arithmetic="representative"`` (exact
 integer deltas, so the floating-point count sums are independent of
@@ -43,7 +45,7 @@ import numpy as np
 
 from ..bucketing import make_bucketing
 from ..core.config import NucleusConfig
-from ..core.decomp import (_PEELED, _PEELING, CoreReport, _update_one,
+from ..core.decomp import (CoreReport, _update_one, peel_rounds,
                            prepare_decomposition)
 from ..core.tables import CliqueTable
 from ..graph.contraction import WorkingGraph
@@ -222,15 +224,10 @@ def _exchange_scalar(cells, deltas, owner_of, ledger, dst_trackers,
         entries = end - start
         tracker.add_work_int(entries)  # serialize the batch
         tracker.add_comm(1, entries * ENTRY_BYTES)
-        receiver = dst_trackers[dst]
         for i in order[start:end]:
-            cell = int(cells[i])
-            receiver.add_work_int(1)  # deserialize + locate the cell
-            receiver.add_atomic(1)  # the owner's fetch-and-subtract
-            ledger.counts[cell] -= int(deltas[i])
-            if ledger.stamp[cell] != ledger.round_id:
-                ledger.stamp[cell] = ledger.round_id
-                ledger.updated.append(cell)
+            # The receiver locates the cell and fetch-and-subtracts.
+            ledger.fetch_sub(int(cells[i]), int(deltas[i]),
+                             dst_trackers[dst])
         messages += 1
         total_bytes += entries * ENTRY_BYTES
         start = end
@@ -294,62 +291,6 @@ def _exchange_round(sts, outboxes, owner_of, ledger) -> tuple[int, int]:
     return total_messages, total_bytes
 
 
-def _peel_sharded(graph_n: int, dg, working, table, buckets, ledger,
-                  outboxes, status, cores, owner_of, sts, config,
-                  tracker: CostTracker, n_r: int, r: int, s: int):
-    """The BSP super-round loop (the sharded Algorithm 2, lines 23-29)."""
-    n_shards = len(sts)
-    finished = 0
-    rho = 0
-    round_id = 0
-    max_core = 0
-    round_log: list[tuple[int, int, int]] = []
-    exchange_log: list[dict] = []
-    round_compute: list[list[tuple[float, float]]] = []
-
-    while finished < n_r:
-        level, peel_cells = buckets.next_bucket()
-        rho += 1
-        tracker.add_round()
-        max_core = max(max_core, level)
-        cores[peel_cells] = level
-        status[peel_cells] = _PEELING
-        finished += peel_cells.size
-        ledger.begin_round(round_id)
-        starts = [(st.total.work, st.span) for st in sts]
-        peel_owner = owner_of[peel_cells]
-        for shard in range(n_shards):
-            outboxes[shard].begin_round(round_id)
-            mine = peel_cells[peel_owner == shard]
-            if mine.size == 0:
-                continue
-            table.tracker = sts[shard]
-            if sts[shard].runs_reference:
-                _local_round(shard, mine, r, s, graph_n, table, dg, working,
-                             status, owner_of, ledger, outboxes[shard],
-                             sts[shard])
-            else:
-                local_round_batch(shard, mine, r, s, graph_n, table, dg,
-                                  working, status, owner_of, ledger,
-                                  outboxes[shard], sts[shard])
-        table.tracker = None
-        messages, n_bytes = _exchange_round(sts, outboxes, owner_of, ledger)
-        exchange_log.append({"round": round_id, "level": int(level),
-                             "messages": messages, "bytes": n_bytes})
-        round_compute.append(
-            [(st.total.work - w0, st.span - s0)
-             for st, (w0, s0) in zip(sts, starts)])
-        updated = np.asarray(ledger.updated, dtype=np.int64)
-        round_log.append((int(level), int(peel_cells.size),
-                          int(updated.size)))
-        status[peel_cells] = _PEELED
-        if updated.size:
-            new_values = np.rint(ledger.counts[updated]).astype(np.int64)
-            buckets.update(updated, new_values)
-        round_id += 1
-    return rho, max_core, round_log, exchange_log, round_compute
-
-
 def _check_partition(partition: Partition, n: int, n_shards: int) -> None:
     """Reject a partition that does not map ``n`` vertices to shards
     ``0 .. n_shards - 1``."""
@@ -386,10 +327,11 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     output is bit-for-bit identical to
     :func:`~repro.core.decomp.arb_nucleus_decomp` on the same graph.
 
-    ``update_arithmetic`` is forced to ``"representative"`` (exact
-    integer deltas commute across shards) and ``contraction`` off (a
-    shared-memory-only optimization).  Shard trackers inherit the
-    coordinator's ``race_detector`` and ``reference`` settings.
+    ``config`` is validated as on one node, then ``update_arithmetic``
+    is forced to ``"representative"`` (exact integer deltas commute
+    across shards) and ``contraction`` off (a shared-memory-only
+    optimization).  Shard trackers inherit the coordinator's
+    ``race_detector`` and ``reference`` settings.
 
     A caller-supplied ``partition`` must give every vertex of ``graph``
     an integer shard id in ``[0, n_shards)``; anything else raises
@@ -404,8 +346,8 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         _check_partition(partition, graph.n, n_shards)
     if config is None:
         config = NucleusConfig.optimal(r, s)
-    config = replace(config, update_arithmetic="representative",
-                     contraction=False)
+    config = replace(config.validated(graph.n, r, s),
+                     update_arithmetic="representative", contraction=False)
     prep = prepare_decomposition(graph, r, s, config, tracker)
     config, tracker = prep.config, prep.tracker
     work_graph, dg, table = prep.work_graph, prep.dg, prep.table
@@ -427,13 +369,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         for st, recorder in zip(shard_trackers, shard_traces):
             st.trace = recorder
 
-    if n_r == 0:
-        return ShardedResult(
-            r, s, n_shards, 0, 0, 0, 0, tracker, shard_trackers, partition,
-            config, [], [], [], 0, 0, shard_traces,
-            np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-            table, original_of)
-
     cells = table.occupied_cells()
     with tracker.phase("shard_map"):
         # Cell ownership: the shard of the r-clique's minimum vertex (in
@@ -443,10 +378,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         shard_of_work = partition.shard_of[original_of]
         owner_of = np.full(table.total_cells, -1, dtype=np.int64)
         owner_of[cells] = shard_of_work[np.min(cliques, axis=1)]
-    counts0 = np.rint(table.counts[cells]).astype(np.int64)
-    with tracker.phase("bucket"):
-        buckets = make_bucketing(config.bucketing, cells, counts0,
-                                 tracker=tracker, window=config.bucket_window)
 
     status = maybe_shadow(np.zeros(table.total_cells, dtype=np.int8),
                           tracker, label="status")
@@ -455,18 +386,43 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     ledger = UpdateLedger(table.counts)
     outboxes = [ExchangeBuffer(table.total_cells) for _ in range(n_shards)]
     working = WorkingGraph(work_graph)
+    exchange_log: list[dict] = []
+    round_compute: list[list[tuple[float, float]]] = []
 
-    # Per-shard charges are explicit during peeling; the table's own
-    # tracker is re-pointed at the active shard inside each local round.
-    table.tracker = None
-    with tracker.phase("peel"):
-        rho, max_core, round_log, exchange_log, round_compute = \
-            _peel_sharded(graph.n, dg, working, table, buckets, ledger,
-                          outboxes, status, cores, owner_of, shard_trackers,
-                          config, tracker, n_r, r, s)
+    def step(round_id, level, peel_cells):
+        """One BSP super-round: every shard's local peel of the cells it
+        owns, then the exchange; returns the ledger's updated set."""
+        ledger.begin_round(round_id)
+        starts = [(st.total.work, st.span) for st in shard_trackers]
+        peel_owner = owner_of[peel_cells]
+        for shard, st in enumerate(shard_trackers):
+            outboxes[shard].begin_round(round_id)
+            mine = peel_cells[peel_owner == shard]
+            if mine.size == 0:
+                continue
+            # The table's own charges go to the active shard.
+            table.tracker = st
+            local_round = (_local_round if st.runs_reference
+                           else local_round_batch)
+            local_round(shard, mine, r, s, graph.n, table, dg, working,
+                        status, owner_of, ledger, outboxes[shard], st)
+        table.tracker = None
+        messages, n_bytes = _exchange_round(shard_trackers, outboxes,
+                                            owner_of, ledger)
+        exchange_log.append({"round": round_id, "level": int(level),
+                             "messages": messages, "bytes": n_bytes})
+        round_compute.append(
+            [(st.total.work - w0, st.span - s0)
+             for st, (w0, s0) in zip(shard_trackers, starts)])
+        return np.asarray(ledger.updated, dtype=np.int64)
 
+    counts = np.rint(table.counts[cells]).astype(np.int64)
+    with tracker.phase("bucket"):
+        buckets = make_bucketing(config.bucketing, cells, counts,
+                                 tracker=tracker, window=config.bucket_window)
+    rho, max_core, round_log = peel_rounds(buckets, table, status, cores,
+                                           step, tracker)
     table.tracker = None  # post-run queries should not keep charging
-    order = np.argsort(cells, kind="stable")
     return ShardedResult(
         r=r, s=s, n_shards=n_shards, n_r_cliques=n_r, n_s_cliques=n_s,
         rho=rho, max_core=max_core, tracker=tracker,
@@ -475,6 +431,5 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         exchange_log=exchange_log, round_compute=round_compute,
         comm_messages=sum(st.total.comm_messages for st in shard_trackers),
         comm_bytes=sum(st.total.comm_bytes for st in shard_trackers),
-        shard_traces=shard_traces,
-        _cells=cells[order], _cores=cores[cells[order]], _table=table,
-        _original_of=original_of)
+        shard_traces=shard_traces, _cells=cells, _cores=cores[cells],
+        _table=table, _original_of=original_of)

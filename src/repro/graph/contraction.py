@@ -89,7 +89,8 @@ class ContractionManager:
         answers the same question for an ``(m, 2)`` batch of edges at once
         (returning a boolean mask) and must charge the identical simulated
         costs in the identical order as ``m`` ``edge_alive`` calls --- the
-        batch engine supplies one built on ``CliqueTable.lookup_many``.
+        batch engine supplies one built on ``CliqueTable.lookup_many``
+        (and ``edge_alive=None``, which is then unused).
         Rebuild decisions only read each vertex's own adjacency list, so
         batching the liveness checks cannot change which vertices rebuild.
         Returns True if a contraction happened.

@@ -175,10 +175,10 @@ class TestEngineSelection:
         being set; results still match a plain run."""
         plain, _ = _run(fig1, 2, 3, NucleusConfig.optimal(2, 3), False)
 
-        def _forbidden(**_kwargs):
+        def _forbidden(*_args):
             raise AssertionError("batch peel ran under a race detector")
 
-        monkeypatch.setattr("repro.core.decomp.peel_batch", _forbidden)
+        monkeypatch.setattr("repro.core.decomp.peel_round_batch", _forbidden)
         checked, _ = _run(fig1, 2, 3, NucleusConfig.optimal(2, 3), False,
                           detector=True)
         assert plain.rho == checked.rho

@@ -369,6 +369,26 @@ class TestArgumentErrors:
         assert named in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,named", [
+        (["decompose", "--r", "2", "--s", "3"], "--input"),
+        (["stats"], "--input"),
+        (["hierarchy", "--r", "2", "--s", "3"], "--input"),
+        (["profile", "--r", "2", "--s", "3"], "--input"),
+        (["shard", "--r", "2", "--s", "3", "--shards", "2"], "--input"),
+        (["hierarchy", "--dataset", "amazon"], "--r and --s"),
+        (["figure", "fig99"], "fig99"),
+    ], ids=["decompose-source", "stats-source", "hierarchy-source",
+            "profile-source", "shard-source", "hierarchy-rs", "figure"])
+    def test_missing_argument_exits_2(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert named in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_error_inside_a_run_keeps_its_traceback(self, graph_file,
                                                     monkeypatch):
         def broken(*args, **kwargs):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
+from repro.distributed import sharded_nucleus_decomp
 from repro.parallel.runtime import CostTracker
 
 
@@ -84,10 +85,18 @@ class TestValidation:
 @pytest.mark.parametrize("field,value", [
     ("update_arithmetic", "bogus"), ("threads", 0), ("levels", 0),
     ("levels", -1), ("buffer_size", 0), ("bucket_window", 0),
+    ("aggregation", "bogus"), ("bucketing", "bogus"),
+    ("orientation", "bogus"), ("table_style", "bogus"),
+    ("inverse_map", "bogus"),
 ])
 def test_bad_value_rejected_naming_the_field(fig1, field, value, reference):
-    tracker = CostTracker()
-    tracker.reference = reference
-    with pytest.raises(ValueError, match=field):
-        arb_nucleus_decomp(fig1, 2, 3, NucleusConfig(**{field: value}),
-                           tracker)
+    """Both drivers reject the value before any phase runs."""
+    config = NucleusConfig(**{field: value})
+    for run in (lambda t: arb_nucleus_decomp(fig1, 2, 3, config, t),
+                lambda t: sharded_nucleus_decomp(fig1, 2, 3, 2, config=config,
+                                                 tracker=t)):
+        tracker = CostTracker()
+        tracker.reference = reference
+        with pytest.raises(ValueError, match=field):
+            run(tracker)
+        assert tracker.phases == {}

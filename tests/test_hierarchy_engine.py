@@ -16,8 +16,6 @@ import pytest
 
 from repro.analysis.construct import nucleus_hierarchy
 from repro.analysis.hierarchy import build_hierarchy
-from repro.cliques.listing import collect_cliques
-from repro.cliques.orient import orient
 from repro.core.config import NucleusConfig
 from repro.core.decomp import CoreReport, arb_nucleus_decomp
 from repro.graph.csr import CSRGraph, DirectedGraph
@@ -174,15 +172,6 @@ class TestReadsTheDecomposition:
 
 class TestOracleRouting:
     """`build_hierarchy` lists through the frontier lister by default."""
-
-    def test_oracle_accepts_precomputed_cliques(self):
-        graph = figure1_graph()
-        result = arb_nucleus_decomp(graph, 2, 3)
-        dg, _ = orient(graph, "degeneracy")
-        s_cliques = collect_cliques(dg, 3)
-        assert hierarchy_key(build_hierarchy(graph, result)) == \
-            hierarchy_key(build_hierarchy(graph, result,
-                                          s_cliques=s_cliques))
 
     def test_oracle_uses_batch_lister(self, monkeypatch):
         graph = planted_partition(40, 4, 0.5, 0.02, seed=2)

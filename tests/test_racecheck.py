@@ -23,9 +23,12 @@ from repro.sanitize.racecheck import (RaceDetector, RaceError, ShadowArray,
 # region against these stamps; engine kernels must be stamped directly
 # because they fall back to their scalar oracles whenever a detector is
 # attached (see TestBatchEnginesRaceSmoke for what that stamp asserts).
+# The scalar round ``_peel_round`` is stamped directly too: the driver
+# calls it through a local name, which the call graph does not follow.
 RACECHECK_COVERS = [
     "repro.core.decomp.arb_nucleus_decomp",
-    "repro.core.batchpeel.peel_batch",
+    "repro.core.decomp._peel_round",
+    "repro.core.batchpeel.peel_round_batch",
     "repro.distributed.batchexchange.local_round_batch",
 ]
 
@@ -287,9 +290,10 @@ class TestBatchEnginesRaceSmoke:
     certify the replayed schedule race-free.  Together with the
     bit-for-bit batch/scalar cost-parity tests (tests/test_batch_*.py and
     tests/test_parity_registry.py) this is what the ``RACECHECK_COVERS``
-    stamps for ``peel_batch`` and ``local_round_batch`` assert.  The vectorized
-    data-structure methods the kernels call are therefore never reached
-    with a detector-carrying tracker, which the detector runs here pin.
+    stamps for ``peel_round_batch`` and ``local_round_batch`` assert.  The
+    vectorized data-structure methods the kernels call are therefore never
+    reached with a detector-carrying tracker, which the detector runs here
+    pin.
     """
 
     ENGINES = {
