@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..parallel.runtime import CostTracker, _log2
+from .julienne import take_valid
 
 
 class DenseBucketing:
@@ -56,7 +57,6 @@ class DenseBucketing:
             raise IndexError("bucketing structure is empty")
         n_buckets = len(self._buckets)
         start = self._floor
-        found = -1
         # Search regions [start, start+1), [start+1, start+2), [start+2,
         # start+4), ... each with one parallel reduce (log-span charge).
         width = 1
@@ -68,15 +68,13 @@ class DenseBucketing:
                 bucket = self._buckets[value]
                 if not bucket:
                     continue
-                valid = [k for k in bucket
-                         if self.alive[k] and self.values[k] == value]
+                positions = take_valid(bucket, self.alive, self.values,
+                                       value)
                 self._charge(float(len(bucket)))
                 bucket.clear()
-                if valid:
-                    found = value
-                    positions = np.asarray(valid, dtype=np.int64)
+                if positions.size:
                     self.alive[positions] = False
-                    self.remaining -= len(valid)
+                    self.remaining -= positions.size
                     self._floor = value
                     return value, self.ids[positions]
             lo = hi

@@ -19,6 +19,24 @@ import numpy as np
 from ..parallel.runtime import CostTracker, _log2
 
 
+def take_valid(bucket: list[int], alive: np.ndarray, values: np.ndarray,
+               value: int) -> np.ndarray:
+    """The positions of ``bucket`` still valid for extraction at
+    ``value``, each once, in first-entry order.
+
+    Buckets are filtered lazily: an entry is stale once its id is dead or
+    its value has moved, and an id updated to a value it already had
+    holds two valid entries, of which only the first counts.
+    """
+    positions = np.asarray(bucket, dtype=np.int64)
+    positions = positions[alive[positions] & (values[positions] == value)]
+    if positions.size > 1:
+        _, first = np.unique(positions, return_index=True)
+        if first.size < positions.size:
+            positions = positions[np.sort(first)]
+    return positions
+
+
 class JulienneBucketing:
     """Lazy bucket queue materializing a window of the lowest buckets.
 
@@ -36,10 +54,7 @@ class JulienneBucketing:
     def __init__(self, ids, values, window: int = 64,
                  tracker: CostTracker | None = None):
         self.ids = np.asarray(ids, dtype=np.int64)
-        if self.ids.size:
-            self._pos = {int(i): k for k, i in enumerate(self.ids)}
-        else:
-            self._pos = {}
+        self._pos_map: dict[int, int] | None = None
         self._pos_arr: np.ndarray | None = None
         self.values = np.asarray(values, dtype=np.int64).copy()
         if self.values.size != self.ids.size:
@@ -56,6 +71,14 @@ class JulienneBucketing:
             self._refill()
 
     # -- internals ----------------------------------------------------------
+
+    @property
+    def _pos(self) -> dict[int, int]:
+        """id -> position, built on first use: only the per-id update loop
+        and :meth:`value_of` read it."""
+        if self._pos_map is None:
+            self._pos_map = dict(zip(self.ids.tolist(), range(self.ids.size)))
+        return self._pos_map
 
     def _charge(self, work: float) -> None:
         if self.tracker is not None:
@@ -75,12 +98,25 @@ class JulienneBucketing:
         if live.size == 0:
             self._buckets = []
             return
-        vals = self.values[live]
-        self.base = int(vals.min())
+        offsets = self.values[live]
+        self.base = int(offsets.min())
+        offsets -= self.base
+        in_window = offsets < self.window
         self._buckets = [[] for _ in range(self.window)]
-        in_window = live[vals < self.base + self.window]
-        for k in in_window:
-            self._buckets[int(self.values[k]) - self.base].append(int(k))
+        self._append(offsets[in_window], live[in_window])
+
+    def _append(self, offsets: np.ndarray, positions: np.ndarray) -> None:
+        """Append ``positions`` to the window buckets at ``offsets``, in
+        their given order within each bucket (one stable argsort)."""
+        if not offsets.size:
+            return
+        order = np.argsort(offsets, kind="stable")
+        offsets = offsets[order]
+        positions = positions[order].tolist()
+        starts = np.flatnonzero(np.r_[True, offsets[1:] != offsets[:-1]])
+        bounds = starts.tolist() + [len(positions)]
+        for g, offset in enumerate(offsets[starts].tolist()):
+            self._buckets[offset].extend(positions[bounds[g]:bounds[g + 1]])
 
     # -- public API ----------------------------------------------------------
 
@@ -99,17 +135,13 @@ class JulienneBucketing:
                 if not bucket:
                     continue
                 value = self.base + offset
-                # Filter stale entries: an id is valid if it is alive and its
-                # current value still equals this bucket's value.
                 self._charge(float(len(bucket)))
-                valid = [k for k in bucket
-                         if self.alive[k] and self.values[k] == value]
+                positions = take_valid(bucket, self.alive, self.values, value)
                 bucket.clear()
-                if not valid:
+                if not positions.size:
                     continue
-                positions = np.asarray(valid, dtype=np.int64)
                 self.alive[positions] = False
-                self.remaining -= len(valid)
+                self.remaining -= positions.size
                 self.peel_floor = value
                 return value, self.ids[positions]
             self._refill()
@@ -170,17 +202,7 @@ class JulienneBucketing:
             return False
         self.values[positions[live]] = values[live]
         in_window = live & (offsets < self.window)
-        targets = offsets[in_window]
-        moved = positions[in_window]
-        order = np.argsort(targets, kind="stable")  # keeps per-bucket order
-        targets = targets[order]
-        moved = moved[order]
-        starts = np.flatnonzero(
-            np.r_[True, targets[1:] != targets[:-1]]) if targets.size else []
-        for g, start in enumerate(starts):
-            end = starts[g + 1] if g + 1 < len(starts) else targets.size
-            self._buckets[int(targets[start])].extend(
-                moved[start:end].tolist())
+        self._append(offsets[in_window], positions[in_window])
         return True
 
     def _update_slow(self, ids: np.ndarray, new_values: np.ndarray) -> None:

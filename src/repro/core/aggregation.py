@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..parallel.atomics import ContentionMeter
-from ..parallel.hashtable import ParallelHashTable
+from ..parallel.hashtable import EMPTY_KEY, ParallelHashTable
 from ..parallel.runtime import CostTracker
 
 #: Simulated address of the shared cursor (arbitrary, distinct per purpose).
@@ -304,31 +304,29 @@ class HashTableAggregator:
         self._table.insert_or_add(cell, 0.0)
 
     def record_many(self, cells, threads=None, address_sink=None) -> None:
-        """Batch :meth:`record`.
+        """Batch :meth:`record`: one
+        :meth:`~repro.parallel.hashtable.ParallelHashTable.insert_many`
+        call, with the per-record calls' layout, growth points and charges.
 
-        Hash inserts are inherently sequence-dependent (probing and growth
-        depend on prior inserts), so this loops --- charging is already
-        identical per record.  With ``address_sink`` given (and a tracker
-        attached), each record's simulated probe addresses are captured and
-        appended to the sink as one array per record instead of being fed
-        to the cache, so the batch engine can splice them into the full
-        update stream at the scalar loop's position.
+        With ``address_sink`` given (and a tracker attached), the records'
+        simulated probe addresses are captured instead of fed to the cache
+        and appended to the sink as one ``(addresses, per-record lengths)``
+        pair, so the batch engine can splice them into the full update
+        stream at the scalar loop's position.
         """
         del threads
-        capture = address_sink is not None and self.tracker is not None
-        for cell in np.asarray(cells, dtype=np.int64).tolist():
-            if capture:
-                self.tracker.begin_access_capture()
-                self.record(cell)
-                address_sink.append(
-                    np.asarray(self.tracker.end_access_capture(),
-                               dtype=np.int64))
-            else:
-                self.record(cell)
+        cells = np.asarray(cells, dtype=np.int64)
+        if address_sink is None or self.tracker is None:
+            self._table.insert_many(cells, 0.0)
+            return
+        self.tracker.begin_access_capture()
+        lengths = self._table.insert_many(cells, 0.0)
+        address_sink.append((np.asarray(self.tracker.end_access_capture(),
+                                        dtype=np.int64), lengths))
 
     def finish_round(self) -> np.ndarray:
-        cells = np.sort(np.asarray(
-            [k for k, _ in self._table.items()], dtype=np.int64))
+        keys = self._table.keys
+        cells = np.sort(keys[keys != EMPTY_KEY].astype(np.int64))
         # The entire table must be cleared before reuse.
         self._table.clear()
         return cells

@@ -138,12 +138,11 @@ def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
         update_lens = np.ones(n_updates, dtype=np.int64)
         update_flat = count_addrs.astype(np.int64)
         if sink:
+            agg_flat, record_lens = sink[0]
             agg_lens = np.zeros(n_updates, dtype=np.int64)
-            agg_lens[record_mask] = np.fromiter(
-                (seg.size for seg in sink), dtype=np.int64, count=len(sink))
-            update_flat = interleave_segments(
-                update_flat, update_lens,
-                np.concatenate(sink).astype(np.int64), agg_lens)
+            agg_lens[record_mask] = record_lens
+            update_flat = interleave_segments(update_flat, update_lens,
+                                              agg_flat, agg_lens)
             update_lens += agg_lens
         row_lens = np.zeros(cells.shape[0], dtype=np.int64)
         np.add.at(row_lens, update_row_of, update_lens)
@@ -170,8 +169,7 @@ def contract_round_batch(peel_cells: np.ndarray, contraction, table, status,
                                             collect_addresses=cache_on)
     if cache_on:
         tracker.access_sequence(dec_addrs)
-    for u, v in edges:
-        contraction.note_peeled_edge(int(u), int(v))
+    contraction.note_peeled_edges(edges)
     contraction.maybe_contract(
         None, edges_alive_many=lambda pairs: _edges_alive_many(
             pairs, table, status, tracker, cache_on))

@@ -68,27 +68,31 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
     strictly more of its neighbors than its current shard does, unless the
     target shard is already at the balance cap
     ``ceil(n / n_shards * slack)``.  Ties break toward the lowest shard id
-    (``np.argmax`` returns the first maximum), and sweeps stop early once
-    a full pass moves nothing -- both choices keep the result
-    deterministic.
+    (the first maximum of the tallies), and sweeps stop early once a full
+    pass moves nothing -- both choices keep the result deterministic.
+    Each sweep charges one unit per vertex and per neighbor entry.
     """
     seed = hash_partition(graph, n_shards, tracker)
     if n_shards == 1 or graph.n == 0:
         return Partition(n_shards, seed.shard_of.copy(), "mincut")
-    shard = seed.shard_of.copy()
-    sizes = np.bincount(shard, minlength=n_shards)
+    shard = seed.shard_of.tolist()
+    sizes = np.bincount(seed.shard_of, minlength=n_shards).tolist()
     cap = int(ceil(graph.n / n_shards * slack))
+    offsets = graph.offsets.tolist()
+    targets = graph.targets.tolist()
     for _ in range(sweeps):
+        if tracker is not None:
+            tracker.add_work_int(graph.n + len(targets))
         moved = 0
         for v in range(graph.n):
-            neighbors = graph.neighbors(v)
-            if tracker is not None:
-                tracker.add_work_int(1 + int(neighbors.size))
-            if neighbors.size == 0:
+            lo, hi = offsets[v], offsets[v + 1]
+            if lo == hi:
                 continue
-            tallies = np.bincount(shard[neighbors], minlength=n_shards)
-            current = int(shard[v])
-            best = int(np.argmax(tallies))
+            tallies = [0] * n_shards
+            for w in targets[lo:hi]:
+                tallies[shard[w]] += 1
+            current = shard[v]
+            best = tallies.index(max(tallies))
             if best == current or tallies[best] <= tallies[current]:
                 continue
             if sizes[best] >= cap:
@@ -99,7 +103,7 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
             moved += 1
         if moved == 0:
             break
-    return Partition(n_shards, shard, "mincut")
+    return Partition(n_shards, np.asarray(shard, dtype=np.int64), "mincut")
 
 
 PARTITIONERS = {

@@ -81,6 +81,13 @@ class ContractionManager:
         self._lost_since[u] += 1
         self._lost_since[v] += 1
 
+    def note_peeled_edges(self, edges) -> None:
+        """Batch :meth:`note_peeled_edge` over an ``(m, 2)`` array of
+        peeled edges: one scatter-add."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self._peeled_since += edges.shape[0]
+        np.add.at(self._lost_since, edges.reshape(-1), 1)
+
     def maybe_contract(self, edge_alive, edges_alive_many=None) -> bool:
         """Contract if the heuristics fire.
 

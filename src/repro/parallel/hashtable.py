@@ -10,9 +10,9 @@ pointers, the reserved top bit distinguishing empty cells, Section 5.3) can
 be reproduced on top of it.
 
 Cost accounting: each probe charges one unit of work to the attached
-tracker, and each touched slot is reported to the cache simulator as an
-address ``base_address + slot`` so that probe locality is visible to the
-machine model.
+tracker, and each insert or lookup reports its home slot to the cache
+simulator as an address ``base_address + slot`` so that probe locality is
+visible to the machine model.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .runtime import CostTracker
 EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _MASK64 = (1 << 64) - 1
+
+#: Largest keys-per-slot load.  An insert that would push the table past
+#: it doubles the table first; being below 1, it keeps an empty slot, so
+#: every probe ends.
+MAX_LOAD = 0.7
 
 
 def hash64(key: int) -> int:
@@ -54,6 +59,15 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
+def _growth_size(n_slots: int) -> int:
+    """The least table size at which an insert into ``n_slots`` slots
+    grows the table first: ``(size + 1) / n_slots > MAX_LOAD``."""
+    size = max(0, int(MAX_LOAD * n_slots) - 2)
+    while (size + 1) / n_slots <= MAX_LOAD:
+        size += 1
+    return size
+
+
 class ParallelHashTable:
     """Linear-probing hash table with integer keys and numeric values.
 
@@ -61,7 +75,7 @@ class ParallelHashTable:
     ----------
     capacity_hint:
         Expected number of entries; the table allocates the next power of
-        two at least ``capacity_hint / max_load``.
+        two at least ``capacity_hint / MAX_LOAD``.
     tracker:
         Optional :class:`CostTracker` charged one work unit per probe.
     base_address:
@@ -73,16 +87,17 @@ class ParallelHashTable:
     """
 
     def __init__(self, capacity_hint: int = 8, tracker: CostTracker | None = None,
-                 base_address: int = 0, max_load: float = 0.7,
-                 resizable: bool = True):
-        n_slots = _next_power_of_two(max(4, int(capacity_hint / max_load) + 1))
+                 base_address: int = 0, *, resizable: bool = True):
+        n_slots = _next_power_of_two(max(4, int(capacity_hint / MAX_LOAD) + 1))
         self.keys = np.full(n_slots, EMPTY_KEY, dtype=np.uint64)
         self.values = np.zeros(n_slots, dtype=np.float64)
         self.size = 0
-        self.max_load = max_load
         self.tracker = tracker
         self.base_address = base_address
         self.resizable = resizable
+        #: slot -> key of every occupied slot, kept across
+        #: :meth:`insert_many` calls; every scalar mutation drops it.
+        self._occupied: dict[int, int] | None = None
 
     @property
     def n_slots(self) -> int:
@@ -122,6 +137,7 @@ class ParallelHashTable:
     def _grow(self) -> None:
         if not self.resizable:
             raise RuntimeError("hash table slab is full and frozen (resizable=False)")
+        self._occupied = None
         old_keys, old_values = self.keys, self.values
         self.keys = np.full(self.n_slots * 2, EMPTY_KEY, dtype=np.uint64)
         self.values = np.zeros(self.n_slots * 2, dtype=np.float64)
@@ -133,6 +149,61 @@ class ParallelHashTable:
                 self.values[slot] = v
                 self.size += 1
 
+    def _insert_run(self, keys: list, hashes: list, delta: float,
+                    start: int) -> int:
+        """Insert ``keys[start:]`` until one would grow the table; returns
+        that key's index (or ``len(keys)``).  Probes walk the slot -> key
+        map; the arrays are written and the tracker charged once."""
+        occupied = self._occupied
+        if occupied is None:
+            slots = np.flatnonzero(self.keys != EMPTY_KEY)
+            occupied = self._occupied = dict(
+                zip(slots.tolist(), self.keys[slots].tolist()))
+        mask = self.n_slots - 1
+        grow_at = _growth_size(self.n_slots)
+        base = self.base_address
+        values = self.values
+        size = self.size
+        probes = 0
+        addresses: list[int] = []
+        new_slots: list[int] = []
+        new_keys: list[int] = []
+        touched: dict[int, float] = {}  # slot -> value after the run
+        stop = len(keys)
+        for i in range(start, stop):
+            if size >= grow_at:
+                stop = i
+                break
+            key = keys[i]
+            home = slot = hashes[i] & mask
+            held = occupied.get(slot)
+            while held is not None and held != key:
+                slot = (slot + 1) & mask
+                held = occupied.get(slot)
+            probes += ((slot - home) & mask) + 1
+            addresses.append(base + home)
+            if held is None:
+                occupied[slot] = key
+                new_slots.append(slot)
+                new_keys.append(key)
+                touched[slot] = delta
+                size += 1
+            else:
+                prior = touched.get(slot)
+                touched[slot] = (float(values[slot]) if prior is None
+                                 else prior) + delta
+        if new_slots:
+            self.keys[new_slots] = np.array(new_keys, dtype=np.uint64)
+        if touched:
+            values[list(touched)] = list(touched.values())
+        self.size = size
+        if self.tracker is not None and stop > start:
+            self.tracker.add_work_int(probes)
+            self.tracker.add_probes(probes)
+            self.tracker.add_atomic(stop - start)
+            self.tracker.access_sequence(addresses)
+        return stop
+
     # -- public API ----------------------------------------------------------
 
     def insert_or_add(self, key: int, delta: float = 1.0) -> int:
@@ -141,7 +212,7 @@ class ParallelHashTable:
         This is the atomic-add insert used by ``COUNT-FUNC`` (Algorithm 2,
         line 4).  Returns the slot index.
         """
-        if (self.size + 1) / self.n_slots > self.max_load:
+        if (self.size + 1) / self.n_slots > MAX_LOAD:
             self._grow()
         slot, found = self._probe(key)
         if found:
@@ -150,18 +221,48 @@ class ParallelHashTable:
             self.keys[slot] = np.uint64(key)
             self.values[slot] = delta
             self.size += 1
+            self._occupied = None
         if self.tracker is not None:
             self.tracker.add_atomic()
         return slot
 
+    def insert_many(self, keys, delta: float = 1.0) -> np.ndarray:
+        """Batch :meth:`insert_or_add`: ``keys`` (each below
+        :data:`EMPTY_KEY`) in order, each adding ``delta``.
+
+        Same layout, size, growth points, charges and address stream as
+        the per-key loop.  Charges are summed per run of inserts between
+        growths: every probe's work lands in the tracker's integer bin,
+        and a key never moves once it lands, so the sums are exact.  A
+        growth flushes the run, then doubles the table as
+        :meth:`insert_or_add` would (charging each re-inserted key's
+        probes and home address before the growing key's own), and a
+        frozen slab raises at the same key with the same partial state.
+
+        Returns each key's number of simulated accesses: 1, plus the live
+        keys it re-inserted when it grew the table.
+        """
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+        accesses = np.ones(keys.size, dtype=np.int64)
+        key_list = keys.tolist()
+        hashes = hash64_many(keys).tolist()
+        start = 0
+        while True:
+            start = self._insert_run(key_list, hashes, float(delta), start)
+            if start == keys.size:
+                return accesses
+            accesses[start] += self.size
+            self._grow()
+
     def set(self, key: int, value: float) -> int:
         """Insert or overwrite; returns the slot index."""
-        if (self.size + 1) / self.n_slots > self.max_load:
+        if (self.size + 1) / self.n_slots > MAX_LOAD:
             self._grow()
         slot, found = self._probe(key)
         if not found:
             self.keys[slot] = np.uint64(key)
             self.size += 1
+            self._occupied = None
         self.values[slot] = value
         return slot
 
@@ -205,3 +306,4 @@ class ParallelHashTable:
         self.keys.fill(EMPTY_KEY)
         self.values.fill(0.0)
         self.size = 0
+        self._occupied = None

@@ -9,7 +9,8 @@ must be accounted) as part of the enclosing kernel --- and resolves call
 sites to candidate callees:
 
 * bare names through the module scope (local functions, classes,
-  ``from x import y`` aliases),
+  ``from x import y`` aliases), and a function-local name bound once to
+  a function name, or to ``f if cond else g``, to every name it may hold,
 * ``self.method(...)`` through the defining class (falling back to a
   union over all project classes),
 * ``obj.method(...)`` where ``obj``'s type is unknown: a *may-call* union
@@ -243,6 +244,40 @@ def _mentions_tracker(node: ast.AST) -> bool:
     return False
 
 
+def _local_aliases(node: ast.AST) -> dict[str, tuple[str, ...]]:
+    """Names bound exactly once inside a function (nested defs folded in)
+    by ``name = f`` or ``name = f if cond else g``: name -> the function
+    names it may hold.  A name bound anywhere else --- a parameter, a
+    second assignment, a loop target, a nested def --- is no alias."""
+    stores: dict[str, int] = {}  # assignments, loop targets, del, ...
+    other: set[str] = set()  # parameters, nested defs, imports, except
+    candidates: dict[str, tuple[str, ...]] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
+            stores[sub.id] = stores.get(sub.id, 0) + 1
+        elif isinstance(sub, ast.arg):
+            other.add(sub.arg)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)) and sub is not node:
+            other.add(sub.name)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            other.update((alias.asname or alias.name).partition(".")[0]
+                         for alias in sub.names)
+        elif isinstance(sub, ast.ExceptHandler) and sub.name:
+            other.add(sub.name)
+        if isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
+                and isinstance(sub.targets[0], ast.Name):
+            value = sub.value
+            if isinstance(value, ast.IfExp):
+                branches = [value.body, value.orelse]
+            else:
+                branches = [value]
+            if all(isinstance(b, ast.Name) for b in branches):
+                candidates[sub.targets[0].id] = tuple(b.id for b in branches)
+    return {name: names for name, names in candidates.items()
+            if stores[name] == 1 and name not in other}
+
+
 class _FunctionWalker:
     """Extracts a :class:`FunctionInfo` from one top-level def (with all
     nested defs / lambdas folded in)."""
@@ -252,6 +287,7 @@ class _FunctionWalker:
         self.project = project
         self.module = module
         self.fn = fn
+        self.aliases: dict[str, tuple[str, ...]] = {}
 
     def walk(self) -> None:
         node = self.fn.node
@@ -259,6 +295,7 @@ class _FunctionWalker:
         self.fn.params = tuple(
             a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs))
         self.fn.mentions_tracker = _mentions_tracker(node)
+        self.aliases = _local_aliases(node)
         for sub in ast.walk(node):
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.Lambda)) and sub is not node:
@@ -316,7 +353,10 @@ class _FunctionWalker:
 
     def _resolve(self, func: ast.expr) -> tuple[str, list[str]]:
         if isinstance(func, ast.Name):
-            return func.id, self._resolve_scoped(self.module, func.id)
+            names = self.aliases.get(func.id, (func.id,))
+            return func.id, [target for name in names
+                             for target in self._resolve_scoped(self.module,
+                                                                name)]
         if isinstance(func, ast.Attribute):
             attr = func.attr
             value = func.value

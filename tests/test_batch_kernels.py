@@ -208,27 +208,40 @@ class TestRecordMany:
         assert trackers[0].total.work == trackers[1].total.work
 
     def test_hash_record_many_address_sink(self):
-        """The hash aggregator's captured per-record address segments,
-        replayed in order, reproduce the scalar run's cache stream."""
+        """The hash aggregator hands the sink one flat address array and
+        one per-record length array; split by the lengths they are the
+        scalar records' address segments, and replayed in order they
+        reproduce the scalar run's cache stream --- also in a round whose
+        table grows (an estimate of 4 sizes it for 4 records)."""
         rng = np.random.default_rng(6)
         cells = rng.choice(200, size=50, replace=False)
-        caches = []
-        for batched in (False, True):
-            tracker = CostTracker()
-            tracker.cache = CacheSimulator(sample=1)
-            agg = HashTableAggregator(200, threads=4, tracker=tracker,
-                                      meter=ContentionMeter())
-            agg.begin_round(25, 50)
-            if batched:
-                sink = []
-                agg.record_many(cells, address_sink=sink)
-                assert len(sink) == cells.size
-                tracker.access_sequence(np.concatenate(sink))
-            else:
-                for cell in cells:
-                    agg.record(int(cell))
-            caches.append((tracker.cache.accesses, tracker.cache.misses))
-        assert caches[0] == caches[1]
+        for estimate in (50, 4):
+            runs = []
+            for batched in (False, True):
+                tracker = CostTracker()
+                tracker.cache = CacheSimulator(sample=1)
+                agg = HashTableAggregator(200, threads=4, tracker=tracker,
+                                          meter=ContentionMeter())
+                agg.begin_round(25, estimate)
+                if batched:
+                    sink = []
+                    agg.record_many(cells, address_sink=sink)
+                    (flat, lengths), = sink
+                    assert lengths.size == cells.size
+                    segments = np.split(flat, np.cumsum(lengths)[:-1])
+                else:
+                    segments = []
+                    for cell in cells:
+                        tracker.begin_access_capture()
+                        agg.record(int(cell))
+                        segments.append(tracker.end_access_capture())
+                tracker.access_sequence(np.concatenate(segments))
+                runs.append(([list(seg) for seg in segments],
+                             agg.finish_round().tolist(), tracker.total,
+                             tracker.cache.accesses, tracker.cache.misses))
+            assert runs[0] == runs[1]
+            grew = max(len(seg) for seg in runs[0][0]) > 1
+            assert grew is (estimate == 4)
 
 
 class TestJulienneFastPath:

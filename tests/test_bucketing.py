@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.bucketing import (BUCKETING_BACKENDS, DenseBucketing,
                              FibonacciBucketing, JulienneBucketing,
                              make_bucketing)
-from repro.parallel.runtime import CostTracker
+from repro.parallel.runtime import CostTracker, _log2
 
 BACKENDS = list(BUCKETING_BACKENDS.values())
 
@@ -82,6 +82,19 @@ class TestBasics:
         b = backend([0, 1], [0, 100000])
         assert b.next_bucket()[0] == 0
         assert b.next_bucket()[0] == 100000
+
+    def test_same_value_update_extracts_once(self, backend):
+        """An update that leaves a live id's value unchanged adds a second
+        bucket entry; the id is still extracted once, and no live id is
+        lost."""
+        b = backend([0, 1, 2], [6, 9, 9])
+        b.next_bucket()
+        b.update([1], [7])
+        b.update([1], [7])
+        value, ids = b.next_bucket()
+        assert (value, list(ids), len(b)) == (7, [1], 1)
+        value, ids = b.next_bucket()
+        assert (value, list(ids), len(b)) == (9, [2], 0)
 
     def test_tracker_charged(self, backend):
         tracker = CostTracker()
@@ -178,23 +191,109 @@ def test_make_bucketing_by_name():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=40), st.data())
 def test_backends_agree_under_peeling(values, data):
-    """All three backends peel identically under the same update stream."""
+    """All three backends peel identically under the same update stream,
+    also when an update leaves a value unchanged: every id is extracted
+    exactly once, and len() agrees after every extraction."""
     structures = [cls(list(range(len(values))), values) for cls in BACKENDS]
-    reference: list[tuple[int, tuple]] = []
+    extracted: list[int] = []
     while len(structures[0]):
         extractions = [s.next_bucket() for s in structures]
         value0, ids0 = extractions[0]
         for value, ids in extractions[1:]:
             assert value == value0
             assert sorted(ids) == sorted(ids0)
-        # Random decrement of some still-alive ids.
-        alive = [i for i in range(len(values)) if structures[0].alive[i]] \
-            if hasattr(structures[0], "alive") else []
-        if alive:
+        extracted.extend(ids0.tolist())
+        assert [len(s) for s in structures] \
+            == [len(values) - len(extracted)] * len(structures)
+        # Lower some still-alive ids by 0, 1 or 2, in one or two updates.
+        alive = [i for i in range(len(values)) if structures[0].alive[i]]
+        for _ in range(data.draw(st.integers(1, 2)) if alive else 0):
             chosen = data.draw(st.lists(st.sampled_from(alive), max_size=5,
                                         unique=True))
             if chosen:
-                new_values = [max(0, structures[0].value_of(i) - 1)
+                new_values = [max(0, structures[0].value_of(i)
+                                  - data.draw(st.integers(0, 2)))
                               for i in chosen]
                 for s in structures:
                     s.update(chosen, new_values)
+    assert sorted(extracted) == list(range(len(values)))
+
+
+class _ElementwiseJulienne(JulienneBucketing):
+    """Julienne with the per-element window refill and stale filter it had
+    before both became array operations: the reference below."""
+
+    def _refill(self):
+        self.refills += 1
+        live = np.flatnonzero(self.alive)
+        self._charge(float(live.size) + 1.0)
+        if self.tracker is not None:
+            self.tracker.add_span(_log2(max(1, live.size)))
+        if live.size == 0:
+            self._buckets = []
+            return
+        vals = self.values[live]
+        self.base = int(vals.min())
+        self._buckets = [[] for _ in range(self.window)]
+        in_window = live[vals < self.base + self.window]
+        for k in in_window:
+            self._buckets[int(self.values[k]) - self.base].append(int(k))
+
+    def next_bucket(self):
+        if self.remaining == 0:
+            raise IndexError("bucketing structure is empty")
+        while True:
+            for offset, bucket in enumerate(self._buckets):
+                if not bucket:
+                    continue
+                value = self.base + offset
+                self._charge(float(len(bucket)))
+                valid = [k for k in bucket
+                         if self.alive[k] and self.values[k] == value]
+                bucket.clear()
+                if not valid:
+                    continue
+                positions = np.asarray(valid, dtype=np.int64)
+                self.alive[positions] = False
+                self.remaining -= len(valid)
+                self.peel_floor = value
+                return value, self.ids[positions]
+            self._refill()
+            if not any(self._buckets):
+                if self.remaining == 0:
+                    raise IndexError("bucketing structure is empty")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 200), min_size=1, max_size=80),
+       st.sampled_from([1, 2, 8, 64]), st.sampled_from([1, 5000]),
+       st.data())
+def test_julienne_matches_elementwise_window(values, window, id_stride,
+                                             data):
+    """The array-based window refill and stale filter extract the same
+    ``(value, ids in order)`` sequence as the per-element ones, with the
+    same work, span and refill count, under the peel's protocol (each
+    update lowers live ids, clamped at the peel floor)."""
+    ids = [3 + id_stride * k for k in range(len(values))]
+    trackers = [CostTracker(), CostTracker()]
+    structures = [cls(ids, values, window=window, tracker=tracker)
+                  for cls, tracker in zip(
+                      (_ElementwiseJulienne, JulienneBucketing), trackers)]
+    logs: list[list] = [[], []]
+    while len(structures[0]):
+        for log, structure in zip(logs, structures):
+            value, out = structure.next_bucket()
+            log.append((value, out.tolist()))
+        assert logs[0][-1] == logs[1][-1]
+        live = np.flatnonzero(structures[0].alive).tolist()
+        if live:
+            chosen = data.draw(st.lists(st.sampled_from(live), max_size=8,
+                                        unique=True))
+            new_values = [int(structures[0].values[k])
+                          - data.draw(st.integers(1, 30)) for k in chosen]
+            for structure in structures:
+                structure.update([ids[k] for k in chosen], new_values)
+    assert len(structures[1]) == 0
+    assert logs[0] == logs[1]
+    assert trackers[0].total == trackers[1].total
+    assert structures[0].refills == structures[1].refills

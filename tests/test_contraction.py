@@ -84,6 +84,24 @@ class TestContractionManager:
                                              not in dead))
         assert w.lengths[0] == 0
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1], [1, 2], [0, 1], [2, 0], [5, 1]],
+        np.zeros((0, 2), dtype=np.int64),
+    ])
+    def test_note_peeled_edges_matches_per_edge_calls(self, edges):
+        """The batch tally (repeated vertices and edges, an empty batch)
+        leaves the per-edge calls' counters."""
+        g = complete_graph(6)
+        managers = [ContractionManager(WorkingGraph(g)) for _ in range(2)]
+        managers[0].note_peeled_edge(3, 4)
+        managers[1].note_peeled_edges([[3, 4]])
+        for u, v in np.asarray(edges).tolist():
+            managers[0].note_peeled_edge(u, v)
+        managers[1].note_peeled_edges(np.asarray(edges))
+        assert managers[0]._peeled_since == managers[1]._peeled_since
+        assert np.array_equal(managers[0]._lost_since,
+                              managers[1]._lost_since)
+
     def test_charges_tracker(self):
         g = complete_graph(8)
         tracker = CostTracker()

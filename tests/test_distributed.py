@@ -29,6 +29,7 @@ from repro.distributed import (ENTRY_BYTES, PARTITIONERS,
 from repro.distributed.batchexchange import exchange_batch
 from repro.distributed.peel import (ExchangeBuffer, UpdateLedger,
                                     _exchange_scalar)
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (complete_graph, erdos_renyi,
                                     figure1_graph, planted_partition,
                                     rmat_graph)
@@ -391,6 +392,55 @@ class TestPartitioners:
 
     def test_registry_names(self):
         assert set(PARTITIONERS) == {"hash", "mincut"}
+
+    @staticmethod
+    def _mincut_per_vertex(graph, n_shards, tracker, slack, sweeps=4):
+        """mincut_partition's earlier numpy sweep (one bincount and one
+        work charge per vertex): the reference for the list-speed one."""
+        shard = hash_partition(graph, n_shards, tracker).shard_of.copy()
+        if n_shards == 1 or graph.n == 0:
+            return shard
+        sizes = np.bincount(shard, minlength=n_shards)
+        cap = int(np.ceil(graph.n / n_shards * slack))
+        for _ in range(sweeps):
+            moved = 0
+            for v in range(graph.n):
+                neighbors = graph.neighbors(v)
+                tracker.add_work_int(1 + int(neighbors.size))
+                if neighbors.size == 0:
+                    continue
+                tallies = np.bincount(shard[neighbors], minlength=n_shards)
+                current = int(shard[v])
+                best = int(np.argmax(tallies))
+                if best == current or tallies[best] <= tallies[current]:
+                    continue
+                if sizes[best] >= cap:
+                    continue
+                shard[v] = best
+                sizes[best] += 1
+                sizes[current] -= 1
+                moved += 1
+            if moved == 0:
+                break
+        return shard
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
+    @pytest.mark.parametrize("slack", [1.0, 1.1, 2.0])
+    def test_mincut_matches_per_vertex_sweep(self, seed, n_shards, slack):
+        """Same shards and work as the per-vertex numpy sweep, on random
+        graphs whose top five ids are isolated."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 90))
+        edges = rng.integers(0, n - 5, size=(int(rng.integers(0, 3 * n)), 2))
+        graph = CSRGraph.from_edges(n, edges)
+        trackers = [CostTracker(), CostTracker()]
+        expected = self._mincut_per_vertex(graph, n_shards, trackers[0],
+                                           slack)
+        got = mincut_partition(graph, n_shards, trackers[1], slack=slack)
+        assert got.shard_of.dtype == np.int64
+        assert np.array_equal(got.shard_of, expected)
+        assert trackers[0].total == trackers[1].total
 
     def test_mincut_reduces_comm_volume(self):
         graph = planted_partition(120, 4, 0.3, 0.02, seed=1)

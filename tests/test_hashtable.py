@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.hashtable import EMPTY_KEY, ParallelHashTable, hash64
+from repro.machine.cache import CacheSimulator
+from repro.parallel.hashtable import (EMPTY_KEY, MAX_LOAD, ParallelHashTable,
+                                      hash64)
 from repro.parallel.runtime import CostTracker
 
 
@@ -92,6 +94,22 @@ class TestGrowth:
         t = ParallelHashTable(100)
         assert t.n_slots & (t.n_slots - 1) == 0
 
+    def test_max_load_is_not_an_argument(self):
+        """The load limit is the module's MAX_LOAD: a caller's value could
+        fill the table (1.0, and a missing key's probe never ends),
+        divide by zero (0) or grow on every insert (negative)."""
+        assert 0 < MAX_LOAD < 1
+        with pytest.raises(TypeError):
+            ParallelHashTable(8, max_load=0.5)
+        with pytest.raises(TypeError):
+            ParallelHashTable(8, None, 0, 1.0)
+
+    def test_load_stays_below_one(self):
+        t = ParallelHashTable(1)
+        t.insert_many(np.arange(500), 1.0)
+        assert t.size / t.n_slots <= MAX_LOAD
+        assert t.get(10_000) is None
+
 
 class TestAccounting:
     def test_probes_charged(self):
@@ -128,3 +146,93 @@ def test_empty_key_reserved():
     t = ParallelHashTable(8)
     assert np.uint64(EMPTY_KEY) == np.uint64(0xFFFFFFFFFFFFFFFF)
     assert (t.keys == EMPTY_KEY).all()
+
+
+class TestInsertMany:
+    def test_adds_to_repeated_keys(self):
+        t = ParallelHashTable(8)
+        t.insert_many([5, 9, 5, 5], 2.0)
+        assert (t.get(5), t.get(9), len(t)) == (6.0, 2.0, 2)
+
+    def test_access_counts_name_the_growing_key(self):
+        t = ParallelHashTable(1)  # 4 slots: the third key grows the table
+        assert t.insert_many([1, 2, 3, 4]).tolist() == [1, 1, 3, 1]
+
+    def test_empty_batch(self):
+        tr = CostTracker()
+        t = ParallelHashTable(8, tracker=tr)
+        assert t.insert_many(np.array([], dtype=np.int64)).size == 0
+        assert (len(t), tr.work, tr.total.atomic_ops) == (0, 0, 0)
+
+    def test_scalar_insert_between_batches(self):
+        """A scalar insert between two batches drops the batch's slot map;
+        the next batch sees the scalar insert's key."""
+        t = ParallelHashTable(8)
+        t.insert_many([1, 2])
+        t.insert_or_add(3, 1.0)
+        t.insert_many([3, 4])
+        assert (t.get(3), len(t)) == (2.0, 4)
+
+
+def _table_state(table, tracker, captured, raised):
+    cache = tracker.cache
+    return {"keys": table.keys.tobytes(), "values": table.values.tobytes(),
+            "size": table.size, "n_slots": table.n_slots,
+            "charges": tracker.total, "addresses": captured,
+            "raised": raised,
+            "cache": None if cache is None else (cache.accesses,
+                                                 cache.misses)}
+
+
+def _run_inserts(keys, delta, cuts, hint, mode, resizable, batched):
+    """Insert ``keys`` into a fresh table, per key through insert_or_add
+    or in batches split at ``cuts`` (each batch's first key inserted by
+    insert_or_add), under ``mode``: no cache, an exact cache simulator,
+    or address capture."""
+    tracker = CostTracker()
+    if mode == "cache":
+        tracker.cache = CacheSimulator(sample=1)
+    if mode == "capture":
+        tracker.begin_access_capture()
+    table = ParallelHashTable(hint, tracker=tracker, base_address=64,
+                              resizable=resizable)
+    raised = False
+    try:
+        if batched:
+            for lo, hi in zip([0] + cuts, cuts + [len(keys)]):
+                if lo < hi:
+                    table.insert_or_add(keys[lo], delta)
+                    table.insert_many(keys[lo + 1:hi], delta)
+        else:
+            for key in keys:
+                table.insert_or_add(key, delta)
+    except RuntimeError:
+        raised = True
+    captured = tracker.end_access_capture() if mode == "capture" else None
+    return _table_state(table, tracker, captured, raised)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_insert_many_matches_insert_or_add(data):
+    """insert_many equals a loop of insert_or_add bit for bit: layout,
+    size, slots, work/probe/atomic totals and the address stream, over
+    at least two growths, and a frozen slab fails at the same key with
+    the same partial state."""
+    distinct = data.draw(st.lists(st.integers(0, 2**62), min_size=24,
+                                  max_size=48, unique=True))
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=40))
+    keys = data.draw(st.permutations(distinct + repeats))
+    delta = data.draw(st.floats(-100, 100))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(keys) - 1),
+                                    max_size=3)))
+    hint = data.draw(st.integers(1, 8))
+    first_slots = ParallelHashTable(hint).n_slots
+    for mode in ("none", "cache", "capture"):
+        for resizable in (True, False):
+            runs = [_run_inserts(keys, delta, cuts, hint, mode, resizable,
+                                 batched) for batched in (False, True)]
+            assert runs[0] == runs[1]
+            assert runs[0]["raised"] is (not resizable)
+            if resizable:
+                assert runs[0]["n_slots"] >= 4 * first_slots  # 2+ growths

@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.sanitize.callgraph import build_project
 from repro.sanitize.catalog import CATALOG, DOC_PATH, explain, get_rule
 from repro.sanitize.chargeflow import analyze
+from repro.sanitize.effects import _coverage
 from repro.sanitize.reporters import report_sarif
 
 HERE = Path(__file__).parent
@@ -137,6 +139,50 @@ class TestRealTree:
     def test_src_stamps_resolve(self):
         result = analyze(SRC)
         assert result.effects.stamp_findings == []
+
+    def test_entry_point_stamps_reach_the_round_oracles(self):
+        """``arb_nucleus_decomp`` and ``sharded_nucleus_decomp`` call their
+        round steps through a local name bound to ``oracle if reference
+        else kernel``; the call graph follows it, so their two stamps
+        alone reach the scalar round oracles."""
+        covered = _coverage(build_project(SRC), [
+            "repro.core.decomp.arb_nucleus_decomp",
+            "repro.distributed.peel.sharded_nucleus_decomp"])
+        assert {"repro.core.decomp._peel_round",
+                "repro.core.decomp._contract_round",
+                "repro.distributed.peel._local_round"} <= covered
+
+
+class TestLocalAliases:
+    def test_call_through_a_local_name(self, tmp_path):
+        """A local name bound once to a function, or to ``a if c else b``,
+        resolves to every function it may hold; a name bound twice or
+        passed in as a parameter resolves to nothing."""
+        package = tmp_path / "aliaspkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "mod.py").write_text(
+            "def a(tracker):\n"
+            "    pass\n"
+            "def b(tracker):\n"
+            "    pass\n"
+            "def run(flag, given, tracker):\n"
+            "    either = a if flag else b\n"
+            "    one = a\n"
+            "    twice = a\n"
+            "    twice = b\n"
+            "    def inner():\n"
+            "        either(tracker)\n"
+            "        one(tracker)\n"
+            "        twice(tracker)\n"
+            "        given(tracker)\n"
+            "    inner()\n")
+        run = build_project(package).functions["aliaspkg.mod.run"]
+        targets = {site.callee_display: site.targets
+                   for site in run.call_sites}
+        assert targets == {"either": ("aliaspkg.mod.a", "aliaspkg.mod.b"),
+                           "one": ("aliaspkg.mod.a",), "twice": (),
+                           "given": ()}
 
 
 class TestCatalog:

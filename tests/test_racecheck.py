@@ -5,13 +5,16 @@ import pytest
 
 from repro.baselines.nd import nd_decomposition
 from repro.baselines.pkt import pkt_decomposition
-from repro.core.aggregation import ListBufferAggregator, SimpleArrayAggregator
+from repro.core.aggregation import (HashTableAggregator, ListBufferAggregator,
+                                    SimpleArrayAggregator)
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
 from repro.core.kcore import k_core
 from repro.core.tables import CliqueTable
 from repro.distributed import sharded_nucleus_decomp
+from repro.graph.contraction import ContractionManager
 from repro.graph.generators import figure1_graph, planted_partition
+from repro.parallel.hashtable import ParallelHashTable
 from repro.parallel.runtime import CostTracker
 from repro.sanitize.racecheck import (RaceDetector, RaceError, ShadowArray,
                                       maybe_shadow)
@@ -23,11 +26,10 @@ from repro.sanitize.racecheck import (RaceDetector, RaceError, ShadowArray,
 # region against these stamps; engine kernels must be stamped directly
 # because they fall back to their scalar oracles whenever a detector is
 # attached (see TestBatchEnginesRaceSmoke for what that stamp asserts).
-# The scalar round ``_peel_round`` is stamped directly too: the driver
-# calls it through a local name, which the call graph does not follow.
+# The ``arb_nucleus_decomp`` stamp reaches the scalar round ``_peel_round``
+# through the local name it calls the round by.
 RACECHECK_COVERS = [
     "repro.core.decomp.arb_nucleus_decomp",
-    "repro.core.decomp._peel_round",
     "repro.core.batchpeel.peel_round_batch",
     "repro.distributed.batchexchange.local_round_batch",
 ]
@@ -315,6 +317,9 @@ class TestBatchEnginesRaceSmoke:
     BATCH_ONLY_METHODS = [
         (SimpleArrayAggregator, "record_many"),
         (ListBufferAggregator, "record_many"),
+        (HashTableAggregator, "record_many"),
+        (ParallelHashTable, "insert_many"),
+        (ContractionManager, "note_peeled_edges"),
         (CliqueTable, "add_count_at_many"),
         (CliqueTable, "add_count_many"),
     ]
