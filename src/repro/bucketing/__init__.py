@@ -1,6 +1,7 @@
 """Bucketing structures for peeling algorithms.
 
-Three interchangeable backends (see DESIGN.md):
+Three interchangeable backends (see DESIGN.md), each over the positions
+``0 .. k-1`` of its ``values``:
 
 * :class:`~repro.bucketing.julienne.JulienneBucketing` -- the practical
   structure the paper's implementation uses (default);
@@ -21,13 +22,13 @@ BUCKETING_BACKENDS = {
 }
 
 
-def make_bucketing(backend: str, ids, values, tracker=None, window: int = 64):
-    """Instantiate a bucketing backend by name."""
+def make_bucketing(backend: str, values, tracker=None, window: int = 64):
+    """Instantiate a bucketing backend by name over ``values``."""
     if backend not in BUCKETING_BACKENDS:
         raise ValueError(
             f"unknown bucketing backend {backend!r}; "
             f"options: {sorted(BUCKETING_BACKENDS)}")
-    return BUCKETING_BACKENDS[backend](ids, values, tracker=tracker, window=window)
+    return BUCKETING_BACKENDS[backend](values, tracker=tracker, window=window)
 
 
 __all__ = ["JulienneBucketing", "FibonacciBucketing", "DenseBucketing",

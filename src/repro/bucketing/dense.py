@@ -23,24 +23,19 @@ from .julienne import take_valid
 class DenseBucketing:
     """Array-of-buckets keyed directly by value; doubling search for the min."""
 
-    def __init__(self, ids, values, tracker: CostTracker | None = None,
+    def __init__(self, values, tracker: CostTracker | None = None,
                  window: int = 0):
         del window  # interface compatibility
         self.tracker = tracker
-        self.ids = np.asarray(ids, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.int64).copy()
-        if self.ids.size:
-            self._pos = {int(i): k for k, i in enumerate(self.ids)}
-        else:
-            self._pos = {}
-        self.alive = np.ones(self.ids.size, dtype=bool)
-        self.remaining = self.ids.size
-        max_value = int(self.values.max()) if self.ids.size else 0
+        self.alive = np.ones(self.values.size, dtype=bool)
+        self.remaining = self.values.size
+        max_value = int(self.values.max()) if self.values.size else 0
         #: bucket value -> list of positions (lazily maintained, may be stale)
         self._buckets: list[list[int]] = [[] for _ in range(max_value + 1)]
-        for k, value in enumerate(self.values):
-            self._buckets[int(value)].append(k)
-        self._floor = 0  # no live id has value below this
+        for k, value in enumerate(self.values.tolist()):
+            self._buckets[value].append(k)
+        self._floor = 0  # no live position has value below this
 
     def _charge(self, work: float, span: float = 0.0) -> None:
         if self.tracker is not None:
@@ -76,23 +71,23 @@ class DenseBucketing:
                     self.alive[positions] = False
                     self.remaining -= positions.size
                     self._floor = value
-                    return value, self.ids[positions]
+                    return value, positions
             lo = hi
             width *= 2
         raise IndexError("bucketing structure is empty")  # pragma: no cover
 
-    def update(self, ids, new_values) -> None:
-        """Decrease values and re-bucket (clamped at the current floor)."""
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    def update(self, positions, new_values) -> None:
+        """Decrease the values at ``positions`` (distinct) and re-bucket,
+        clamped at the current floor; extracted positions are skipped."""
+        positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
         new_values = np.atleast_1d(np.asarray(new_values, dtype=np.int64))
-        self._charge(float(ids.size), _log2(max(1, ids.size)))
-        for ident, value in zip(ids, new_values):
-            k = self._pos[int(ident)]
+        self._charge(float(positions.size), _log2(max(1, positions.size)))
+        for k, value in zip(positions.tolist(), new_values.tolist()):
             if not self.alive[k]:
                 continue
-            value = max(int(value), self._floor)
+            value = max(value, self._floor)
             self.values[k] = value
             self._buckets[value].append(k)
 
-    def value_of(self, ident: int) -> int:
-        return int(self.values[self._pos[int(ident)]])
+    def value_of(self, position: int) -> int:
+        return int(self.values[position])

@@ -6,11 +6,11 @@ Fibonacci heap of Shi and Shun [62].  The paper *uses* Julienne in practice
 ("we found it to be more efficient in practice") but proves its bounds with
 this structure, so both live in this package behind one interface.
 
-This is a genuine Fibonacci heap whose nodes are *buckets* (sets of ids
-sharing a value) rather than single elements: insertions and updates hash
-into a value->node map, and extract-min consolidates as usual.  Because
-peeling only ever decreases values, updates are decrease-key-like and never
-violate the heap order downward.
+This is a genuine Fibonacci heap whose nodes are *buckets* (sets of
+positions sharing a value) rather than single elements: insertions and
+updates hash into a value->node map, and extract-min consolidates as
+usual.  Because peeling only ever decreases values, updates are
+decrease-key-like and never violate the heap order downward.
 """
 
 from __future__ import annotations
@@ -38,19 +38,18 @@ class _Node:
 class FibonacciBucketing:
     """A Fibonacci heap of buckets, matching :class:`JulienneBucketing`'s API."""
 
-    def __init__(self, ids, values, tracker: CostTracker | None = None,
+    def __init__(self, values, tracker: CostTracker | None = None,
                  window: int = 0):
         del window  # accepted for interface compatibility
         self.tracker = tracker
         self._min: _Node | None = None
         self._nodes: dict[int, _Node] = {}  # value -> bucket node
-        self._value_of: dict[int, int] = {}
+        self.values = np.asarray(values, dtype=np.int64).copy()
+        self.alive = np.ones(self.values.size, dtype=bool)
         self.remaining = 0
         self.peel_floor = 0  # value of the most recently extracted bucket
-        ids = np.asarray(ids, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        for ident, value in zip(ids, values):
-            self._insert(int(ident), int(value))
+        for k, value in enumerate(self.values.tolist()):
+            self._insert(k, value)
 
     # -- heap internals -------------------------------------------------------
 
@@ -85,10 +84,9 @@ class FibonacciBucketing:
             self._add_root(node)
         return node
 
-    def _insert(self, ident: int, value: int) -> None:
+    def _insert(self, position: int, value: int) -> None:
         self._charge(1.0)
-        self._bucket(value).members.add(ident)
-        self._value_of[ident] = value
+        self._bucket(value).members.add(position)
         self.remaining += 1
 
     def _consolidate(self) -> None:
@@ -156,7 +154,7 @@ class FibonacciBucketing:
         return self.remaining
 
     def next_bucket(self) -> tuple[int, np.ndarray]:
-        """Extract the minimum bucket: ``(value, ids)``."""
+        """Extract the minimum bucket: ``(value, positions)``."""
         while self._min is not None and not self._min.members:
             self._pop_min_node()
         if self._min is None or self.remaining == 0:
@@ -167,8 +165,7 @@ class FibonacciBucketing:
         members = np.fromiter(node.members, dtype=np.int64,
                               count=len(node.members))
         self.remaining -= len(node.members)
-        for ident in node.members:
-            del self._value_of[ident]
+        self.alive[members] = False
         node.members = set()
         self._pop_min_node()
         self._charge(float(members.size) + _log2(len(self._nodes) + 2),
@@ -209,30 +206,31 @@ class FibonacciBucketing:
                 cur = cur.right
             self._min = best
 
-    def update(self, ids, new_values) -> None:
-        """Move ids to (lower) buckets; clamps at the current peel level."""
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    def update(self, positions, new_values) -> None:
+        """Move distinct positions to (lower) buckets; clamps at the
+        current peel level and skips extracted positions."""
+        positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
         new_values = np.atleast_1d(np.asarray(new_values, dtype=np.int64))
         floor = self.peel_floor
-        for ident, value in zip(ids, new_values):
-            ident = int(ident)
-            if ident not in self._value_of:
+        for k, value in zip(positions.tolist(), new_values.tolist()):
+            if not self.alive[k]:
                 continue
-            value = max(int(value), floor)
-            old = self._value_of[ident]
+            value = max(value, floor)
+            old = int(self.values[k])
             if value == old:
                 continue
             self._charge(1.0)
-            self._nodes[old].members.discard(ident)
+            self._nodes[old].members.discard(k)
             target = self._nodes.get(value)
             if target is None:
                 target = _Node(value)
                 self._nodes[value] = target
                 self._add_root(target)
-            target.members.add(ident)
-            self._value_of[ident] = value
+            target.members.add(k)
+            self.values[k] = value
         if self.tracker is not None:
-            self.tracker.add_span(_log2(max(1, ids.size)) ** 2)
+            self.tracker.add_span(_log2(max(1, positions.size)) ** 2)
 
-    def value_of(self, ident: int) -> int:
-        return self._value_of[int(ident)]
+    def value_of(self, position: int) -> int:
+        """Current bucket value of a position (alive or not)."""
+        return int(self.values[position])

@@ -7,9 +7,12 @@ the lowest buckets is materialized (lazily, with stale entries filtered on
 extraction), and refilling the window skips over large empty ranges ---
 both behaviors are reproduced and cost-accounted here.
 
-Values only ever *decrease* between extractions (peeling is monotone), and
-extracted ids are implicitly assigned the bucket's value as their core
-number by the caller.
+Like GBBS's Julienne, the structure buckets the identifiers ``0 .. k-1``
+directly: ``values[i]`` is position ``i``'s bucket value, and the caller
+maps positions to whatever they stand for.  Values only ever *decrease*
+between extractions (peeling is monotone), and extracted positions are
+implicitly assigned the bucket's value as their core number by the
+caller.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ def take_valid(bucket: list[int], alive: np.ndarray, values: np.ndarray,
     """The positions of ``bucket`` still valid for extraction at
     ``value``, each once, in first-entry order.
 
-    Buckets are filtered lazily: an entry is stale once its id is dead or
-    its value has moved, and an id updated to a value it already had
-    holds two valid entries, of which only the first counts.
+    Buckets are filtered lazily: an entry is stale once its position is
+    dead or its value has moved, and a position updated to a value it
+    already had holds two valid entries, of which only the first counts.
     """
     positions = np.asarray(bucket, dtype=np.int64)
     positions = positions[alive[positions] & (values[positions] == value)]
@@ -42,43 +45,29 @@ class JulienneBucketing:
 
     Parameters
     ----------
-    ids:
-        Identifiers (arbitrary non-negative ints, e.g. table cell indices).
     values:
-        Initial bucket value of each id (the s-clique counts).
+        Initial bucket value of each position ``0 .. k-1`` (the s-clique
+        counts).
     window:
         How many consecutive buckets to materialize at once (the "constant
         number of the lowest buckets").
     """
 
-    def __init__(self, ids, values, window: int = 64,
+    def __init__(self, values, window: int = 64,
                  tracker: CostTracker | None = None):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self._pos_map: dict[int, int] | None = None
-        self._pos_arr: np.ndarray | None = None
         self.values = np.asarray(values, dtype=np.int64).copy()
-        if self.values.size != self.ids.size:
-            raise ValueError("ids and values must have equal length")
-        self.alive = np.ones(self.ids.size, dtype=bool)
+        self.alive = np.ones(self.values.size, dtype=bool)
         self.window = max(1, window)
         self.tracker = tracker
-        self.remaining = self.ids.size
+        self.remaining = self.values.size
         self.base = 0
         self.peel_floor = 0  # value of the most recently extracted bucket
         self._buckets: list[list[int]] = []
         self.refills = 0
-        if self.ids.size:
+        if self.values.size:
             self._refill()
 
     # -- internals ----------------------------------------------------------
-
-    @property
-    def _pos(self) -> dict[int, int]:
-        """id -> position, built on first use: only the per-id update loop
-        and :meth:`value_of` read it."""
-        if self._pos_map is None:
-            self._pos_map = dict(zip(self.ids.tolist(), range(self.ids.size)))
-        return self._pos_map
 
     def _charge(self, work: float) -> None:
         if self.tracker is not None:
@@ -124,7 +113,7 @@ class JulienneBucketing:
         return self.remaining
 
     def next_bucket(self) -> tuple[int, np.ndarray]:
-        """Extract the minimum non-empty bucket: ``(value, ids)``.
+        """Extract the minimum non-empty bucket: ``(value, positions)``.
 
         Raises :class:`IndexError` when the structure is empty.
         """
@@ -143,93 +132,47 @@ class JulienneBucketing:
                 self.alive[positions] = False
                 self.remaining -= positions.size
                 self.peel_floor = value
-                return value, self.ids[positions]
+                return value, positions
             self._refill()
             if not any(self._buckets):
                 if self.remaining == 0:
                     raise IndexError("bucketing structure is empty")
 
-    def update(self, ids, new_values) -> None:
-        """Decrease the values of ``ids`` to ``new_values`` and re-bucket.
+    def update(self, positions, new_values) -> None:
+        """Decrease the values at ``positions`` to ``new_values`` and
+        re-bucket.  ``positions`` must be distinct; extracted ones are
+        skipped.
 
         Values are clamped below at the current peel level (an r-clique
         whose count falls beneath the bucket being peeled belongs to that
-        bucket: its core number cannot drop below the peel level).
-
-        Distinct in-range ids take a vectorized fast path; bucket-append
-        order, value clamping, and error behavior are identical to the
-        per-id loop, which remains the fallback (and the oracle for the
-        partial-mutation semantics of mid-batch errors).
+        bucket: its core number cannot drop below the peel level).  A
+        clamped value below the materialized window's base raises
+        ``ValueError`` before anything changes: the peeling protocol
+        cannot reach that state (``peel_floor >= base`` after every
+        extraction, and updates follow extractions), so it means the
+        caller broke monotonicity.
         """
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
         new_values = np.atleast_1d(np.asarray(new_values, dtype=np.int64))
-        self._charge(float(ids.size))
+        self._charge(float(positions.size))
         if self.tracker is not None:
-            self.tracker.add_span(_log2(max(1, ids.size)))
-        if ids.size > 1 and self._update_fast(ids, new_values):
-            return
-        self._update_slow(ids, new_values)
-
-    def _pos_array(self) -> np.ndarray | None:
-        """Dense id -> position map (lazy; None when ids are too sparse)."""
-        if self._pos_arr is None:
-            if self.ids.size == 0:
-                return None
-            top = int(self.ids.max()) + 1
-            if top > 4 * self.ids.size + 1024:
-                return None  # dict stays cheaper for very sparse id spaces
-            arr = np.full(top, -1, dtype=np.int64)
-            arr[self.ids] = np.arange(self.ids.size, dtype=np.int64)
-            self._pos_arr = arr
-        return self._pos_arr
-
-    def _update_fast(self, ids: np.ndarray, new_values: np.ndarray) -> bool:
-        """Apply a batch update without the per-id loop; returns False when
-        the batch needs the loop's semantics (unknown/duplicate ids, or a
-        below-window value whose partial-mutation error the loop owns)."""
-        arr = self._pos_array()
-        if arr is None or int(ids.min()) < 0 or int(ids.max()) >= arr.size:
-            return False
-        positions = arr[ids]
-        if (positions < 0).any():
-            return False
-        if np.unique(ids).size != ids.size:
-            return False
+            self.tracker.add_span(_log2(max(1, positions.size)))
         live = self.alive[positions]
-        values = np.maximum(new_values, self.peel_floor)
+        positions = positions[live]
+        values = np.maximum(new_values[live], self.peel_floor)
         offsets = values - self.base
-        if (offsets[live] < 0).any():
-            return False
-        self.values[positions[live]] = values[live]
-        in_window = live & (offsets < self.window)
+        below = offsets < 0
+        if below.any():
+            k = int(below.argmax())
+            raise ValueError(
+                f"update({int(positions[k])}) to value {int(values[k])} "
+                f"below the current window base {self.base}; values must "
+                f"stay >= the materialized window's base (peel_floor="
+                f"{self.peel_floor})")
+        self.values[positions] = values
+        in_window = offsets < self.window
         self._append(offsets[in_window], positions[in_window])
-        return True
 
-    def _update_slow(self, ids: np.ndarray, new_values: np.ndarray) -> None:
-        for ident, value in zip(ids, new_values):
-            k = self._pos[int(ident)]
-            if not self.alive[k]:
-                continue
-            value = max(int(value), self.peel_floor)
-            offset = value - self.base
-            if offset < 0:
-                # A clamped value below the materialized window would index
-                # self._buckets[offset] with a *negative* offset, silently
-                # appending to the wrong (top-of-window) bucket via Python
-                # negative indexing and corrupting extraction order.  The
-                # peeling loop cannot reach this state (peel_floor >= base
-                # after every extraction, and updates follow extractions),
-                # so a value below base means the caller broke the monotone
-                # protocol --- fail loudly instead of mis-bucketing.
-                raise ValueError(
-                    f"update({int(ident)}) to value {value} below the "
-                    f"current window base {self.base}; values must stay "
-                    f">= the materialized window's base (peel_floor="
-                    f"{self.peel_floor})")
-            self.values[k] = value
-            if offset < self.window:
-                self._buckets[offset].append(k)
-
-    def value_of(self, ident: int) -> int:
-        """Current bucket value of an id (alive or not)."""
-        return int(self.values[self._pos[int(ident)]])
+    def value_of(self, position: int) -> int:
+        """Current bucket value of a position (alive or not)."""
+        return int(self.values[position])

@@ -117,19 +117,13 @@ def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
 
         # -- first-touch dedup and aggregation (vectorized last_round stamp).
         sink = [] if (cache_on and aggregator.name == "hash") else None
-        record_mask = np.zeros(n_updates, dtype=bool)
+        record_mask = first_touches(update_cells, last_round, round_id)
         if n_updates:
-            fresh = last_round[update_cells] != round_id
-            _, first_index = np.unique(update_cells, return_index=True)
-            first_in_batch = np.zeros(n_updates, dtype=bool)
-            first_in_batch[first_index] = True
-            record_mask = fresh & first_in_batch
-            record_cells = update_cells[record_mask]
-            last_round[record_cells] = round_id
             # Thread ids come from the task's index within the whole round.
             aggregator.record_many(
-                record_cells, row_task[update_row_of[record_mask]]
-                % threads, address_sink=sink)
+                update_cells[record_mask],
+                row_task[update_row_of[record_mask]] % threads,
+                address_sink=sink)
         if not cache_on:
             return None
 
@@ -155,6 +149,27 @@ def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
                          tracker)
         # One O(log n) intersection per completion level.
         region.task_span(_log2(graph_n) * (s - r + 1))
+
+
+def first_touches(cells: np.ndarray, stamp: np.ndarray,
+                  round_id: int) -> np.ndarray:
+    """The round's first-touch dedup, for a whole batch: mark the entries
+    of ``cells`` that touch their cell first in round ``round_id`` (its
+    ``stamp`` differs and no earlier entry names it), stamp those cells,
+    and return the mask.
+
+    The batch form of the per-update test-and-set ``if stamp[cell] !=
+    round_id: stamp[cell] = round_id``, so the marked cells come out in
+    the order the scalar loop would record them.  Charges nothing.
+    """
+    fresh = np.flatnonzero(stamp[cells] != round_id)
+    if fresh.size > 1:
+        _, first = np.unique(cells[fresh], return_index=True)
+        fresh = fresh[first]
+    mask = np.zeros(cells.size, dtype=bool)
+    mask[fresh] = True
+    stamp[cells[fresh]] = round_id
+    return mask
 
 
 def contract_round_batch(peel_cells: np.ndarray, contraction, table, status,

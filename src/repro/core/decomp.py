@@ -234,16 +234,14 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
 
     # -- Phase 4: bucket and peel (lines 23-29).  Shared peeling state.
     # Under race checking (repro.sanitize) the arrays are shadow-wrapped:
-    # ``status``/``cores`` are written only at round barriers and read
-    # inside tasks (plain accesses), while the first-touch stamp
-    # ``last_round`` is test-and-set state that the real implementation
-    # mediates with a CAS, hence ``atomic=True``.
+    # ``status`` is written only at round barriers and read inside tasks
+    # (plain accesses), while the first-touch stamp ``last_round`` is
+    # test-and-set state that the real implementation mediates with a
+    # CAS, hence ``atomic=True``.
     status = maybe_shadow(np.zeros(table.total_cells, dtype=np.int8),
                           tracker, label="status")
     last_round = maybe_shadow(np.full(table.total_cells, -1, dtype=np.int64),
                               tracker, atomic=True, label="last_round")
-    cores = maybe_shadow(np.zeros(table.total_cells, dtype=np.int64),
-                         tracker, label="cores")
     meter = ContentionMeter(detector=tracker.race_detector)
     aggregator = make_aggregator(
         config.aggregation, table.total_cells, threads=config.threads,
@@ -275,56 +273,66 @@ def arb_nucleus_decomp(graph: CSRGraph, r: int, s: int,
             contract(peel_cells, contraction, table, status, tracker)
 
     cells = table.occupied_cells()
-    counts = np.rint(table.counts[cells]).astype(np.int64)
-    with tracker.phase("bucket"):
-        buckets = make_bucketing(config.bucketing, cells, counts,
-                                 tracker=tracker, window=config.bucket_window)
-    rho, max_core, round_log = peel_rounds(buckets, table, status, cores,
-                                           step, tracker, after_round)
-    table.tracker = None  # post-run queries should not keep charging
+    rho, max_core, round_log, cores = peel_rounds(
+        config, cells, table, status, step, tracker, after_round)
     return NucleusResult(
         r=r, s=s, n_r_cliques=prep.n_r, n_s_cliques=prep.n_s, rho=rho,
         max_core=max_core, table_memory_units=table.memory_units,
         tracker=tracker, config=config, round_log=round_log,
-        _cells=cells, _cores=cores[cells], _table=table, _dg=dg,
+        _cells=cells, _cores=cores, _table=table, _dg=dg,
         _original_of=prep.original_of)
 
 
-def peel_rounds(buckets, table: CliqueTable, status, cores, step,
-                tracker: CostTracker,
-                after_round=None) -> tuple[int, int, list]:
-    """Algorithm 2's peeling phase (lines 23-29): the round loop of every
-    peel, single-node and sharded, in the ``peel`` phase.
+def peel_rounds(config: NucleusConfig, cells: np.ndarray,
+                table: CliqueTable, status, step, tracker: CostTracker,
+                after_round=None) -> tuple[int, int, list, np.ndarray]:
+    """Phase 4 of ARB-NUCLEUS-DECOMP (Algorithm 2, lines 23-29): the
+    bucketing and round loop of every peel, single-node and sharded.
 
-    Until ``buckets`` is empty, a round extracts the minimum bucket, gives
-    its r-cliques that level as their core number and marks them
-    PEELING, and runs ``step(round_id, level, peel_cells)`` --- the
-    peel's UPDATE, which returns the cells whose counts changed.  It then
-    marks the bucket PEELED, re-buckets the changed cells from the
-    table's counts, and calls ``after_round(peel_cells)`` if given.
+    In the ``bucket`` phase it buckets the occupied ``cells`` (ascending)
+    by their s-clique counts; the structure holds their positions
+    ``0 .. k-1``.  Then, in the ``peel`` phase and until the structure
+    is empty, a round extracts the minimum bucket, gives its r-cliques
+    that level as their core number and marks them PEELING, and runs
+    ``step(round_id, level, peel_cells)`` --- the peel's UPDATE, which
+    returns the distinct cells whose counts changed.  It then marks the
+    bucket PEELED, re-buckets the changed cells from the table's counts,
+    and calls ``after_round(peel_cells)`` if given.  At the end the
+    table stops charging ``tracker``, so post-run queries are free.
 
-    Returns ``(rho, max_core, round_log)``, one ``(level, peeled,
-    updated)`` log entry per round.
+    Returns ``(rho, max_core, round_log, cores)``: one ``(level,
+    peeled, updated)`` log entry per round, and the core number of each
+    of ``cells``.
     """
+    # Per position; written only at round barriers (plain accesses under
+    # race checking).
+    cores = maybe_shadow(np.zeros(cells.size, dtype=np.int64), tracker,
+                         label="cores")
+    with tracker.phase("bucket"):
+        buckets = make_bucketing(
+            config.bucketing, np.rint(table.counts[cells]).astype(np.int64),
+            tracker=tracker, window=config.bucket_window)
     rho = max_core = 0
     round_log: list[tuple[int, int, int]] = []
     with tracker.phase("peel"):
         while len(buckets):
-            level, peel_cells = buckets.next_bucket()
+            level, positions = buckets.next_bucket()
+            peel_cells = cells[positions]
             tracker.add_round()
             max_core = max(max_core, level)
-            cores[peel_cells] = level
+            cores[positions] = level
             status[peel_cells] = _PEELING
             updated = step(rho, level, peel_cells)
             round_log.append((level, int(peel_cells.size), int(updated.size)))
             status[peel_cells] = _PEELED
             if updated.size:
-                buckets.update(updated,
+                buckets.update(np.searchsorted(cells, updated),
                                np.rint(table.counts[updated]).astype(np.int64))
             if after_round is not None:
                 after_round(peel_cells)
             rho += 1
-    return rho, max_core, round_log
+    table.tracker = None
+    return rho, max_core, round_log, cores[:]
 
 
 def _count_scalar(dg, table, r: int, s: int, relabeled: bool,

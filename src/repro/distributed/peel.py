@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..bucketing import make_bucketing
+from ..core.batchpeel import first_touches
 from ..core.config import NucleusConfig
 from ..core.decomp import (CoreReport, _update_one, peel_rounds,
                            prepare_decomposition)
@@ -97,18 +97,6 @@ class ShardedResult(CoreReport):
     _original_of: np.ndarray = field(repr=False, default=None)
 
 
-def _first_touches(cells: np.ndarray, stamp: np.ndarray,
-                   round_id: int) -> list[int]:
-    """Stamp the cells not yet touched in ``round_id``; return them in
-    first-touch order (the per-call stamp test, for a whole batch)."""
-    fresh = cells[stamp[cells] != round_id]
-    if fresh.size > 1:
-        _, first = np.unique(fresh, return_index=True)
-        fresh = fresh[np.sort(first)]
-    stamp[fresh] = round_id
-    return fresh.tolist()
-
-
 class UpdateLedger:
     """The owner-side count store plus the per-round updated set ``U``.
 
@@ -143,7 +131,8 @@ class UpdateLedger:
         its first touch this round, as the per-call stamps would order it.
         """
         np.subtract.at(self.counts, cells, amounts)
-        self.updated.extend(_first_touches(cells, self.stamp, self.round_id))
+        fresh = first_touches(cells, self.stamp, self.round_id)
+        self.updated.extend(cells[fresh].tolist())
 
 
 class ExchangeBuffer:
@@ -177,7 +166,8 @@ class ExchangeBuffer:
         charges: one pending decrement per entry, each cell recorded in
         ``touched`` at its first touch this round."""
         np.add.at(self.pending, cells, 1)
-        self.touched.extend(_first_touches(cells, self.stamp, self.round_id))
+        fresh = first_touches(cells, self.stamp, self.round_id)
+        self.touched.extend(cells[fresh].tolist())
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Pop the buffered (cells, deltas), clearing the outbox."""
@@ -381,8 +371,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     status = maybe_shadow(np.zeros(table.total_cells, dtype=np.int8),
                           tracker, label="status")
-    cores = maybe_shadow(np.zeros(table.total_cells, dtype=np.int64),
-                         tracker, label="cores")
     ledger = UpdateLedger(table.counts)
     outboxes = [ExchangeBuffer(table.total_cells) for _ in range(n_shards)]
     working = WorkingGraph(work_graph)
@@ -416,13 +404,8 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
              for st, (w0, s0) in zip(shard_trackers, starts)])
         return np.asarray(ledger.updated, dtype=np.int64)
 
-    counts = np.rint(table.counts[cells]).astype(np.int64)
-    with tracker.phase("bucket"):
-        buckets = make_bucketing(config.bucketing, cells, counts,
-                                 tracker=tracker, window=config.bucket_window)
-    rho, max_core, round_log = peel_rounds(buckets, table, status, cores,
-                                           step, tracker)
-    table.tracker = None  # post-run queries should not keep charging
+    rho, max_core, round_log, cores = peel_rounds(config, cells, table,
+                                                  status, step, tracker)
     return ShardedResult(
         r=r, s=s, n_shards=n_shards, n_r_cliques=n_r, n_s_cliques=n_s,
         rho=rho, max_core=max_core, tracker=tracker,
@@ -431,5 +414,5 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         exchange_log=exchange_log, round_compute=round_compute,
         comm_messages=sum(st.total.comm_messages for st in shard_trackers),
         comm_bytes=sum(st.total.comm_bytes for st in shard_trackers),
-        shard_traces=shard_traces, _cells=cells, _cores=cores[cells],
+        shard_traces=shard_traces, _cells=cells, _cores=cores,
         _table=table, _original_of=original_of)

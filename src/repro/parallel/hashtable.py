@@ -55,6 +55,14 @@ def hash64_many(keys: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
+def _check_key(key: int) -> None:
+    """Reject a key outside ``[0, EMPTY_KEY)``: the reserved empty pattern
+    would read as an empty slot, and any other key out of range does not
+    fit a ``uint64`` slot."""
+    if not 0 <= key < _MASK64:
+        raise ValueError(f"hash table key {key} is outside [0, 2**64 - 1)")
+
+
 def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
@@ -210,8 +218,10 @@ class ParallelHashTable:
         """Insert ``key`` with value ``delta``, or add ``delta`` to its value.
 
         This is the atomic-add insert used by ``COUNT-FUNC`` (Algorithm 2,
-        line 4).  Returns the slot index.
+        line 4).  Returns the slot index.  ``key`` must lie in ``[0,
+        EMPTY_KEY)``; anything else raises ``ValueError``.
         """
+        _check_key(key)
         if (self.size + 1) / self.n_slots > MAX_LOAD:
             self._grow()
         slot, found = self._probe(key)
@@ -227,8 +237,9 @@ class ParallelHashTable:
         return slot
 
     def insert_many(self, keys, delta: float = 1.0) -> np.ndarray:
-        """Batch :meth:`insert_or_add`: ``keys`` (each below
-        :data:`EMPTY_KEY`) in order, each adding ``delta``.
+        """Batch :meth:`insert_or_add`: ``keys`` in order, each adding
+        ``delta``.  A key outside ``[0, EMPTY_KEY)`` raises ``ValueError``
+        before anything is inserted.
 
         Same layout, size, growth points, charges and address stream as
         the per-key loop.  Charges are summed per run of inserts between
@@ -242,7 +253,11 @@ class ParallelHashTable:
         Returns each key's number of simulated accesses: 1, plus the live
         keys it re-inserted when it grew the table.
         """
-        keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+        keys = np.asarray(keys).reshape(-1)
+        bad = np.flatnonzero((keys < 0) | (keys >= _MASK64))
+        if bad.size:
+            _check_key(keys[bad[0]])
+        keys = keys.astype(np.uint64)
         accesses = np.ones(keys.size, dtype=np.int64)
         key_list = keys.tolist()
         hashes = hash64_many(keys).tolist()
@@ -255,7 +270,9 @@ class ParallelHashTable:
             self._grow()
 
     def set(self, key: int, value: float) -> int:
-        """Insert or overwrite; returns the slot index."""
+        """Insert or overwrite; returns the slot index.  ``key`` must lie
+        in ``[0, EMPTY_KEY)``; anything else raises ``ValueError``."""
+        _check_key(key)
         if (self.size + 1) / self.n_slots > MAX_LOAD:
             self._grow()
         slot, found = self._probe(key)

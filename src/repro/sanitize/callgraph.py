@@ -137,7 +137,8 @@ class FunctionInfo:
     #: (start, end) line spans of ``with *.phase(...)`` / ``*.parallel(...)``
     phase_spans: list[tuple[int, int]] = field(default_factory=list)
     #: the function opens a literal ``.phase(...)`` (not just a parallel
-    #: region) --- only such orchestrators are subject to PAR008
+    #: region) --- only such orchestrators are subject to PAR008, and
+    #: they are phase-closed by definition (``Summary.phase_closed``)
     has_phase: bool = False
     #: line spans of nested ``def`` / ``lambda`` bodies (definition points,
     #: not execution points --- excluded from PAR008's lexical scan)
@@ -150,6 +151,12 @@ class FunctionInfo:
     @property
     def opens_phase(self) -> bool:
         return self.has_phase
+
+    def in_scope(self, line: int) -> bool:
+        """``line`` sits in a ``phase(...)`` / ``parallel(...)`` block, or
+        in a nested def/lambda body (which runs where it is called)."""
+        return any(start <= line <= end
+                   for start, end in self.phase_spans + self.nested_spans)
 
 
 @dataclass

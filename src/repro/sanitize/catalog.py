@@ -108,6 +108,8 @@ engine gate and the parity tests enforce.
 A tracker charge issued outside any ``tracker.phase(...)`` /
 ``tracker.parallel(...)`` scope, in a function that opens phases.  Such
 charges land in no phase and corrupt ``MachineModel.time_breakdown``.
+A call there is exempt when every callee is phase-closed: it opens a
+phase, or all its charges land in phases its callees open.
         """),
     RuleInfo(
         "PAR009", "potential static race in a parallel region",

@@ -179,11 +179,6 @@ class RaceDetector:
     def end_task(self) -> None:
         self._stack.pop()
 
-    @property
-    def current_owner(self) -> tuple:
-        """The active task path (empty tuple = serial context)."""
-        return tuple(self._stack)
-
     # -- logging ---------------------------------------------------------------
 
     def log(self, address: int, write: bool, atomic: bool = False,
@@ -208,16 +203,6 @@ class RaceDetector:
         if bucket is not None and len(bucket) < _OWNER_CAP \
                 and owner not in bucket:
             bucket.append(owner)
-
-    def log_read(self, address: int, owner: tuple | None = None) -> None:
-        self.log(address, write=False, owner=owner)
-
-    def log_write(self, address: int, owner: tuple | None = None) -> None:
-        self.log(address, write=True, owner=owner)
-
-    def log_atomic(self, address: int, write: bool = True,
-                   owner: tuple | None = None) -> None:
-        self.log(address, write=write, atomic=True, owner=owner)
 
     # -- analysis --------------------------------------------------------------
 

@@ -18,7 +18,9 @@ the summary-derived charge oracle by :mod:`~repro.sanitize.chargeflow`.
 ``PAR008``
     A charge issued outside any ``tracker.phase(...)`` /
     ``tracker.parallel(...)`` attribution scope in a function that opens
-    phases: such charges corrupt ``MachineModel.time_breakdown``.
+    phases: such charges corrupt ``MachineModel.time_breakdown``.  A
+    call there is exempt when every callee is *phase-closed* (it opens a
+    phase, or all its charges land in phases it or its callees open).
 ``PAR009`` / ``PAR010`` / ``PAR011``
     The static parallel-effect rules.  The heavy lifting happens in
     :mod:`~repro.sanitize.effects` (one pass over the whole project);
@@ -37,6 +39,7 @@ import ast
 from .callgraph import FunctionInfo, ModuleInfo, Project
 from .effects import is_engine_module
 from .parlint import Finding
+from .summaries import phase_closed_call
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +151,6 @@ def check_par006(project: Project, summaries: dict,
 # PAR008
 
 
-def _in_spans(line: int, spans: list[tuple[int, int]]) -> bool:
-    return any(start <= line <= end for start, end in spans)
-
-
 def check_par008(project: Project, summaries: dict,
                  module: ModuleInfo) -> list[Finding]:
     findings = []
@@ -159,25 +158,17 @@ def check_par008(project: Project, summaries: dict,
         if not fn.opens_phase:
             continue
         for charge in fn.charge_calls:
-            if _in_spans(charge.lineno, fn.phase_spans):
+            if fn.in_scope(charge.lineno):
                 continue
-            if _in_spans(charge.lineno, fn.nested_spans):
-                continue  # a closure body: executes where it is called
             findings.append(Finding(
                 "PAR008", module.path, charge.lineno, charge.col,
                 f"in {fn.name!r}: {charge.attr}() outside any "
                 f"phase/parallel scope; the charge lands in no phase and "
                 f"corrupts time_breakdown"))
         for site in fn.call_sites:
-            if not site.charges:
-                continue
-            if _in_spans(site.lineno, fn.phase_spans) \
-                    or _in_spans(site.lineno, fn.nested_spans):
-                continue
-            targets = [project.functions.get(t) for t in site.targets]
-            if targets and all(t is not None and t.opens_phase
-                               for t in targets):
-                continue  # sub-orchestrator opens its own phases
+            if not site.charges or fn.in_scope(site.lineno) \
+                    or phase_closed_call(site, summaries):
+                continue  # phase-closed callees attribute their charges
             findings.append(Finding(
                 "PAR008", module.path, site.lineno, site.col,
                 f"in {fn.name!r}: call to {site.callee_display}() charges "

@@ -28,13 +28,17 @@ and terminates because effect sets only grow and are drawn from a finite
 alphabet.  After the fixpoint, every call site is annotated with whether
 it provably charges (``CallSite.charges`` / ``charges_workspan``), which
 is exactly the *charge oracle* the lexical PAR001/PAR002 visitors accept.
+
+Last, a greatest fixpoint over the same graph marks which functions are
+*phase-closed* (``Summary.phase_closed``): PAR008 exempts an
+out-of-phase call whose targets all are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .callgraph import EXTERNAL_EFFECT, Project
+from .callgraph import EXTERNAL_EFFECT, CallSite, FunctionInfo, Project
 
 #: Normalized methods that satisfy PAR001 (the region costs work or span).
 WORKSPAN_EFFECTS = frozenset({"add_work", "add_span", EXTERNAL_EFFECT})
@@ -46,6 +50,10 @@ class Summary:
 
     cond: set[str] = field(default_factory=set)
     uncond: set[str] = field(default_factory=set)
+    #: every charge lands in a phase: the function opens one itself, or it
+    #: charges nothing outside its phase/parallel scopes and every
+    #: charging call outside them reaches only phase-closed functions
+    phase_closed: bool = True
 
     @property
     def charges(self) -> bool:
@@ -102,7 +110,35 @@ def compute_summaries(project: Project) -> dict[str, Summary]:
                 effects.add(EXTERNAL_EFFECT)
             site.charges = bool(effects)
             site.charges_workspan = bool(effects & WORKSPAN_EFFECTS)
+
+    # Greatest fixpoint: all start phase-closed; strike until stable.
+    changed = True
+    while changed:
+        changed = False
+        for qual, fn in project.functions.items():
+            summary = summaries[qual]
+            if summary.phase_closed and not fn.opens_phase \
+                    and _charges_unscoped(fn, summaries):
+                summary.phase_closed = False
+                changed = True
     return summaries
+
+
+def phase_closed_call(site: CallSite, summaries: dict[str, Summary]) -> bool:
+    """Every may-call target of ``site`` is a phase-closed function."""
+    return bool(site.targets) and all(
+        target in summaries and summaries[target].phase_closed
+        for target in site.targets)
+
+
+def _charges_unscoped(fn: FunctionInfo,
+                      summaries: dict[str, Summary]) -> bool:
+    """``fn`` charges outside its phase/parallel scopes, directly or
+    through a call that reaches a function that is not phase-closed."""
+    return any(not fn.in_scope(charge.lineno) for charge in fn.charge_calls) \
+        or any(site.charges and not fn.in_scope(site.lineno)
+               and not phase_closed_call(site, summaries)
+               for site in fn.call_sites)
 
 
 def charge_oracles(project: Project, summaries: dict[str, Summary],

@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.bucketing.julienne import JulienneBucketing
 from repro.cliques.encode import CliqueEncoder
 from repro.cliques.listing import collect_cliques
 from repro.cliques.orient import orient
@@ -242,60 +241,6 @@ class TestRecordMany:
             assert runs[0] == runs[1]
             grew = max(len(seg) for seg in runs[0][0]) > 1
             assert grew is (estimate == 4)
-
-
-class TestJulienneFastPath:
-    def _pair(self, n=400, window=16):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 60, size=n)
-        ids = np.arange(n, dtype=np.int64)
-        fast = JulienneBucketing(ids, values, window=window)
-        slow = JulienneBucketing(ids, values, window=window)
-        slow._update_fast = lambda *_: False  # force the per-id loop
-        return fast, slow
-
-    def test_update_matches_slow_loop(self):
-        fast, slow = self._pair()
-        rng = np.random.default_rng(8)
-        for structure in (fast, slow):
-            structure.next_bucket()
-        updated = rng.choice(400, size=150, replace=False)
-        new_values = np.maximum(
-            rng.integers(-5, 55, size=150), 0)
-        fast.update(updated, new_values)
-        slow.update(updated, new_values)
-        assert np.array_equal(fast.values, slow.values)
-        # Identical extraction sequences afterwards (bucket order and
-        # per-bucket append order both preserved).
-        while len(slow):
-            level_f, ids_f = fast.next_bucket()
-            level_s, ids_s = slow.next_bucket()
-            assert level_f == level_s
-            assert np.array_equal(ids_f, ids_s)
-
-    def test_duplicate_ids_fall_back(self):
-        fast, slow = self._pair(n=50, window=8)
-        ids = np.array([3, 3, 7])
-        values = np.array([40, 41, 42])
-        fast.update(ids, values)
-        slow.update(ids, values)
-        assert np.array_equal(fast.values, slow.values)
-
-    def test_below_window_batch_still_raises(self):
-        bucketing = JulienneBucketing(np.arange(20), np.arange(20),
-                                      window=8)
-        bucketing.next_bucket()  # extracts only the value-0 bucket
-        with pytest.raises(ValueError, match="below the current window"):
-            # Force still-alive ids below base to simulate protocol
-            # breakage; the batch fast path must defer to the loop's error.
-            bucketing.base = 50
-            bucketing.update(np.array([1, 2]), np.array([31, 32]))
-
-    def test_unknown_id_raises_keyerror(self):
-        bucketing = JulienneBucketing(np.arange(10), np.arange(10),
-                                      window=4)
-        with pytest.raises(KeyError):
-            bucketing.update(np.array([3, 99]), np.array([1, 1]))
 
 
 class TestSegmentPrimitives:

@@ -1,5 +1,7 @@
 """Tests for the three bucketing backends (Julienne, Fibonacci, dense)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,97 +18,96 @@ BACKENDS = list(BUCKETING_BACKENDS.values())
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBasics:
     def test_extracts_minimum_first(self, backend):
-        b = backend([10, 20, 30], [5, 2, 9])
-        value, ids = b.next_bucket()
+        b = backend([5, 2, 9])
+        value, positions = b.next_bucket()
         assert value == 2
-        assert list(ids) == [20]
+        assert list(positions) == [1]
 
     def test_groups_equal_values(self, backend):
-        b = backend([1, 2, 3, 4], [7, 3, 7, 3])
-        value, ids = b.next_bucket()
+        b = backend([7, 3, 7, 3])
+        value, positions = b.next_bucket()
         assert value == 3
-        assert sorted(ids) == [2, 4]
+        assert sorted(positions) == [1, 3]
 
     def test_drains_in_nondecreasing_order(self, backend):
         values = [4, 1, 3, 1, 9, 4, 0]
-        b = backend(list(range(7)), values)
+        b = backend(values)
         seen = []
         while len(b):
-            value, ids = b.next_bucket()
+            value, _ = b.next_bucket()
             seen.append(value)
         assert seen == sorted(set(values))
 
     def test_len_counts_remaining(self, backend):
-        b = backend([0, 1, 2], [1, 1, 5])
+        b = backend([1, 1, 5])
         assert len(b) == 3
         b.next_bucket()
         assert len(b) == 1
 
     def test_empty_raises(self, backend):
-        b = backend([0], [1])
+        b = backend([1])
         b.next_bucket()
         with pytest.raises(IndexError):
             b.next_bucket()
 
     def test_update_moves_to_lower_bucket(self, backend):
-        b = backend([0, 1], [1, 10])
-        b.next_bucket()  # peel id 0 at value 1
+        b = backend([1, 10])
+        b.next_bucket()  # peel position 0 at value 1
         b.update([1], [4])
-        value, ids = b.next_bucket()
+        value, positions = b.next_bucket()
         assert value == 4
-        assert list(ids) == [1]
+        assert list(positions) == [1]
 
     def test_update_clamps_to_peel_floor(self, backend):
-        b = backend([0, 1], [5, 10])
+        b = backend([5, 10])
         value, _ = b.next_bucket()
         assert value == 5
         b.update([1], [2])  # below the current peel level
-        value, ids = b.next_bucket()
+        value, positions = b.next_bucket()
         assert value == 5  # clamped: core numbers never go backwards
-        assert list(ids) == [1]
+        assert list(positions) == [1]
 
     def test_update_on_extracted_id_ignored(self, backend):
-        b = backend([0, 1], [1, 3])
+        b = backend([1, 3])
         b.next_bucket()
-        b.update([0], [0])  # id 0 already peeled
-        value, ids = b.next_bucket()
-        assert value == 3 and list(ids) == [1]
+        b.update([0], [0])  # position 0 already peeled
+        value, positions = b.next_bucket()
+        assert value == 3 and list(positions) == [1]
 
     def test_value_of(self, backend):
-        b = backend([7, 8], [2, 6])
-        assert b.value_of(7) == 2
-        b.update([8], [4])
-        assert b.value_of(8) == 4
+        b = backend([2, 6])
+        assert b.value_of(0) == 2
+        b.update([1], [4])
+        assert b.value_of(1) == 4
 
     def test_large_value_gap_skipped(self, backend):
-        b = backend([0, 1], [0, 100000])
+        b = backend([0, 100000])
         assert b.next_bucket()[0] == 0
         assert b.next_bucket()[0] == 100000
 
     def test_same_value_update_extracts_once(self, backend):
-        """An update that leaves a live id's value unchanged adds a second
-        bucket entry; the id is still extracted once, and no live id is
-        lost."""
-        b = backend([0, 1, 2], [6, 9, 9])
+        """An update that leaves a live position's value unchanged adds a
+        second bucket entry; the position is still extracted once, and no
+        live position is lost."""
+        b = backend([6, 9, 9])
         b.next_bucket()
         b.update([1], [7])
         b.update([1], [7])
-        value, ids = b.next_bucket()
-        assert (value, list(ids), len(b)) == (7, [1], 1)
-        value, ids = b.next_bucket()
-        assert (value, list(ids), len(b)) == (9, [2], 0)
+        value, positions = b.next_bucket()
+        assert (value, list(positions), len(b)) == (7, [1], 1)
+        value, positions = b.next_bucket()
+        assert (value, list(positions), len(b)) == (9, [2], 0)
 
     def test_tracker_charged(self, backend):
         tracker = CostTracker()
-        b = backend([0, 1, 2], [3, 1, 2], tracker=tracker)
+        b = backend([3, 1, 2], tracker=tracker)
         b.next_bucket()
         assert tracker.work > 0
 
 
 class TestJulienneSpecifics:
     def test_window_refills(self):
-        b = JulienneBucketing(list(range(10)), [i * 50 for i in range(10)],
-                              window=4)
+        b = JulienneBucketing([i * 50 for i in range(10)], window=4)
         drained = []
         while len(b):
             drained.append(b.next_bucket()[0])
@@ -114,12 +115,12 @@ class TestJulienneSpecifics:
         assert b.refills >= 2  # values span far beyond one window
 
     def test_stale_entries_filtered(self):
-        b = JulienneBucketing([0, 1, 2], [2, 5, 5], window=16)
+        b = JulienneBucketing([2, 5, 5], window=16)
         b.next_bucket()
         b.update([1], [3])
         b.update([1], [2])  # moved twice: the first entry is now stale
-        value, ids = b.next_bucket()
-        assert value == 2 and list(ids) == [1]
+        value, positions = b.next_bucket()
+        assert value == 2 and list(positions) == [1]
 
     def test_update_below_window_base_raises(self):
         # Regression: a clamped value below the materialized window's base
@@ -127,39 +128,51 @@ class TestJulienneSpecifics:
         # appending to a top-of-window bucket and corrupting extraction
         # order.  The monotone peeling protocol cannot produce this state,
         # so it must fail loudly instead of mis-bucketing.
-        b = JulienneBucketing([0, 1], [50, 60], window=4)  # base = 50
+        b = JulienneBucketing([50, 60], window=4)  # base = 50
         assert b.base == 50
         with pytest.raises(ValueError, match="below the current window"):
             b.update([1], [10])
-        # The structure was not corrupted: id 1 still drains at its
+        # The structure was not corrupted: position 1 still drains at its
         # original value and nothing landed in a wrong bucket.
-        value, ids = b.next_bucket()
-        assert value == 50 and list(ids) == [0]
-        value, ids = b.next_bucket()
-        assert value == 60 and list(ids) == [1]
+        value, positions = b.next_bucket()
+        assert value == 50 and list(positions) == [0]
+        value, positions = b.next_bucket()
+        assert value == 60 and list(positions) == [1]
+
+    def test_below_window_batch_raises_before_changing(self):
+        b = JulienneBucketing(np.arange(20), window=8)
+        b.next_bucket()  # extracts only the value-0 bucket
+        # Force still-alive positions below base to simulate protocol
+        # breakage: the batch raises at position 2 and leaves position 1,
+        # which it lists first with a valid value, as it was.
+        b.base = 50
+        before = _state(b)
+        with pytest.raises(ValueError, match=r"update\(2\) to value 32"):
+            b.update(np.array([1, 2]), np.array([60, 32]))
+        assert _state(b) == before
 
     def test_clamp_vs_refill_interaction(self):
         # After a refill jumps the window past a gap, updates clamped to
         # the pre-refill peel level must stay inside the new window: the
         # clamp floor (peel_floor) is raised to each extracted value, which
         # is always >= the refilled base.
-        b = JulienneBucketing([0, 1, 2], [2, 100, 101], window=4)
-        value, ids = b.next_bucket()           # peel_floor = 2
-        assert value == 2 and list(ids) == [0]
-        value, ids = b.next_bucket()           # refilled: base = 100
-        assert value == 100 and list(ids) == [1]
+        b = JulienneBucketing([2, 100, 101], window=4)
+        value, positions = b.next_bucket()     # peel_floor = 2
+        assert value == 2 and list(positions) == [0]
+        value, positions = b.next_bucket()     # refilled: base = 100
+        assert value == 100 and list(positions) == [1]
         assert b.base == 100
         assert b.peel_floor == 100
         b.update([2], [5])  # decreases far below base; clamps to 100
-        value, ids = b.next_bucket()
-        assert value == 100 and list(ids) == [2]
+        value, positions = b.next_bucket()
+        assert value == 100 and list(positions) == [2]
         assert b.value_of(2) == 100
 
 
 class TestDenseSpecifics:
     def test_doubling_search_charges_work(self):
         tracker = CostTracker()
-        b = DenseBucketing([0, 1], [0, 4096], tracker=tracker)
+        b = DenseBucketing([0, 4096], tracker=tracker)
         b.next_bucket()
         before = tracker.work
         b.next_bucket()  # long empty-range search
@@ -170,42 +183,43 @@ class TestFibonacciSpecifics:
     def test_heap_consolidation_under_churn(self):
         rng = np.random.default_rng(4)
         values = rng.integers(0, 30, size=100)
-        b = FibonacciBucketing(list(range(100)), values)
+        b = FibonacciBucketing(values)
         floor = 0
         drained = 0
         while len(b):
-            value, ids = b.next_bucket()
+            value, positions = b.next_bucket()
             assert value >= floor
             floor = value
-            drained += len(ids)
+            drained += len(positions)
         assert drained == 100
 
 
 def test_make_bucketing_by_name():
-    b = make_bucketing("julienne", [0], [1])
+    b = make_bucketing("julienne", [1])
     assert isinstance(b, JulienneBucketing)
     with pytest.raises(ValueError):
-        make_bucketing("nope", [0], [1])
+        make_bucketing("nope", [1])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=40), st.data())
 def test_backends_agree_under_peeling(values, data):
     """All three backends peel identically under the same update stream,
-    also when an update leaves a value unchanged: every id is extracted
-    exactly once, and len() agrees after every extraction."""
-    structures = [cls(list(range(len(values))), values) for cls in BACKENDS]
+    also when an update leaves a value unchanged: every position is
+    extracted exactly once, and len() agrees after every extraction."""
+    structures = [cls(values) for cls in BACKENDS]
     extracted: list[int] = []
     while len(structures[0]):
         extractions = [s.next_bucket() for s in structures]
-        value0, ids0 = extractions[0]
-        for value, ids in extractions[1:]:
+        value0, positions0 = extractions[0]
+        for value, positions in extractions[1:]:
             assert value == value0
-            assert sorted(ids) == sorted(ids0)
-        extracted.extend(ids0.tolist())
+            assert sorted(positions) == sorted(positions0)
+        extracted.extend(positions0.tolist())
         assert [len(s) for s in structures] \
             == [len(values) - len(extracted)] * len(structures)
-        # Lower some still-alive ids by 0, 1 or 2, in one or two updates.
+        # Lower some still-alive positions by 0, 1 or 2, in one or two
+        # updates.
         alive = [i for i in range(len(values)) if structures[0].alive[i]]
         for _ in range(data.draw(st.integers(1, 2)) if alive else 0):
             chosen = data.draw(st.lists(st.sampled_from(alive), max_size=5,
@@ -220,8 +234,9 @@ def test_backends_agree_under_peeling(values, data):
 
 
 class _ElementwiseJulienne(JulienneBucketing):
-    """Julienne with the per-element window refill and stale filter it had
-    before both became array operations: the reference below."""
+    """Julienne with the per-element window refill, stale filter and
+    update loop it had before all three became array operations: the
+    reference below."""
 
     def _refill(self):
         self.refills += 1
@@ -248,8 +263,9 @@ class _ElementwiseJulienne(JulienneBucketing):
                     continue
                 value = self.base + offset
                 self._charge(float(len(bucket)))
-                valid = [k for k in bucket
-                         if self.alive[k] and self.values[k] == value]
+                valid = list(dict.fromkeys(  # each once, first entry
+                    k for k in bucket
+                    if self.alive[k] and self.values[k] == value))
                 bucket.clear()
                 if not valid:
                     continue
@@ -257,42 +273,92 @@ class _ElementwiseJulienne(JulienneBucketing):
                 self.alive[positions] = False
                 self.remaining -= len(valid)
                 self.peel_floor = value
-                return value, self.ids[positions]
+                return value, positions
             self._refill()
             if not any(self._buckets):
                 if self.remaining == 0:
                     raise IndexError("bucketing structure is empty")
 
+    def update(self, positions, new_values):
+        positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
+        new_values = np.atleast_1d(np.asarray(new_values, dtype=np.int64))
+        self._charge(float(positions.size))
+        if self.tracker is not None:
+            self.tracker.add_span(_log2(max(1, positions.size)))
+        for k, value in zip(positions.tolist(), new_values.tolist()):
+            if not self.alive[k]:
+                continue
+            value = max(value, self.peel_floor)
+            offset = value - self.base
+            if offset < 0:  # the loop stops here, part-way through
+                raise ValueError(
+                    f"update({k}) to value {value} below the current "
+                    f"window base {self.base}; values must stay >= the "
+                    f"materialized window's base (peel_floor="
+                    f"{self.peel_floor})")
+            self.values[k] = value
+            if offset < self.window:
+                self._buckets[offset].append(k)
+
+
+def _state(structure):
+    """Everything a Julienne structure's next extraction depends on."""
+    return (structure.values.tolist(), structure.alive.tolist(),
+            [list(bucket) for bucket in structure._buckets], structure.base,
+            structure.peel_floor, structure.remaining, structure.refills)
+
+
+def _draw_update(data, structure):
+    """A batch of 1..n distinct positions (extracted ones included, which
+    ``update`` skips), each lowered by 1..30."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n = structure.values.size
+    chosen = rng.permutation(n)[:data.draw(st.integers(1, n))]
+    return chosen, structure.values[chosen] - rng.integers(1, 31, chosen.size)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 200), min_size=1, max_size=80),
-       st.sampled_from([1, 2, 8, 64]), st.sampled_from([1, 5000]),
-       st.data())
-def test_julienne_matches_elementwise_window(values, window, id_stride,
-                                             data):
-    """The array-based window refill and stale filter extract the same
-    ``(value, ids in order)`` sequence as the per-element ones, with the
-    same work, span and refill count, under the peel's protocol (each
-    update lowers live ids, clamped at the peel floor)."""
-    ids = [3 + id_stride * k for k in range(len(values))]
+       st.sampled_from([1, 2, 8, 64]), st.data())
+def test_julienne_matches_elementwise_window(values, window, data):
+    """The array-based window refill, stale filter and update extract the
+    same ``(value, positions in order)`` sequence as the per-element ones,
+    with the same work, span and refill count, under the peel's protocol
+    (each update lowers a batch of distinct positions, clamped at the
+    peel floor).  Before the first extraction the floor is 0, so an
+    update can fall below the window's base: both raise at the same
+    position, and the array update leaves the structure as it was."""
     trackers = [CostTracker(), CostTracker()]
-    structures = [cls(ids, values, window=window, tracker=tracker)
+    structures = [cls(values, window=window, tracker=tracker)
                   for cls, tracker in zip(
                       (_ElementwiseJulienne, JulienneBucketing), trackers)]
+    chosen, new_values = _draw_update(data, structures[1])
+    if (np.maximum(new_values, 0) < structures[1].base).any():
+        # On copies: the per-element loop stops part-way.
+        copies = copy.deepcopy(structures)
+        before = _state(copies[1])
+        errors = []
+        for structure in copies:
+            with pytest.raises(ValueError) as info:
+                structure.update(chosen, new_values)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert _state(copies[1]) == before
+        assert copies[0].tracker.total == copies[1].tracker.total
+    else:
+        for structure in structures:
+            structure.update(chosen, new_values)
     logs: list[list] = [[], []]
     while len(structures[0]):
         for log, structure in zip(logs, structures):
             value, out = structure.next_bucket()
             log.append((value, out.tolist()))
         assert logs[0][-1] == logs[1][-1]
-        live = np.flatnonzero(structures[0].alive).tolist()
-        if live:
-            chosen = data.draw(st.lists(st.sampled_from(live), max_size=8,
-                                        unique=True))
-            new_values = [int(structures[0].values[k])
-                          - data.draw(st.integers(1, 30)) for k in chosen]
+        if len(structures[0]):
+            chosen, new_values = _draw_update(data, structures[1])
             for structure in structures:
-                structure.update([ids[k] for k in chosen], new_values)
+                structure.update(chosen, new_values)
+        assert _state(structures[0]) == _state(structures[1])
     assert len(structures[1]) == 0
     assert logs[0] == logs[1]
     assert trackers[0].total == trackers[1].total

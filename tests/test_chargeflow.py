@@ -34,7 +34,37 @@ class TestFixturePackage:
             ("PAR006", "nondet.py", 10),
             ("PAR006", "nondet.py", 12),
             ("PAR008", "phases.py", 7),
+            # Not line 29: ``delegate`` only calls a phase-opener.
+            ("PAR008", "phases.py", 30),
         ]
+
+    def test_phase_closed_is_a_greatest_fixpoint(self):
+        # Two delegates that call each other and otherwise only a
+        # phase-opener stay phase-closed: the cycle alone strikes neither.
+        # A direct out-of-phase charge in one strikes both.
+        path = ENGINEPKG / "phases.py"
+        cycle = path.read_text() + (
+            "\n\ndef ping(tracker, n):\n"
+            "    open_phase(tracker)\n"
+            "    if n:\n"
+            "        pong(tracker, n - 1)\n"
+            "\n\ndef pong(tracker, n):\n"
+            "    ping(tracker, n)\n"
+            "\n\ndef orchestrate_cycle(tracker):\n"
+            "    with tracker.phase(\"own\"):\n"
+            "        tracker.add_span(1.0)\n"
+            "    ping(tracker, 2)\n")
+        charged = cycle.replace("    ping(tracker, n)\n",
+                                "    ping(tracker, n)\n"
+                                "    tracker.add_work(1.0)\n")
+
+        def par008_lines(source):
+            result = analyze(ENGINEPKG, overlay={str(path): source})
+            return [f.line for f in result.findings if f.rule == "PAR008"]
+
+        assert par008_lines(cycle) == [7, 30]
+        call_line = charged.splitlines().index("    ping(tracker, 2)") + 1
+        assert par008_lines(charged) == [7, 30, call_line]
 
     def test_charge_via_helper_needs_the_call_graph(self):
         # Lexically the loop and the parallel region never charge; only
@@ -92,13 +122,13 @@ class TestCli:
         assert main(["lint", str(ENGINEPKG)]) == 1
         out = capsys.readouterr().out
         assert "PAR005" in out
-        assert "5 finding(s) in 5 file(s)" in out
+        assert "6 finding(s) in 5 file(s)" in out
 
     def test_json_report(self, capsys):
         assert main(["lint", str(ENGINEPKG), "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "parlint-chargeflow"
-        assert len(doc["findings"]) == 5
+        assert len(doc["findings"]) == 6
 
     def test_sarif_to_file(self, tmp_path, capsys):
         out = tmp_path / "out.sarif"

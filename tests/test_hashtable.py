@@ -148,6 +148,33 @@ def test_empty_key_reserved():
     assert (t.keys == EMPTY_KEY).all()
 
 
+class TestKeyRange:
+    """Keys must lie in ``[0, EMPTY_KEY)``: the reserved pattern would read
+    as an empty slot, and a negative key would wrap onto it."""
+
+    @pytest.mark.parametrize("key", [2**64 - 1, 2**64, -1])
+    @pytest.mark.parametrize("insert", ["insert_or_add", "set"])
+    def test_scalar_insert_rejects(self, insert, key):
+        tr = CostTracker()
+        t = ParallelHashTable(8, tracker=tr)
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            getattr(t, insert)(key, 1.0)
+        assert (len(t), (t.keys == EMPTY_KEY).all(), t.values.any(),
+                tr.work) == (0, True, False, 0)
+
+    @pytest.mark.parametrize("keys", [
+        [2**64 - 1], np.array([2**64 - 1], dtype=np.uint64),
+        np.array([-1]), [3, -1, 4]])
+    def test_batch_insert_rejects_before_inserting(self, keys):
+        tr = CostTracker()
+        t = ParallelHashTable(8, tracker=tr)
+        key = [k for k in np.asarray(keys).tolist() if not 0 <= k < 2**64 - 1]
+        with pytest.raises(ValueError, match=f"key {key[0]} is outside"):
+            t.insert_many(keys)
+        assert (len(t), (t.keys == EMPTY_KEY).all(), t.values.any(),
+                tr.work) == (0, True, False, 0)
+
+
 class TestInsertMany:
     def test_adds_to_repeated_keys(self):
         t = ParallelHashTable(8)

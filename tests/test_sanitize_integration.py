@@ -101,19 +101,20 @@ class TestBucketingUnderDetector:
         detector = tracker.race_detector
         rng = np.random.default_rng(7)
         values = rng.integers(0, 8, size=32)
-        structure = cls(np.arange(32), values, tracker=tracker)
+        structure = cls(values, tracker=tracker)
         base = detector.allocate(32, "bucket_of")
         live = set(range(32))
         while len(structure):
-            value, ids = structure.next_bucket()
-            live -= set(map(int, ids))
-            if ids.size == 0:
+            value, positions = structure.next_bucket()
+            live -= set(map(int, positions))
+            if positions.size == 0:
                 continue
-            with tracker.parallel(ids.size) as region:
-                for ident in map(int, ids):
+            with tracker.parallel(positions.size) as region:
+                for position in map(int, positions):
                     with region.task():
                         tracker.add_work(1.0)
-                        detector.log(base + ident, write=True, atomic=True)
+                        detector.log(base + position, write=True,
+                                     atomic=True)
             survivors = sorted(live)[:4]
             if survivors:
                 # Monotone decrease, clamped at the current peel level.
