@@ -37,9 +37,9 @@ trajectory's ``--min-hierarchy-speedup`` gate reads):
     ``tests/test_parity_registry.py`` checks their parity).
 ``hier_emit``
     materializing :class:`~repro.analysis.hierarchy.Nucleus` records
-    from the per-level label snapshots, reproducing the oracle's node
-    ids and parent links exactly (groups ordered by minimum member
-    index, ids assigned ascending by level).
+    from the per-level label snapshots with one sort per level,
+    reproducing the oracle's node ids and parent links exactly (groups
+    ordered by minimum member index, ids assigned ascending by level).
 """
 
 from __future__ import annotations
@@ -224,31 +224,40 @@ def _emit(r: int, s: int, cliques: list, levels_data: list,
 
     Shared by both engines (same inputs by the kernels' parity contract,
     so same charges).  Reproduces the post-hoc oracle's numbering
-    exactly: levels ascending, groups within a level ordered by their
-    minimum member index, members sorted, parent looked up through the
-    previous level's membership of the group's minimum member.
+    exactly: levels ascending, groups within a level numbered in
+    ascending order of their minimum member index, members sorted, parent
+    the previous level's node of the group's minimum member.  One sort
+    per level groups it: ``lexsort((active, labels))`` makes each group a
+    run of ascending members, so a run's first member is its minimum.
     """
     hierarchy = NucleusHierarchy(r, s)
-    previous_node: dict[int, int] = {}
+    nuclei = hierarchy.nuclei
+    #: r-clique index -> node id of its nucleus at the previous level.
+    node_of = np.full(len(cliques), -1, dtype=np.int64)
     next_id = 0
     for level, active, labels in levels_data:
-        groups: dict[int, list[int]] = {}
-        for pos in range(active.size):
-            groups.setdefault(int(labels[pos]), []).append(int(active[pos]))
         # One pass to group plus one to emit; group-by-label is a
         # semisort (linear work in the level's alive count).
         tracker.add_work(float(2 * active.size))
         tracker.add_span(_log2(active.size + 1))
-        current_node: dict[int, int] = {}
-        for group in sorted(groups.values(), key=min):
-            group.sort()
-            nucleus = Nucleus(level=int(level),
-                              members=tuple(cliques[i] for i in group),
-                              node_id=next_id,
-                              parent_id=previous_node.get(group[0], -1))
-            hierarchy.nuclei.append(nucleus)
-            for i in group:
-                current_node[i] = next_id
+        order = np.lexsort((active, labels))
+        grouped = active[order]
+        run_labels = labels[order]
+        first = np.ones(grouped.size, dtype=bool)
+        first[1:] = run_labels[1:] != run_labels[:-1]
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], grouped.size)
+        minima = grouped[starts]
+        by_minimum = np.argsort(minima, kind="stable")
+        node_ids = np.empty(starts.size, dtype=np.int64)
+        node_ids[by_minimum] = np.arange(next_id, next_id + starts.size)
+        parents = node_of[minima]
+        node_of[grouped] = np.repeat(node_ids, ends - starts)
+        members = [cliques[i] for i in grouped.tolist()]
+        for lo, hi, parent in zip(starts[by_minimum].tolist(),
+                                  ends[by_minimum].tolist(),
+                                  parents[by_minimum].tolist()):
+            nuclei.append(Nucleus(level=level, members=tuple(members[lo:hi]),
+                                  node_id=next_id, parent_id=parent))
             next_id += 1
-        previous_node = current_node
     return hierarchy

@@ -11,6 +11,9 @@ summary statistics.
 from __future__ import annotations
 
 import json
+from itertools import chain
+
+import numpy as np
 
 from ..core.decomp import NucleusResult
 from .hierarchy import Nucleus, NucleusHierarchy
@@ -59,22 +62,35 @@ def load_result_json(path) -> dict:
     return payload
 
 
-def hierarchy_to_payload(hierarchy: NucleusHierarchy) -> dict:
-    """The JSON-ready dict form of a nucleus hierarchy.
+#: The hierarchy payload layout :func:`hierarchy_to_payload` writes and
+#: :func:`payload_to_hierarchy` reads: one column per nucleus field plus
+#: every member r-clique flattened into one vertex-id list.
+HIERARCHY_FORMAT = 2
 
-    One record per nucleus (node id, parent id, level, member r-cliques
-    as vertex lists); node ids are the hierarchy's own, so parent links
-    survive the round trip untouched.
+#: The columns holding one entry per nucleus, in payload order.
+_NUCLEUS_COLUMNS = ("node_id", "parent_id", "level", "size")
+
+
+def hierarchy_to_payload(hierarchy: NucleusHierarchy) -> dict:
+    """The JSON-ready dict form of a nucleus hierarchy (format 2).
+
+    ``node_id``, ``parent_id``, ``level`` and ``size`` hold one entry per
+    nucleus; ``members`` holds every nucleus's member r-cliques as vertex
+    ids, flattened in nucleus order (``size[i]`` members of ``r`` ids
+    each).  Node ids are the hierarchy's own, so parent links survive the
+    round trip untouched.
     """
+    nuclei = hierarchy.nuclei
     return {
+        "format": HIERARCHY_FORMAT,
         "r": hierarchy.r,
         "s": hierarchy.s,
-        "nuclei": [{"node_id": nucleus.node_id,
-                    "parent_id": nucleus.parent_id,
-                    "level": nucleus.level,
-                    "members": [list(clique)
-                                for clique in nucleus.members]}
-                   for nucleus in hierarchy.nuclei],
+        "node_id": [nucleus.node_id for nucleus in nuclei],
+        "parent_id": [nucleus.parent_id for nucleus in nuclei],
+        "level": [nucleus.level for nucleus in nuclei],
+        "size": [len(nucleus.members) for nucleus in nuclei],
+        "members": list(chain.from_iterable(chain.from_iterable(
+            nucleus.members for nucleus in nuclei))),
     }
 
 
@@ -82,52 +98,93 @@ def payload_to_hierarchy(payload: dict) -> NucleusHierarchy:
     """Rebuild a :class:`NucleusHierarchy` from its payload dict.
 
     Payloads come from files, so they are checked as they are read:
-    ``r``, ``s`` and ``nuclei`` must be present with ``1 <= r < s``, and
-    every record needs ``node_id``, ``parent_id``, ``level`` and
-    ``members``, a node id no other record has, members of ``r`` vertex
-    ids each, and a ``parent_id`` that is -1 or names a node at a strictly
-    lower level.  Raises ``ValueError`` naming the first bad record.
+    ``format`` 2 (no other layout is read), integers ``1 <= r < s``, the
+    four per-nucleus columns of equal length, every id an integer, no
+    negative size, ``r * sum(size)`` member vertex ids, node ids no two
+    nuclei share, and each ``parent_id`` -1 or naming a node at a
+    strictly lower level.  Raises ``ValueError`` located at the payload
+    or at the first bad nucleus (``hierarchy record i``).
     """
+    if not isinstance(payload, dict) or "format" not in payload:
+        raise ValueError(f"hierarchy payload: missing key 'format' "
+                         f"(expected format {HIERARCHY_FORMAT})")
+    if payload["format"] != HIERARCHY_FORMAT:
+        raise ValueError(f"hierarchy payload: unsupported format "
+                         f"{payload['format']!r} (expected format "
+                         f"{HIERARCHY_FORMAT})")
     try:
-        r, s = int(payload["r"]), int(payload["s"])
-        records = list(payload["nuclei"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"hierarchy payload: {_reason(exc)}") from None
-    if not 1 <= r < s:
-        raise ValueError(f"hierarchy payload: need 1 <= r < s, got r={r}, "
-                         f"s={s}")
+        r, s = payload["r"], payload["s"]
+        columns = [_id_column(payload, key) for key in _NUCLEUS_COLUMNS]
+        members = _id_column(payload, "members")
+    except KeyError as exc:
+        raise ValueError(f"hierarchy payload: missing key {exc}") from None
+    if not (isinstance(r, int) and isinstance(s, int) and 1 <= r < s):
+        raise ValueError(f"hierarchy payload: need integers 1 <= r < s, "
+                         f"got r={r!r}, s={s!r}")
+    lengths = [column.size for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError("hierarchy payload: columns " + ", ".join(
+            f"{key} ({length})" for key, length in
+            zip(_NUCLEUS_COLUMNS, lengths)) + " differ in length")
+    node_ids, parent_ids, levels, sizes = columns
+    negative = np.flatnonzero(sizes < 0)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"hierarchy record {i}: size {sizes[i]} is "
+                         f"negative")
+    expected = r * sum(sizes.tolist())  # a Python sum cannot wrap
+    if members.size != expected:
+        raise ValueError(f"hierarchy payload: members holds {members.size} "
+                         f"vertex ids, not r * sum(size) = {expected}")
+    order = np.argsort(node_ids, kind="stable")
+    ordered = node_ids[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        i = int(repeats.min())
+        raise ValueError(f"hierarchy record {i}: node id {node_ids[i]} is "
+                         f"not unique")
+    at = np.minimum(np.searchsorted(ordered, parent_ids), ordered.size - 1)
+    dangling = (parent_ids != -1) & (
+        (ordered[at] != parent_ids) | (levels[order[at]] >= levels))
+    if dangling.any():
+        i = int(np.flatnonzero(dangling)[0])
+        raise ValueError(f"hierarchy record {i}: parent_id {parent_ids[i]} "
+                         f"names no node below level {levels[i]}")
+    rows = list(zip(*[iter(members.tolist())] * r))
     hierarchy = NucleusHierarchy(r, s)
-    level_of: dict[int, int] = {}
-    for i, record in enumerate(records):
-        try:
-            nucleus = Nucleus(
-                level=int(record["level"]),
-                members=tuple(tuple(map(int, clique))
-                              for clique in record["members"]),
-                node_id=int(record["node_id"]),
-                parent_id=int(record["parent_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"hierarchy record {i}: {_reason(exc)}") \
-                from None
-        if nucleus.node_id in level_of:
-            raise ValueError(f"hierarchy record {i}: node id "
-                             f"{nucleus.node_id} is not unique")
-        if any(len(clique) != r for clique in nucleus.members):
-            raise ValueError(f"hierarchy record {i}: a member does not "
-                             f"have {r} vertex ids")
-        level_of[nucleus.node_id] = nucleus.level
-        hierarchy.nuclei.append(nucleus)
-    for i, nucleus in enumerate(hierarchy.nuclei):
-        parent = nucleus.parent_id
-        if parent != -1 and \
-                level_of.get(parent, nucleus.level) >= nucleus.level:
-            raise ValueError(f"hierarchy record {i}: parent_id {parent} "
-                             f"names no node below level {nucleus.level}")
+    stop = 0
+    for node_id, parent_id, level, size in zip(*(column.tolist()
+                                                 for column in columns)):
+        start, stop = stop, stop + size
+        hierarchy.nuclei.append(Nucleus(level=level,
+                                        members=tuple(rows[start:stop]),
+                                        node_id=node_id,
+                                        parent_id=parent_id))
     return hierarchy
 
 
-def _reason(exc: Exception) -> str:
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+def _id_column(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a flat int64 array.  ``ValueError`` names the
+    first entry that is not an integer: by nucleus in a per-nucleus
+    column, by index in ``members``."""
+    values = payload[key]
+    if not isinstance(values, list):
+        raise ValueError(f"hierarchy payload: {key} is not a list")
+    try:
+        column = np.asarray(values)
+    except ValueError:  # a nested list of uneven lengths
+        column = None
+    if column is not None and column.ndim == 1 and (
+            column.dtype == np.int64 or not column.size):
+        return column.astype(np.int64, copy=False)
+    for j, value in enumerate(values):
+        if type(value) is not int:
+            where = f"record {j}: {key}" if key in _NUCLEUS_COLUMNS \
+                else f"payload: {key}[{j}]"
+            raise ValueError(f"hierarchy {where} {value!r} is not an "
+                             f"integer")
+    raise ValueError(f"hierarchy payload: {key} holds an integer outside "
+                     f"the int64 range")
 
 
 def save_hierarchy_json(hierarchy: NucleusHierarchy, path) -> None:

@@ -312,6 +312,8 @@ def peel_rounds(config: NucleusConfig, cells: np.ndarray,
         buckets = make_bucketing(
             config.bucketing, np.rint(table.counts[cells]).astype(np.int64),
             tracker=tracker, window=config.bucket_window)
+        position_of = np.empty(table.total_cells, dtype=np.int64)
+        position_of[cells] = np.arange(cells.size)
     rho = max_core = 0
     round_log: list[tuple[int, int, int]] = []
     with tracker.phase("peel"):
@@ -326,7 +328,7 @@ def peel_rounds(config: NucleusConfig, cells: np.ndarray,
             round_log.append((level, int(peel_cells.size), int(updated.size)))
             status[peel_cells] = _PEELED
             if updated.size:
-                buckets.update(np.searchsorted(cells, updated),
+                buckets.update(position_of[updated],
                                np.rint(table.counts[updated]).astype(np.int64))
             if after_round is not None:
                 after_round(peel_cells)

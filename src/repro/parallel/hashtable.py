@@ -284,14 +284,16 @@ class ParallelHashTable:
         return slot
 
     def get(self, key: int, default: float | None = None) -> float | None:
-        slot, found = self._probe(key)
-        if found:
-            return float(self.values[slot])
-        return default
+        slot = self.slot_of(key)
+        return default if slot < 0 else float(self.values[slot])
 
     def slot_of(self, key: int) -> int:
         """The slot holding ``key``, or -1.  Slots are the paper's implicit
-        r-clique indices when the table is laid out contiguously (5.3)."""
+        r-clique indices when the table is laid out contiguously (5.3).
+        A key outside ``[0, EMPTY_KEY)`` cannot be stored, so it is absent
+        without a probe or a charge."""
+        if not 0 <= key < _MASK64:
+            return -1
         slot, found = self._probe(key)
         return slot if found else -1
 
@@ -300,8 +302,7 @@ class ParallelHashTable:
         return None if k == EMPTY_KEY else int(k)
 
     def __contains__(self, key: int) -> bool:
-        _, found = self._probe(key)
-        return found
+        return self.slot_of(key) >= 0
 
     def __len__(self) -> int:
         return self.size

@@ -174,6 +174,21 @@ class TestKeyRange:
         assert (len(t), (t.keys == EMPTY_KEY).all(), t.values.any(),
                 tr.work) == (0, True, False, 0)
 
+    @pytest.mark.parametrize("key", [2**64 - 1, 2**64, -1])
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_lookup_answers_absent(self, key, filled):
+        """No such key can be stored, so a lookup answers "absent" without
+        probing: no empty slot reads as a match, no key overflows."""
+        tr = CostTracker()
+        t = ParallelHashTable(8, tracker=tr)
+        if filled:
+            for stored in (0, 3, 2**64 - 2):
+                t.insert_or_add(stored, 1.0)
+        work, probes = tr.work, tr.total.table_probes
+        assert (t.get(key), t.get(key, 7.0), t.slot_of(key), key in t) == \
+            (None, 7.0, -1, False)
+        assert (tr.work, tr.total.table_probes) == (work, probes)
+
 
 class TestInsertMany:
     def test_adds_to_repeated_keys(self):

@@ -1,12 +1,18 @@
 """Tests for the nucleus query service and hierarchy serialization."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (HierarchyIndex, hierarchy_to_payload,
                             load_hierarchy_json, nucleus_hierarchy,
                             payload_to_hierarchy, save_hierarchy_json)
 from repro.core.decomp import arb_nucleus_decomp
-from repro.graph.generators import figure1_graph, planted_partition
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import (erdos_renyi, figure1_graph,
+                                    planted_partition)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +144,37 @@ class TestHierarchySerialization:
             assert [n.node_id for n in reloaded.at_level(level)] == \
                 [n.node_id for n in index.at_level(level)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(graph=st.one_of(
+        st.builds(CSRGraph.from_edges, st.integers(0, 6), st.just([])),
+        st.builds(erdos_renyi, st.integers(2, 16), st.integers(0, 45),
+                  st.integers(0, 2**16)),
+        st.builds(planted_partition, st.integers(2, 24), st.integers(1, 4),
+                  st.just(0.7), st.just(0.05), st.integers(0, 2**16))),
+        rs=st.sampled_from([(1, 2), (2, 3), (3, 4)]))
+    def test_json_round_trip_property(self, graph, rs):
+        """Through JSON text and back, a hierarchy is equal field by field
+        (``repr`` too, so every id stays a plain int and every member a
+        tuple), and an index over the copy answers every query alike."""
+        hierarchy = nucleus_hierarchy(graph, arb_nucleus_decomp(graph, *rs))
+        copy = payload_to_hierarchy(json.loads(json.dumps(
+            hierarchy_to_payload(hierarchy))))
+        assert copy == hierarchy
+        assert repr(copy) == repr(hierarchy)
+        assert _every_answer(HierarchyIndex(copy), graph.n) == \
+            _every_answer(HierarchyIndex(hierarchy), graph.n)
+
+    def test_layout(self, hierarchy_payload):
+        payload = hierarchy_to_payload(payload_to_hierarchy(
+            hierarchy_payload))
+        assert payload == hierarchy_payload
+        assert list(payload) == ["format", "r", "s", "node_id", "parent_id",
+                                 "level", "size", "members"]
+        assert [len(payload[key]) for key in
+                ("node_id", "parent_id", "level", "size")] == [2] * 4
+        assert len(payload["members"]) == \
+            payload["r"] * sum(payload["size"]) == 8
+
     def test_valid_small_payload_loads(self, hierarchy_payload):
         loaded = payload_to_hierarchy(hierarchy_payload)
         assert [(n.node_id, n.parent_id, n.level) for n in loaded.nuclei] \
@@ -145,6 +182,30 @@ class TestHierarchySerialization:
         assert [n.node_id for n in loaded.roots()] == [0]
 
     def test_malformed_payload_rejected(self, malformed_hierarchy):
-        with pytest.raises(ValueError,
-                           match=r"^hierarchy (payload|record \d+): "):
-            payload_to_hierarchy(malformed_hierarchy)
+        payload, message = malformed_hierarchy
+        with pytest.raises(ValueError) as info:
+            payload_to_hierarchy(payload)
+        assert str(info.value) == message
+
+
+def _every_answer(index: HierarchyIndex, n: int) -> list:
+    """Node ids answering each query kind, over every vertex and vertex
+    pair below ``n + 1`` and every level (plus one absent level)."""
+    def ids(answer):
+        if isinstance(answer, list):
+            return [nucleus.node_id for nucleus in answer]
+        return None if answer is None else answer.node_id
+
+    levels = index.levels()
+    probe_levels = levels + [max(levels, default=0) + 1]
+    nodes = [nucleus.node_id for nucleus in index.hierarchy.nuclei]
+    vertices = range(n + 1)
+    return [levels,
+            [ids(index.at_level(k)) for k in probe_levels],
+            [ids(index.node(i)) for i in nodes],
+            [ids(index.children_of(i)) for i in nodes],
+            [ids(index.nucleus_of_vertex(v, k))
+             for v in vertices for k in probe_levels],
+            [ids(index.densest_containing_vertex(v)) for v in vertices],
+            [ids(index.densest_containing_edge(u, v))
+             for u in vertices for v in vertices if u < v]]
