@@ -66,26 +66,30 @@ PARLINT_PARITY = {
 def expand_cliques(dg: DirectedGraph, bases: np.ndarray,
                    cand_values: np.ndarray, cand_lens: np.ndarray,
                    levels: int, tracker: CostTracker | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complete every base with ``levels`` more vertices, level by level.
 
     The batch form of calling :func:`~repro.cliques.listing.rec_list_cliques`
-    once per base.  Returns ``(rows, base_of)``: the completed cliques as a
-    ``(total, d + levels)`` matrix in exactly the scalar discovery order,
-    and the originating base index of each row.  Charges bit-for-bit what
-    the per-base recursions would.
+    once per base.  Returns ``(rows, base_of, base_work)``: the completed
+    cliques as a ``(total, d + levels)`` matrix in exactly the scalar
+    discovery order, the originating base index of each row, and the
+    work each base's recursion charges (its intersections and emissions).
+    Charges ``tracker``, when given, bit-for-bit what the per-base
+    recursions would.
     """
     bases = np.asarray(bases, dtype=np.int64)
     if bases.ndim != 2:
         raise ValueError("bases must be a (k, d) matrix")
     cand_values = np.asarray(cand_values, dtype=np.int64)
     cand_lens = np.asarray(cand_lens, dtype=np.int64)
-    base_of = np.arange(bases.shape[0], dtype=np.int64)
+    n_bases = bases.shape[0]
+    base_of = np.arange(n_bases, dtype=np.int64)
+    base_work = np.zeros(n_bases, dtype=np.int64)
     if levels <= 0:
         # rec_list_cliques(levels=0): emit each base as-is, one clique each.
         if tracker is not None:
-            tracker.add_cliques(bases.shape[0])
-        return bases.copy(), base_of
+            tracker.add_cliques(n_bases)
+        return bases.copy(), base_of, base_work
 
     out_width = bases.shape[1] + levels
     level = levels
@@ -103,9 +107,14 @@ def expand_cliques(dg: DirectedGraph, bases: np.ndarray,
         out_values = segment_gather(dg.targets, dg.offsets[chosen], out_lens)
         child_values, child_lens = intersect_segments(
             parent_cands, cand_lens[parent_of], out_values, out_lens, tracker)
+        # intersect_segments' charge: min(|cands|, |N+(v)|) + 1 per child.
+        child_base = base_of[parent_of]
+        base_work += np.bincount(
+            child_base, np.minimum(cand_lens[parent_of], out_lens) + 1,
+            n_bases).astype(np.int64)
         keep = child_lens >= level - 1
         bases = np.column_stack([bases[parent_of], chosen])[keep]
-        base_of = base_of[parent_of][keep]
+        base_of = child_base[keep]
         cand_values = child_values[np.repeat(keep, child_lens)]
         cand_lens = child_lens[keep]
         level -= 1
@@ -115,13 +124,14 @@ def expand_cliques(dg: DirectedGraph, bases: np.ndarray,
     if tracker is not None:
         tracker.add_work_int(total)
         tracker.add_cliques(total)
+    base_work += np.bincount(base_of, cand_lens, n_bases).astype(np.int64)
     # If the frontier drained early (total == 0), bases may be narrower than
     # out_width; the empty result still carries the full clique width.
     rows = np.empty((total, out_width), dtype=np.int64)
     if total:
         rows[:, :-1] = np.repeat(bases, cand_lens, axis=0)
         rows[:, -1] = cand_values
-    return rows, np.repeat(base_of, cand_lens)
+    return rows, np.repeat(base_of, cand_lens), base_work
 
 
 def _segment_starts(lengths: np.ndarray) -> np.ndarray:
@@ -167,8 +177,8 @@ def batch_list_cliques(dg: DirectedGraph, c: int,
         cand_lens = lens[start:stop]
         cand_values = segment_gather(dg.targets, dg.offsets[roots[start:stop]],
                                      cand_lens)
-        rows, _ = expand_cliques(dg, roots[start:stop, np.newaxis],
-                                 cand_values, cand_lens, c - 1, tracker)
+        rows, _, _ = expand_cliques(dg, roots[start:stop, np.newaxis],
+                                    cand_values, cand_lens, c - 1, tracker)
         if sink is not None and rows.shape[0]:
             _emit_blocks(rows, sink)
         total += rows.shape[0]

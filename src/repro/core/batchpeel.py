@@ -15,7 +15,9 @@ decode, the live neighbor segments of the
 :func:`~repro.parallel.primitives.intersect_segments`, frontier
 expansion of the incident s-cliques, one vectorized probe pass over all
 ``comb(s, r)`` sub-cliques of every rediscovered s-clique, and the
-address replay.  What a surviving s-clique does to the counts is each
+address stream, with every charge kept per task so the sharded round
+can post each shard's own.  What a surviving
+s-clique does to the counts is each
 peel's *apply step*, a callable: here fractional or representative
 deltas through one ``np.add.at`` scatter and a vectorized first-touch
 dedup feeding ``Aggregator.record_many``; in the sharded model,
@@ -40,8 +42,9 @@ that possible (full rules in docs/cost-model.md):
   :meth:`~repro.parallel.runtime.CostTracker.access_sequence`.
 
 Blocks run in task order, so the concatenated per-block streams and charge
-sums are the whole round's, and each task keeps its *global* index for its
-list-buffer thread id.
+sums are the whole round's (and any run of tasks, such as one shard's,
+sums to what the oracle charges for exactly those tasks), and each task
+keeps its *global* index for its list-buffer thread id.
 
 The kernel requires plain ndarray peeling state, so
 :func:`~repro.core.decomp.arb_nucleus_decomp` runs the scalar oracle
@@ -146,7 +149,7 @@ def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
         for base in range(0, int(peel_cells.size), PEEL_BLOCK_TASKS):
             update_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
                          comb_cols, dg, working, table, status, apply, r, s,
-                         tracker)
+                         cache_on, tracker)
         # One O(log n) intersection per completion level.
         region.task_span(_log2(graph_n) * (s - r + 1))
 
@@ -212,7 +215,7 @@ def _edges_alive_many(pairs, table, status, tracker, cache_on) -> np.ndarray:
 
 
 def update_block(peel_cells, task_base, comb_cols, dg, working, table,
-                 status, apply, r, s, tracker) -> None:
+                 status, apply, r, s, collect_addresses, tracker=None):
     """UPDATE for one block of a round's peeled r-cliques, batched
     (Algorithm 2, lines 13-18); both peels run it.
 
@@ -226,15 +229,22 @@ def update_block(peel_cells, task_base, comb_cols, dg, working, table,
     starts at ``task_base``), ``cells`` / ``state`` the ``(rows, C(s,r))``
     sub-clique cells and statuses, ``live`` marks rows with no PEELED and
     some ALIVE sub-clique, and ``representative`` rows whose base
-    r-clique is their least peeling sub-clique.  The apply step charges
-    its own updates and returns ``(addresses, per-row lengths)`` of the
-    simulated addresses they touch, or None; the block's stream is then
-    replayed in scalar order.
+    r-clique is their least peeling sub-clique.  The apply step accounts
+    for its own updates and returns ``(addresses, per-row lengths)`` of
+    the simulated addresses they touch, or None.
+
+    Returns the block's charges per task, in task order: ``(work,
+    probes, s_cliques, addresses, address_lens)`` --- work, table probes
+    and discovered s-cliques, and the simulated address stream (each
+    task's segment in scalar order, ``address_lens`` long; empty unless
+    ``collect_addresses``).  Given a ``tracker``, it also posts their
+    sums and replays the stream there (the single-node peel); without
+    one it charges nothing and the caller posts them (the sharded round,
+    shard by shard).
     """
     n_tasks = peel_cells.size
-    cache_on = tracker.cache is not None
-    cliques, dec_addrs, dec_lens = table.decode_many(
-        peel_cells, collect_addresses=cache_on)
+    cliques, work, dec_addrs, dec_lens = table.decode_uncharged(
+        peel_cells, collect_addresses)
 
     # -- candidates: the intersection of the clique's live neighbor
     # segments, charged min_i |N(v_i)| + 1 per task (one unit for r = 1).
@@ -242,9 +252,9 @@ def update_block(peel_cells, task_base, comb_cols, dg, working, table,
     cand_values = working.gather(cliques[:, 0])
     cand_lens = lens[:, 0]
     if r == 1:
-        tracker.add_work_int(n_tasks)
+        work += 1
     else:
-        tracker.add_work_int(int(lens.min(axis=1).sum()) + n_tasks)
+        work += lens.min(axis=1) + 1
         for j in range(1, r):
             cand_values, cand_lens = intersect_segments(
                 cand_values, cand_lens, working.gather(cliques[:, j]),
@@ -253,62 +263,76 @@ def update_block(peel_cells, task_base, comb_cols, dg, working, table,
     # -- enumerate incident s-cliques (rows) in scalar discovery order;
     # tasks whose candidates cannot complete one are skipped without
     # charge, like the scalar early return.
-    eligible = cand_lens >= s - r
-    rows, base_of = expand_cliques(
-        dg, cliques[eligible], cand_values[np.repeat(eligible, cand_lens)],
-        cand_lens[eligible], s - r, tracker)
-    row_task = np.flatnonzero(eligible)[base_of]
+    keep = cand_lens >= s - r
+    eligible = np.flatnonzero(keep)
+    rows, base_of, base_work = expand_cliques(
+        dg, cliques[eligible], cand_values[np.repeat(keep, cand_lens)],
+        cand_lens[eligible], s - r)
+    work[eligible] += base_work
+    row_task = eligible[base_of]
     n_rows = rows.shape[0]
-    if n_rows == 0:
-        if cache_on:
-            tracker.access_sequence(dec_addrs)
-        return
+    probes = np.zeros(n_tasks, dtype=np.int64)
+    addresses, address_lens = dec_addrs.astype(np.int64), dec_lens
+    if n_rows:
+        # -- probe every sub-clique until the scalar loop would stop
+        # (first PEELED): per row the examined subsets' route + probe
+        # costs.
+        n_combs = comb_cols.shape[0]
+        subsets = np.sort(rows, axis=1)[:, comb_cols]  # (rows, combs, r)
+        cells_flat, probes_flat, slot_addrs, route_addrs = \
+            table.lookup_many(subsets.reshape(n_rows * n_combs, r))
+        cells = cells_flat.reshape(n_rows, n_combs)
+        state = status[cells]
+        peeled = state == _PEELED
+        has_peeled = peeled.any(axis=1)
+        probed_count = np.where(has_peeled, peeled.argmax(axis=1) + 1,
+                                n_combs)
+        probed_mask = np.arange(n_combs)[np.newaxis, :] \
+            < probed_count[:, None]
+        examined = (probes_flat.reshape(n_rows, n_combs)
+                    * probed_mask).sum(axis=1)
+        route_work, route_probes, route_len = table.route_charge_profile()
+        work += np.bincount(row_task, s + probed_count * route_work
+                            + examined * table.suffix_width,
+                            n_tasks).astype(np.int64)
+        probes = np.bincount(row_task, probed_count * route_probes
+                             + examined, n_tasks).astype(np.int64)
 
-    # -- probe every sub-clique until the scalar loop would stop (first
-    # PEELED), charging the per-subset route + probe costs in bulk.
-    n_combs = comb_cols.shape[0]
-    subsets = np.sort(rows, axis=1)[:, comb_cols]  # (n_rows, n_combs, r)
-    cells_flat, probes_flat, slot_addrs, route_addrs = table.lookup_many(
-        subsets.reshape(n_rows * n_combs, r))
-    cells = cells_flat.reshape(n_rows, n_combs)
-    state = status[cells]
-    peeled = state == _PEELED
-    has_peeled = peeled.any(axis=1)
-    probed_count = np.where(has_peeled, peeled.argmax(axis=1) + 1, n_combs)
-    probed_mask = np.arange(n_combs)[np.newaxis, :] < probed_count[:, None]
-    probes_examined = int(probes_flat.reshape(n_rows, n_combs)[
-        probed_mask].sum())
-    n_probed = int(probed_count.sum())
-    route_work, route_probes, route_len = table.route_charge_profile()
-    tracker.add_work_int(n_rows * s + n_probed * route_work
-                         + probes_examined * table.suffix_width)
-    tracker.add_probes(n_probed * route_probes + probes_examined)
+        # -- the apply step; the representative rule compares each row's
+        # base with its first peeling subset in combination order (every
+        # row has one: its base).
+        live = ~has_peeled & (state == _ALIVE).any(axis=1)
+        first_peeling = (state == _PEELING).argmax(axis=1)
+        representative = (subsets[np.arange(n_rows), first_peeling]
+                          == rows[:, :r]).all(axis=1)
+        updates = apply(task_base + row_task, cells, state, live,
+                        representative)
 
-    # -- the apply step; the representative rule compares each row's base
-    # with its first peeling subset in combination order (every row has
-    # one: its base).
-    live = ~has_peeled & (state == _ALIVE).any(axis=1)
-    first_peeling = (state == _PEELING).argmax(axis=1)
-    representative = (subsets[np.arange(n_rows), first_peeling]
-                      == rows[:, :r]).all(axis=1)
-    updates = apply(task_base + row_task, cells, state, live, representative)
-    if not cache_on:
-        return
+        if collect_addresses:
+            # -- the exact scalar address stream: per task its decode
+            # addresses, then per discovered s-clique the probed subsets'
+            # route + slot addresses followed by its updates' addresses.
+            row_flat = np.concatenate(
+                [route_addrs.reshape(n_rows, n_combs, route_len),
+                 slot_addrs.reshape(n_rows, n_combs, 1)], axis=2)[
+                probed_mask].reshape(-1).astype(np.int64)
+            row_lens = probed_count * (route_len + 1)
+            if updates is not None:
+                update_flat, update_lens = updates
+                row_flat = interleave_segments(row_flat, row_lens,
+                                               update_flat, update_lens)
+                row_lens = row_lens + update_lens
+            task_lens = np.bincount(row_task, row_lens,
+                                    n_tasks).astype(np.int64)
+            addresses = interleave_segments(addresses, dec_lens, row_flat,
+                                            task_lens)
+            address_lens = dec_lens + task_lens
 
-    # -- replay the exact scalar address stream: per task its decode
-    # addresses, then per discovered s-clique the probed subsets' route +
-    # slot addresses followed by its updates' addresses.
-    row_flat = np.concatenate(
-        [route_addrs.reshape(n_rows, n_combs, route_len),
-         slot_addrs.reshape(n_rows, n_combs, 1)], axis=2)[
-        probed_mask].reshape(-1).astype(np.int64)
-    row_lens = probed_count * (route_len + 1)
-    if updates is not None:
-        update_flat, update_lens = updates
-        row_flat = interleave_segments(row_flat, row_lens, update_flat,
-                                       update_lens)
-        row_lens = row_lens + update_lens
-    task_lens = np.zeros(n_tasks, dtype=np.int64)
-    np.add.at(task_lens, row_task, row_lens)
-    tracker.access_sequence(interleave_segments(
-        dec_addrs.astype(np.int64), dec_lens, row_flat, task_lens))
+    if tracker is not None:
+        tracker.add_work_int(int(work.sum()))
+        tracker.add_probes(int(probes.sum()))
+        tracker.add_cliques(n_rows)
+        if collect_addresses:
+            tracker.access_sequence(addresses)
+    return work, probes, np.bincount(row_task, minlength=n_tasks), \
+        addresses, address_lens

@@ -42,6 +42,10 @@ from ..parallel.runtime import CostTracker, _log2
 
 _EMPTY = np.uint64(EMPTY_KEY)
 
+#: Cells :meth:`CliqueTable.lookup_many` gathers per chunk of keys that are
+#: not at their home slot (keys x longest probe run).
+_RUN_GATHER_CELLS = 1 << 17
+
 #: Largest keys-per-cell load of a last-level sub-table.  Being below 1,
 #: it gives every sub-table more cells than keys: each insert finds an
 #: empty cell, and each round of the vectorized build (:meth:`CliqueTable.
@@ -219,10 +223,11 @@ class CliqueTable:
         if self.tracker is not None:
             self.tracker.note_memory_units(self.memory_units)
 
-        # Lazy caches for the vectorized (batch-engine) entry points; both
+        # Lazy caches for the vectorized (batch-engine) entry points; all
         # depend only on state that is frozen after construction.
         self._next_boundary: np.ndarray | None = None
         self._path_code_table: np.ndarray | None = None
+        self._max_probes: int | None = None
 
     def _insert(self, tid: int, key: int) -> int:
         """Insert one key by linear probing (the reference oracle of
@@ -493,9 +498,10 @@ class CliqueTable:
     # These methods process whole arrays of cells/cliques at once.  They
     # either charge the tracker the exact closed-form total the per-element
     # methods would (decode_many, add_count_at_many) or charge nothing and
-    # hand the per-element charge profile back to the caller (lookup_many),
-    # letting the batch engine splice probe/update address streams in the
-    # scalar loop's order before replaying them.  See docs/cost-model.md.
+    # hand the per-element charge profile back to the caller (lookup_many,
+    # decode_uncharged), letting the batch engine splice
+    # probe/update address streams in the scalar loop's order before
+    # replaying them.  See docs/cost-model.md.
 
     def route_charge_profile(self) -> tuple[int, int, int]:
         """Per-lookup routing charges ``(work, probes, addresses)``.
@@ -525,7 +531,7 @@ class CliqueTable:
         m = cliques.shape[0]
         prefix_w = self.levels - 1
         if prefix_w == 0:
-            return np.zeros(m, dtype=np.int64)
+            return np.full(m, 0 if self.n_tables else -1, dtype=np.int64)
         if self.style == "array":
             return self._top_array[cliques[:, 0]]
         bits = self._encoder.bits_per_vertex
@@ -560,6 +566,14 @@ class CliqueTable:
         probe counts themselves.  Every row must be present in the table
         (the batch engine only looks up sub-cliques of stored cliques);
         raises ``KeyError`` otherwise.
+
+        No probe loop: each key's home slot is read once, and every key
+        not at home gets its whole probe run gathered at once (in chunks
+        of at most ``_RUN_GATHER_CELLS`` cells), bounded by
+        :meth:`_longest_run`.  Keys never move after the build and no cell
+        between a stored key's home and its slot is empty, so the key's
+        slot is the run's only match, and ``((slot - home) & mask) + 1``
+        is the probe count the scalar loop reports.
         """
         cliques = np.asarray(cliques, dtype=np.int64).reshape(-1, self.r)
         m = cliques.shape[0]
@@ -572,25 +586,46 @@ class CliqueTable:
             raise KeyError("lookup_many requires every row to be present")
         keys = self._encoder.encode_many(cliques[:, self.levels - 1:])
         starts = self._starts[tids]
-        masks = (self._caps[tids] - 1).astype(np.uint64)
-        slots = (hash64_many(keys) & masks).astype(np.int64)
-        probes = np.ones(m, dtype=np.int64)
-        cells = np.empty(m, dtype=np.int64)
-        active = np.arange(m)
-        while active.size:
-            found = self._keys[starts[active] + slots[active]]
-            done = (found == keys[active]) | (found == _EMPTY)
-            hit = active[done]
-            cells[hit] = np.where(found[done] == keys[hit],
-                                  starts[hit] + slots[hit], -1)
-            active = active[~done]
-            slots[active] = (slots[active] + 1) \
-                & masks[active].astype(np.int64)
-            probes[active] += 1
-        if (cells < 0).any():
-            raise KeyError("lookup_many requires every row to be present")
+        masks = self._caps[tids] - 1
+        homes = (hash64_many(keys) & masks.astype(np.uint64)).astype(np.int64)
+        slots = homes.copy()
+        away = np.flatnonzero(self._keys[starts + homes] != keys)
+        if away.size:
+            steps = np.arange(1, self._longest_run(), dtype=np.int64)
+            # Chunks bound the (keys x run) temporaries: a count-phase
+            # block can look up C(s, r) subsets of 65,536 s-cliques.
+            chunk = max(1, _RUN_GATHER_CELLS // max(1, steps.size))
+            for lo in range(0, away.size, chunk):
+                rows = away[lo:lo + chunk]
+                run = (homes[rows, None] + steps) & masks[rows, None]
+                match = self._keys[starts[rows, None] + run] \
+                    == keys[rows, None]
+                if not match.any(axis=1).all():
+                    raise KeyError(
+                        "lookup_many requires every row to be present")
+                slots[rows] = run[np.arange(rows.size),
+                                  match.argmax(axis=1)]
+        probes = ((slots - homes) & masks) + 1
         slot_addrs = self._table_addr[tids] + slots
-        return cells, probes, slot_addrs, self._route_addresses(cliques)
+        return starts + slots, probes, slot_addrs, \
+            self._route_addresses(cliques)
+
+    def _longest_run(self) -> int:
+        """The most probes :meth:`cell_of` takes to find a stored key (its
+        displacement from its home slot, plus one).  Keys never move after
+        :meth:`_build`, so this is computed once."""
+        if self._max_probes is None:
+            stored = np.flatnonzero(self._keys != _EMPTY)
+            if stored.size == 0:
+                self._max_probes = 1
+            else:
+                tids = self._owner[stored]
+                masks = self._caps[tids] - 1
+                homes = (hash64_many(self._keys[stored])
+                         & masks.astype(np.uint64)).astype(np.int64)
+                self._max_probes = int(
+                    ((stored - self._starts[tids] - homes) & masks).max()) + 1
+        return self._max_probes
 
     def add_count_at_many(self, cells: np.ndarray, deltas: np.ndarray,
                           collect_addresses: bool = False
@@ -658,27 +693,43 @@ class CliqueTable:
 
     def decode_many(self, cells: np.ndarray, collect_addresses: bool = False
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decode` with exact bulk charging.
+        """Vectorized :meth:`decode` with exact bulk charging: the
+        cliques and addresses of :meth:`decode_uncharged`, with the sum of
+        its per-cell work charged, identically to ``k`` scalar
+        :meth:`decode` calls."""
+        cliques, work, addresses, addr_lens = self.decode_uncharged(
+            cells, collect_addresses)
+        if self.tracker is not None:
+            self.tracker.add_work_int(int(work.sum()))
+        return cliques, addresses, addr_lens
 
-        Returns ``(cliques, addresses, address_lens)`` where ``cliques`` is
-        the ``(k, r)`` vertex matrix and, when ``collect_addresses`` is
-        set, ``addresses`` / ``address_lens`` give the concatenated
-        per-cell simulated address sequences the scalar decode would touch
-        (in the same per-cell order).  Work is charged identically to ``k``
-        scalar :meth:`decode` calls.
+    def decode_uncharged(self, cells: np.ndarray,
+                         collect_addresses: bool = False
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+        """Vectorized :meth:`decode` that charges nothing.
+
+        Returns ``(cliques, work, addresses, address_lens)``: the ``(k,
+        r)`` vertex matrix; the work :meth:`decode` charges per cell (the
+        table-id search --- the stored-pointer scan's length, or
+        ``log2(n_tables + 1)`` binary-search steps --- plus one unit per
+        suffix vertex); and, when ``collect_addresses`` is set, the
+        concatenated per-cell simulated address sequences the scalar
+        decode would touch, in the same per-cell order, with their
+        lengths.
         """
         cells = np.asarray(cells, dtype=np.int64)
         k = cells.size
         empty_addr = np.empty(0, dtype=np.int64)
         zero_lens = np.zeros(k, dtype=np.int64)
         if k == 0:
-            return np.empty((0, self.r), dtype=np.int64), empty_addr, zero_lens
+            return np.empty((0, self.r), dtype=np.int64), zero_lens, \
+                empty_addr, zero_lens
         if self.inverse_map == "stored_pointers":
             tids = self._owner[cells]
             boundary = self._next_boundary_array()
             steps = np.minimum(boundary[cells + 1], self._starts[tids + 1]) \
                 - cells
-            tid_work = int(steps.sum())
             if collect_addresses:
                 base = self.addresses_of_many(cells)
                 addresses = np.repeat(base + 1, steps) \
@@ -688,20 +739,21 @@ class CliqueTable:
                 addresses, addr_lens = empty_addr, zero_lens
         else:
             tids = np.searchsorted(self._starts, cells, side="right") - 1
-            tid_work = int(_log2(self.n_tables + 1)) * k
+            steps = np.full(k, int(_log2(self.n_tables + 1)), dtype=np.int64)
             if collect_addresses:
                 addresses, addr_lens = self._bisect_addresses(cells)
             else:
                 addresses, addr_lens = empty_addr, zero_lens
-        if self.tracker is not None:
-            self.tracker.add_work_int(tid_work + k * self.suffix_width)
-        suffixes = self._encoder.decode_many(self._keys[cells])
+        # Called through the class: ``decode_many`` on a receiver of
+        # unknown type would also resolve to this table's charging method
+        # in the charge-flow analysis (``repro lint``).
+        suffixes = CliqueEncoder.decode_many(self._encoder, self._keys[cells])
         cliques = np.empty((k, self.r), dtype=np.int64)
         prefix_w = self.levels - 1
         if prefix_w:
             cliques[:, :prefix_w] = self._paths[tids]
         cliques[:, prefix_w:] = suffixes
-        return cliques, addresses, addr_lens
+        return cliques, steps + self.suffix_width, addresses, addr_lens
 
     def _next_boundary_array(self) -> np.ndarray:
         """``b[p]``: smallest index >= p holding an empty key (else the cell

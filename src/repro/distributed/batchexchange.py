@@ -1,15 +1,18 @@
 """Vectorized kernels of the sharded super-round: local peel and exchange.
 
 :func:`local_round_batch` replays the charges of the scalar local-peel
-oracle (:func:`repro.distributed.peel._local_round`) through the block
-kernel both peels share, :func:`repro.core.batchpeel.update_block`
-(decode, discover, probe, address replay).  Its apply step keeps the
-representative rows' decrements and routes them by owner in the scalar
-loop's order --- owned cells through
+oracle (:func:`repro.distributed.peel._local_round`, run shard by shard)
+for every shard of a super-round at once: all peeled cells, sorted by
+owner, go through the block kernel both peels share,
+:func:`repro.core.batchpeel.update_block` (decode, discover, probe,
+address assembly), which returns each task's charges; each shard then
+posts the sums over its own tasks in its own ``local_peel`` phase.  Its
+apply step keeps the representative rows' decrements and routes them
+by owner in the scalar loop's order --- owned cells through
 :meth:`~repro.distributed.peel.UpdateLedger.subtract_many`, remote cells
-into the outbox through
+into the outbox of the task's shard through
 :meth:`~repro.distributed.peel.ExchangeBuffer.buffer_many` --- so the
-ledger's updated set and the outbox keep their first-touch order.
+ledger's updated set and the outboxes keep their first-touch order.
 
 :func:`exchange_batch` replays the charges of the scalar exchange oracle
 (:func:`repro.distributed.peel._exchange_scalar`) in bulk: one stable
@@ -25,6 +28,7 @@ pins both).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 import numpy as np
@@ -42,42 +46,78 @@ PARLINT_PARITY = {
 }
 
 
-def local_round_batch(shard: int, mine: np.ndarray, r: int, s: int,
-                      graph_n: int, table, dg, working, status, owner_of,
-                      ledger, outbox, tracker: CostTracker) -> None:
-    """One shard's local peel work for one super-round, vectorized.
+def local_round_batch(peel_cells: np.ndarray, bounds: np.ndarray, r: int,
+                      s: int, graph_n: int, table, dg, working, status,
+                      owner_of, ledger, outboxes,
+                      tracker: Sequence[CostTracker]) -> None:
+    """Every shard's local peel work for one super-round, vectorized.
 
-    Same arguments, charges and ledger/outbox effects as the scalar
-    oracle; the peeled cells ``mine`` run through the shared block kernel
-    :func:`~repro.core.batchpeel.update_block` in blocks of
-    :data:`~repro.core.batchpeel.PEEL_BLOCK_TASKS` tasks, in task order.
+    ``peel_cells`` holds the round's peeled cells stably sorted by owner:
+    shard ``k`` owns ``peel_cells[bounds[k]:bounds[k + 1]]`` and charges
+    ``tracker[k]``.  All of them run through the shared block kernel
+    :func:`~repro.core.batchpeel.update_block` at once, in blocks of
+    :data:`~repro.core.batchpeel.PEEL_BLOCK_TASKS` tasks that may cross
+    shards.  Then each shard with peeled cells opens its ``local_peel``
+    phase and ``parallel(n_k)`` region and posts the sums of its tasks'
+    charges (replaying its slice of the address stream if its tracker
+    has a cache): per tracker, the same charges, ledger and outbox
+    effects as the scalar oracle run shard by shard.
     """
     comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
+    task_shard = np.repeat(np.arange(len(tracker)), np.diff(bounds))
+    updates = np.zeros(peel_cells.size, dtype=np.int64)
 
     def apply(row_task, cells, state, live, representative):
         """Route the representative rows' decrements by owner, in the
         scalar order: owned cells through the ledger, remote cells into
-        the outbox (neither touches a simulated address)."""
+        the outbox of the task's shard (neither touches a simulated
+        address); count each task's updates."""
         apply_row = live & representative
-        update_cells = cells[apply_row][(state == _ALIVE)[apply_row]]
+        alive = (state == _ALIVE)[apply_row]
+        update_cells = cells[apply_row][alive]
         if update_cells.size:
-            tracker.add_work_int(update_cells.size)
-            tracker.add_atomic(update_cells.size)
-            owned = owner_of[update_cells] == shard
-            ledger.subtract_many(update_cells[owned], 1)
-            outbox.buffer_many(update_cells[~owned])
+            update_task = np.repeat(row_task[apply_row], alive.sum(axis=1))
+            updates[:] += np.bincount(update_task, minlength=updates.size)
+            update_shard = task_shard[update_task]
+            remote = owner_of[update_cells] != update_shard
+            ledger.subtract_many(update_cells[~remote], 1)
+            # Tasks run in shard order, so a block's shards are a range.
+            for shard in range(update_shard[0], update_shard[-1] + 1):
+                outboxes[shard].buffer_many(
+                    update_cells[remote & (update_shard == shard)])
         return None
 
-    with tracker.phase("local_peel"):
-        tracker.add_round()
-        with tracker.parallel(int(mine.size)) as region:
-            block = batchpeel.PEEL_BLOCK_TASKS
-            for base in range(0, int(mine.size), block):
-                batchpeel.update_block(mine[base:base + block], base,
-                                       comb_cols, dg, working, table, status,
-                                       apply, r, s, tracker)
-            # One O(log n) intersection per completion level.
-            region.task_span(_log2(graph_n) * (s - r + 1))
+    collect = any(st.cache is not None for st in tracker)
+    block = batchpeel.PEEL_BLOCK_TASKS
+    work, probes, s_cliques, addresses, address_lens = (
+        np.concatenate(part) for part in zip(*[
+            batchpeel.update_block(peel_cells[base:base + block], base,
+                                   comb_cols, dg, working, table, status,
+                                   apply, r, s, collect)
+            for base in range(0, int(peel_cells.size), block)]))
+
+    # Per-shard sums of (work, atomics, probes, s-cliques, addresses).
+    per_task = np.column_stack([work + updates, updates, probes, s_cliques,
+                                address_lens])
+    prefix = np.zeros((peel_cells.size + 1, 5), dtype=np.int64)
+    np.cumsum(per_task, axis=0, out=prefix[1:])
+    ends = prefix[bounds].tolist()
+    for shard, st in enumerate(tracker):
+        n_tasks = int(bounds[shard + 1] - bounds[shard])
+        if n_tasks == 0:
+            continue
+        lo, hi = ends[shard], ends[shard + 1]
+        with st.phase("local_peel"):
+            st.add_round()
+            with st.parallel(n_tasks) as region:
+                st.add_work_int(hi[0] - lo[0])
+                st.add_atomic(hi[1] - lo[1])
+                st.add_probes(hi[2] - lo[2])
+                st.add_cliques(hi[3] - lo[3])
+                if st.cache is not None:
+                    st.access_sequence(addresses[lo[4]:hi[4]])
+                # One O(log n) intersection per completion level.
+                region.task_span(_log2(graph_n) * (s - r + 1))
 
 
 def exchange_batch(cells, deltas, owner_of, ledger, dst_trackers,

@@ -27,13 +27,14 @@ combination it runs.
 
 Both steps of a super-round have a vectorized kernel in
 :mod:`repro.distributed.batchexchange` and a scalar reference oracle
-here: :func:`_local_round` for
-:func:`~repro.distributed.batchexchange.local_round_batch` and
-:func:`_exchange_scalar` for
+here: :func:`_local_round` (one shard at a time) for
+:func:`~repro.distributed.batchexchange.local_round_batch` (every shard
+at once) and :func:`_exchange_scalar` for
 :func:`~repro.distributed.batchexchange.exchange_batch`.  Each kernel
 must match its oracle charge-for-charge on every tracker
-(``PARLINT_PARITY``); the oracle runs when the shard's tracker
-:attr:`~repro.parallel.runtime.CostTracker.runs_reference`.
+(``PARLINT_PARITY``); the oracles run when the coordinator's tracker
+:attr:`~repro.parallel.runtime.CostTracker.runs_reference` (the shard
+trackers inherit its setting).
 """
 
 from __future__ import annotations
@@ -244,16 +245,21 @@ def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
             else:
                 outbox.buffer_remote(cell, tracker)
 
-    with tracker.phase("local_peel"):
-        tracker.add_round()
-        with tracker.parallel(int(mine.size)) as region:
-            for cell in mine:
-                with region.task():
-                    clique = table.decode(int(cell))
-                    _update_one(table, dg, working, clique, r, s, status,
-                                apply, tracker)
-                    # One O(log n) intersection per completion level.
-                    tracker.add_span(_log2(graph_n) * (s - r + 1))
+    # The table's own charges (decode, probes) go to this shard.
+    coordinator, table.tracker = table.tracker, tracker
+    try:
+        with tracker.phase("local_peel"):
+            tracker.add_round()
+            with tracker.parallel(int(mine.size)) as region:
+                for cell in mine:
+                    with region.task():
+                        clique = table.decode(int(cell))
+                        _update_one(table, dg, working, clique, r, s, status,
+                                    apply, tracker)
+                        # One O(log n) intersection per completion level.
+                        tracker.add_span(_log2(graph_n) * (s - r + 1))
+    finally:
+        table.tracker = coordinator
 
 
 def _exchange_round(sts, outboxes, owner_of, ledger) -> tuple[int, int]:
@@ -381,20 +387,24 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         """One BSP super-round: every shard's local peel of the cells it
         owns, then the exchange; returns the ledger's updated set."""
         ledger.begin_round(round_id)
+        for outbox in outboxes:
+            outbox.begin_round(round_id)
         starts = [(st.total.work, st.span) for st in shard_trackers]
-        peel_owner = owner_of[peel_cells]
-        for shard, st in enumerate(shard_trackers):
-            outboxes[shard].begin_round(round_id)
-            mine = peel_cells[peel_owner == shard]
-            if mine.size == 0:
-                continue
-            # The table's own charges go to the active shard.
-            table.tracker = st
-            local_round = (_local_round if st.runs_reference
-                           else local_round_batch)
-            local_round(shard, mine, r, s, graph.n, table, dg, working,
-                        status, owner_of, ledger, outboxes[shard], st)
-        table.tracker = None
+        # Shard k's peeled cells, in round order, are
+        # by_owner[bounds[k]:bounds[k + 1]].
+        by_owner = peel_cells[np.argsort(owner_of[peel_cells], kind="stable")]
+        bounds = np.searchsorted(owner_of[by_owner], np.arange(n_shards + 1))
+        if tracker.runs_reference:  # the shards inherit the setting
+            for shard, st in enumerate(shard_trackers):
+                mine = by_owner[bounds[shard]:bounds[shard + 1]]
+                if mine.size:
+                    _local_round(shard, mine, r, s, graph.n, table, dg,
+                                 working, status, owner_of, ledger,
+                                 outboxes[shard], st)
+        else:
+            local_round_batch(by_owner, bounds, r, s, graph.n, table, dg,
+                              working, status, owner_of, ledger, outboxes,
+                              shard_trackers)
         messages, n_bytes = _exchange_round(shard_trackers, outboxes,
                                             owner_of, ledger)
         exchange_log.append({"round": round_id, "level": int(level),

@@ -56,11 +56,33 @@ def hash64_many(keys: np.ndarray) -> np.ndarray:
 
 
 def _check_key(key: int) -> None:
-    """Reject a key outside ``[0, EMPTY_KEY)``: the reserved empty pattern
-    would read as an empty slot, and any other key out of range does not
-    fit a ``uint64`` slot."""
+    """Reject a key that is not an integer in ``[0, EMPTY_KEY)``: the
+    reserved empty pattern would read as an empty slot, and any other key
+    out of range does not fit a ``uint64`` slot."""
+    if not isinstance(key, (int, np.integer)):
+        raise ValueError(f"hash table key {key} is not an integer")
     if not 0 <= key < _MASK64:
         raise ValueError(f"hash table key {key} is outside [0, 2**64 - 1)")
+
+
+def _exact_keys(keys) -> np.ndarray:
+    """``keys`` as a flat ``uint64`` array, converted exactly, after
+    :func:`_check_key` of every key (the first bad key raises).
+
+    An integer ndarray converts directly.  Anything else goes through its
+    Python objects: ``np.asarray`` would turn a list mixing small keys
+    with keys at or above ``2**63`` into float64 and round them.
+    """
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+        keys = keys.reshape(-1)
+        bad = np.flatnonzero((keys < 0) | (keys >= _MASK64))
+        if bad.size:
+            _check_key(keys[bad[0]])
+        return keys.astype(np.uint64)
+    items = np.asarray(keys, dtype=object).reshape(-1).tolist()
+    for key in items:
+        _check_key(key)
+    return np.array(items, dtype=np.uint64)
 
 
 def _next_power_of_two(n: int) -> int:
@@ -218,8 +240,8 @@ class ParallelHashTable:
         """Insert ``key`` with value ``delta``, or add ``delta`` to its value.
 
         This is the atomic-add insert used by ``COUNT-FUNC`` (Algorithm 2,
-        line 4).  Returns the slot index.  ``key`` must lie in ``[0,
-        EMPTY_KEY)``; anything else raises ``ValueError``.
+        line 4).  Returns the slot index.  ``key`` must be an integer in
+        ``[0, EMPTY_KEY)``; anything else raises ``ValueError``.
         """
         _check_key(key)
         if (self.size + 1) / self.n_slots > MAX_LOAD:
@@ -238,8 +260,9 @@ class ParallelHashTable:
 
     def insert_many(self, keys, delta: float = 1.0) -> np.ndarray:
         """Batch :meth:`insert_or_add`: ``keys`` in order, each adding
-        ``delta``.  A key outside ``[0, EMPTY_KEY)`` raises ``ValueError``
-        before anything is inserted.
+        ``delta``.  A key that is not an integer in ``[0, EMPTY_KEY)``
+        raises ``ValueError`` before anything is inserted; the others are
+        converted exactly, whatever their container.
 
         Same layout, size, growth points, charges and address stream as
         the per-key loop.  Charges are summed per run of inserts between
@@ -253,11 +276,7 @@ class ParallelHashTable:
         Returns each key's number of simulated accesses: 1, plus the live
         keys it re-inserted when it grew the table.
         """
-        keys = np.asarray(keys).reshape(-1)
-        bad = np.flatnonzero((keys < 0) | (keys >= _MASK64))
-        if bad.size:
-            _check_key(keys[bad[0]])
-        keys = keys.astype(np.uint64)
+        keys = _exact_keys(keys)
         accesses = np.ones(keys.size, dtype=np.int64)
         key_list = keys.tolist()
         hashes = hash64_many(keys).tolist()
@@ -270,8 +289,9 @@ class ParallelHashTable:
             self._grow()
 
     def set(self, key: int, value: float) -> int:
-        """Insert or overwrite; returns the slot index.  ``key`` must lie
-        in ``[0, EMPTY_KEY)``; anything else raises ``ValueError``."""
+        """Insert or overwrite; returns the slot index.  ``key`` must be an
+        integer in ``[0, EMPTY_KEY)``; anything else raises
+        ``ValueError``."""
         _check_key(key)
         if (self.size + 1) / self.n_slots > MAX_LOAD:
             self._grow()

@@ -15,9 +15,10 @@ import pytest
 from repro.cliques.encode import CliqueEncoder
 from repro.cliques.listing import collect_cliques
 from repro.cliques.orient import orient
+from repro.core import tables
 from repro.core.aggregation import (HashTableAggregator, ListBufferAggregator,
                                     SimpleArrayAggregator)
-from repro.core.tables import CliqueTable
+from repro.core.tables import CliqueTable, _capacities
 from repro.graph.generators import planted_partition
 from repro.machine.cache import AddressSpace, CacheSimulator
 from repro.parallel.atomics import ContentionMeter
@@ -89,6 +90,16 @@ class TestTableBatchKernels:
         assert [tuple(row) for row in decoded.tolist()] == scalar
         assert bulk_work == scalar_work
         assert addrs.size == int(lens.sum())
+        # The uncharged form returns each cell's decode work instead.
+        before = table.tracker.total.work
+        _, work, _, _ = table.decode_uncharged(cells)
+        assert table.tracker.total.work == before
+        per_cell = []
+        for cell in cells.tolist():
+            table.decode(cell)
+            per_cell.append(table.tracker.total.work - before)
+            before = table.tracker.total.work
+        assert work.tolist() == per_cell
 
     def test_add_count_at_many_matches_scalar(self):
         table_a, cliques = build_table()
@@ -102,6 +113,97 @@ class TestTableBatchKernels:
         assert table_a.tracker.total.work == table_b.tracker.total.work
         assert table_a.tracker.total.atomic_ops == \
             table_b.tracker.total.atomic_ops
+
+
+#: (r, levels, style) of the three routing paths: one level, the
+#: two-level array, and nested hash levels.
+LOOKUP_LAYOUTS = {
+    "one-level": (2, 1, "hash"),
+    "two-level-array": (2, 2, "array"),
+    "multi-level-hash": (3, 3, "hash"),
+}
+
+
+def _colliding_table(r, levels, style, n=2000, keys=12):
+    """A table whose rows ``(0, .., r-2, v)`` share one sub-table and one
+    home slot, so their probe run is ``keys`` slots long, plus a row of
+    the same prefix that is absent although its home holds another key."""
+    encoder = CliqueEncoder(n, r - levels + 1)
+    mask = int(_capacities(np.array([keys]))[0]) - 1
+    prefix = tuple(range(r - 1))
+    rows = []
+    for v in range(r - 1, n):
+        row = prefix + (v,)
+        if hash64(encoder.encode(row[levels - 1:])) & mask == 5:
+            rows.append(row)
+        if len(rows) == keys + 1:
+            break
+    table = CliqueTable(n, r, np.array(rows[:keys]), levels=levels,
+                        style=style, tracker=CostTracker(),
+                        address_space=AddressSpace())
+    return table, np.array(rows[:keys]), np.array(rows[keys:])
+
+
+class TestLookupManyProbes:
+    """``lookup_many``'s probe counts and slot addresses are what
+    ``cell_of`` charges and touches, row for row."""
+
+    @staticmethod
+    def _cell_of(table, row):
+        """``cell_of``'s (cell, probes past the route, addresses)."""
+        tracker = table.tracker
+        before = tracker.total.table_probes
+        captured = tracker.begin_access_capture()
+        cell = table.cell_of(tuple(row))
+        tracker.end_access_capture()
+        probes = tracker.total.table_probes - before \
+            - table.route_charge_profile()[1]
+        return cell, probes, captured
+
+    def _assert_matches_cell_of(self, table, rows):
+        cells, probes, slot_addrs, route_addrs = table.lookup_many(rows)
+        for i, row in enumerate(rows.tolist()):
+            assert (int(cells[i]), int(probes[i]),
+                    route_addrs[i].tolist() + [int(slot_addrs[i])]) \
+                == self._cell_of(table, row)
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_LAYOUTS))
+    def test_matches_cell_of(self, name):
+        r, levels, style = LOOKUP_LAYOUTS[name]
+        table, cliques = build_table(r=r, levels=levels, style=style)
+        self._assert_matches_cell_of(table, cliques)
+        assert table.lookup_many(cliques)[1].max() > 1
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_LAYOUTS))
+    def test_long_probe_run(self, name):
+        table, rows, absent = _colliding_table(*LOOKUP_LAYOUTS[name])
+        self._assert_matches_cell_of(table, rows)
+        assert sorted(table.lookup_many(rows)[1].tolist()) == \
+            list(range(1, rows.shape[0] + 1))
+        # The absent row's home holds another key: cell_of walks the
+        # whole run to the empty slot; lookup_many reports it missing.
+        cell, probes, _ = self._cell_of(table, absent[0])
+        assert (cell, probes) == (-1, rows.shape[0] + 1)
+        with pytest.raises(KeyError):
+            table.lookup_many(np.concatenate([rows, absent]))
+
+    def test_chunked_gather_matches(self, monkeypatch):
+        """Displaced keys gathered a few at a time give the same answer."""
+        table, rows, _ = _colliding_table(*LOOKUP_LAYOUTS["one-level"])
+        whole = table.lookup_many(rows)
+        monkeypatch.setattr(tables, "_RUN_GATHER_CELLS", 12)
+        for got, want in zip(table.lookup_many(rows), whole):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_LAYOUTS))
+    def test_empty_table_raises_keyerror(self, name):
+        r, levels, style = LOOKUP_LAYOUTS[name]
+        table = CliqueTable(10, r, np.empty((0, r), dtype=np.int64),
+                            levels=levels, style=style)
+        row = np.arange(r)[np.newaxis, :]
+        assert table.cell_of(tuple(row[0])) == -1
+        with pytest.raises(KeyError):
+            table.lookup_many(row)
 
 
 class TestInsertProbeOverflow:

@@ -114,16 +114,41 @@ class TestListingKernelParity:
         assert n == 0
         assert all(b.shape[1] == 3 for b in blocks)
 
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_expand_cliques_base_work(self, community60, levels):
+        """Each base's work is what its own rec_list_cliques charges, and
+        a tracker, when given, is charged their sum."""
+        dg, _ = orient(community60)
+        roots = np.arange(dg.n)
+        lens = dg.offsets[roots + 1] - dg.offsets[roots]
+        values = dg.targets[dg.offsets[0]:dg.offsets[-1]]
+        tracker = CostTracker()
+        rows, base_of, base_work = expand_cliques(
+            dg, roots[:, np.newaxis], values, lens, levels, tracker)
+        per_base = []
+        for v in roots.tolist():
+            scalar = _reference()
+            found = listing.rec_list_cliques(dg, dg.out_neighbors(v), levels,
+                                             (v,), lambda _: None, scalar)
+            per_base.append((scalar.total.work_int, found))
+        assert list(zip(base_work.tolist(),
+                        np.bincount(base_of, minlength=dg.n).tolist())) \
+            == per_base
+        assert tracker.total.work_int == int(base_work.sum())
+        assert rows.shape[0] == sum(found for _, found in per_base)
+
     def test_expand_cliques_levels_zero(self, fig1):
         dg, _ = orient(fig1)
         bases = np.array([[0, 1], [2, 3]], dtype=np.int64)
         tracker = CostTracker()
-        rows, base_of = expand_cliques(
+        rows, base_of, base_work = expand_cliques(
             dg, bases, np.empty(0, dtype=np.int64),
             np.zeros(2, dtype=np.int64), 0, tracker)
         assert np.array_equal(rows, bases)
         assert np.array_equal(base_of, [0, 1])
+        assert np.array_equal(base_work, [0, 0])
         assert tracker.total.cliques_enumerated == 2
+        assert tracker.total.work == 0
 
 
 # -- counting conveniences ---------------------------------------------------

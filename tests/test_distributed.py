@@ -35,6 +35,7 @@ from repro.graph.generators import (complete_graph, erdos_renyi,
                                     rmat_graph)
 from repro.graph.stats import estimated_clique_spill, partition_statistics
 from repro.machine.cache import CacheSimulator
+from repro.observe.trace import TraceRecorder
 from repro.parallel.runtime import CostTracker, MachineModel
 from repro.sanitize.racecheck import RaceDetector
 
@@ -52,7 +53,7 @@ RACECHECK_COVERS = [
 
 #: The differential suite: (graph factory, r, s, shard count).  Two
 #: partitioner choices and shard counts from 2 to 8, k-core through
-#: (3,4) nuclei.
+#: (3,4) nuclei, and two pairs with s - r = 2.
 DIFFERENTIAL_SUITE = [
     ("figure1", lambda: figure1_graph(), 2, 3, 2, "hash"),
     ("community-kcore", lambda: planted_partition(120, 4, 0.3, 0.02,
@@ -63,6 +64,11 @@ DIFFERENTIAL_SUITE = [
      "mincut"),
     ("er-34", lambda: erdos_renyi(80, 400, seed=3), 3, 4, 3, "hash"),
     ("rmat-truss", lambda: rmat_graph(7, 8, seed=4), 2, 3, 8, "mincut"),
+    # s - r = 2: UPDATE lists through an intermediate frontier level.
+    ("community-24", lambda: planted_partition(72, 3, 0.5, 0.03, seed=9),
+     2, 4, 3, "hash"),
+    ("community-13", lambda: planted_partition(100, 4, 0.3, 0.03, seed=8),
+     1, 3, 4, "mincut"),
 ]
 
 
@@ -230,6 +236,7 @@ class TestLocalPeelCacheReplay:
         "multi-level-hash": (3, 4, NucleusConfig(
             levels=3, table_style="hash", relabel=True)),
         "kcore": (1, 2, None),
+        "two-level-2-4": (2, 4, None),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -248,6 +255,34 @@ class TestLocalPeelCacheReplay:
             assert st_scalar.cache.accesses == st_batch.cache.accesses
             assert st_scalar.cache.misses == st_batch.cache.misses
             assert st_batch.phases["local_peel"].cache_misses > 0
+
+
+class TestShardTraces:
+    """A traced sharded run records the same phase and region slices
+    (names, simulated timestamps and durations, counter deltas) on every
+    shard whichever path runs the local peel."""
+
+    @staticmethod
+    def _slices(graph, r, s, reference):
+        tracker = CostTracker()
+        tracker.reference = reference
+        tracker.trace = TraceRecorder()
+        result = sharded_nucleus_decomp(graph, r, s, 3, tracker=tracker)
+        return [[(event["name"], event["cat"], event["ts"], event["dur"],
+                  event["args"]) for event in recorder.events
+                 if event["cat"] in ("phase", "region")]
+                for recorder in result.shard_traces]
+
+    @pytest.mark.parametrize("r,s", [(2, 3), (2, 4)])
+    def test_slices_match_oracle(self, r, s):
+        graph = planted_partition(72, 3, 0.5, 0.03, seed=9)
+        reference = self._slices(graph, r, s, True)
+        default = self._slices(graph, r, s, False)
+        assert default == reference
+        for shard in default:
+            names = {name for name, *_ in shard}
+            assert {"local_peel", "exchange"} <= names
+            assert any(name.startswith("parallel[") for name in names)
 
 
 def _exchange_fixture():

@@ -174,6 +174,25 @@ class TestKeyRange:
         assert (len(t), (t.keys == EMPTY_KEY).all(), t.values.any(),
                 tr.work) == (0, True, False, 0)
 
+    @pytest.mark.parametrize("big", [2**63 + 1, 2**64 - 2])
+    def test_batch_insert_converts_big_keys_exactly(self, big):
+        """A list mixing small keys with keys at or above 2**63 must not
+        round through float64: the big key is stored as itself."""
+        t = ParallelHashTable(8)
+        t.insert_many([0, big], 2.0)
+        assert (t.get(0), t.get(big), len(t)) == (2.0, 2.0, 2)
+        assert big - 1 not in t
+        assert sorted(key for key, _ in t.items()) == [0, big]
+
+    @pytest.mark.parametrize("keys", [[1.5], [0, 2.0], np.array([3.0]),
+                                      ["7"]])
+    def test_batch_insert_rejects_non_integers(self, keys):
+        tr = CostTracker()
+        t = ParallelHashTable(8, tracker=tr)
+        with pytest.raises(ValueError, match="is not an integer"):
+            t.insert_many(keys)
+        assert (len(t), (t.keys == EMPTY_KEY).all(), tr.work) == (0, True, 0)
+
     @pytest.mark.parametrize("key", [2**64 - 1, 2**64, -1])
     @pytest.mark.parametrize("filled", [False, True])
     def test_lookup_answers_absent(self, key, filled):
