@@ -173,7 +173,7 @@ def batch_list_cliques(dg: DirectedGraph, c: int,
     roots = np.flatnonzero(out_degs >= c - 1)
     lens = out_degs[roots]
     total = 0
-    for start, stop in _root_blocks(lens):
+    for start, stop in weight_blocks(lens * lens, ROOT_BLOCK_WEIGHT):
         cand_lens = lens[start:stop]
         cand_values = segment_gather(dg.targets, dg.offsets[roots[start:stop]],
                                      cand_lens)
@@ -187,16 +187,19 @@ def batch_list_cliques(dg: DirectedGraph, c: int,
     return total
 
 
-def _root_blocks(lens: np.ndarray):
-    """``(start, stop)`` bounds of consecutive roots, each block closing at
-    the first root whose running squared out-degree sum reaches
-    :data:`ROOT_BLOCK_WEIGHT` (so every block holds at least one root)."""
-    weight = np.cumsum(lens * lens)
+def weight_blocks(weights: np.ndarray, bound: int):
+    """``(start, stop)`` bounds of consecutive items, each block closing at
+    the first item whose running weight sum reaches ``bound`` (so every
+    block holds at least one item).  The lister cuts roots by squared
+    out-degree (:data:`ROOT_BLOCK_WEIGHT`), the peel cuts tasks by
+    gathered neighbor entries
+    (:data:`repro.core.batchpeel.PEEL_BLOCK_WEIGHT`)."""
+    weight = np.cumsum(weights)
     start = 0
-    while start < lens.size:
+    while start < weight.size:
         done = int(weight[start - 1]) if start else 0
-        stop = int(np.searchsorted(weight, done + ROOT_BLOCK_WEIGHT)) + 1
-        yield start, min(stop, lens.size)
+        stop = int(np.searchsorted(weight, done + bound)) + 1
+        yield start, min(stop, weight.size)
         start = stop
 
 

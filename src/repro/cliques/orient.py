@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from ..graph.csr import CSRGraph, DirectedGraph
+from ..parallel.primitives import segment_gather
 from ..parallel.runtime import CostTracker, _log2
 
 
@@ -122,14 +123,12 @@ def _peeling_rounds_order(graph: CSRGraph, choose_peel, tracker: CostTracker | N
         assigned += peel.size
         alive[peel] = False
         remaining -= peel.size
-        touched = 0
-        for v in peel:
-            nbrs = graph.neighbors(v)
-            live = nbrs[alive[nbrs]]
-            degree[live] -= 1
-            touched += nbrs.size
+        # Every surviving neighbor loses one degree per peeled neighbor.
+        nbrs = segment_gather(graph.targets, graph.offsets[peel],
+                              graph.degrees[peel])
+        degree -= np.bincount(nbrs[alive[nbrs]], minlength=n)
         if tracker is not None:
-            tracker.add_work(float(touched + n))
+            tracker.add_work(float(nbrs.size + n))
             tracker.add_span(_log2(n))
             tracker.add_round()
     return rank, rounds

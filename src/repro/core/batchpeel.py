@@ -4,13 +4,14 @@ The scalar peel round in :mod:`repro.core.decomp` (the reference oracle)
 executes one Python-level ``decode`` / intersection / ``combinations``
 chain per peeled r-clique; on large frontiers the interpreter overhead
 dwarfs the algorithm.  This kernel processes each peeled bucket as flat
-numpy arrays instead, in blocks of :data:`PEEL_BLOCK_TASKS` tasks; the
-round loop around it is :func:`repro.core.decomp.peel_rounds`.
-:func:`update_block` is UPDATE (Algorithm 2, lines 13-18) for one block,
-and both peels run it --- this module's :func:`peel_round_batch` and the
-sharded local round
-(:func:`repro.distributed.batchexchange.local_round_batch`): batch
-decode, the live neighbor segments of the
+numpy arrays instead: :func:`round_blocks` decodes the round's peeled
+cells once and cuts them into blocks of about :data:`PEEL_BLOCK_WEIGHT`
+gathered neighbor entries; the round loop around it is
+:func:`repro.core.decomp.peel_rounds`.  :func:`update_block` is UPDATE
+(Algorithm 2, lines 13-18) for one block of decoded r-cliques, and both
+peels run it --- this module's :func:`peel_round_batch` and the sharded
+local round (:func:`repro.distributed.batchexchange.local_round_batch`):
+the live neighbor segments of the
 :class:`~repro.graph.contraction.WorkingGraph` intersected with
 :func:`~repro.parallel.primitives.intersect_segments`, frontier
 expansion of the incident s-cliques, one vectorized probe pass over all
@@ -59,16 +60,20 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cliques.batchlist import expand_cliques
+from ..cliques.batchlist import expand_cliques, weight_blocks
 from ..parallel.primitives import interleave_segments, intersect_segments
 from ..parallel.runtime import CostTracker, _log2
 
 _ALIVE, _PEELING, _PEELED = 0, 1, 2
 
-#: Peeled r-cliques (tasks) vectorized together.  Bounds the per-block
-#: rediscovery, probe and address-replay arrays; a round of more tasks
-#: runs as several blocks in task order.
-PEEL_BLOCK_TASKS = 256
+#: Peeled r-cliques (tasks) vectorized together: a block closes once the
+#: running sum of its tasks' weights reaches this bound, a task weighing
+#: the live neighbor entries UPDATE gathers for it (``working.lengths``
+#: summed over its r vertices) plus one --- the lister's
+#: ``ROOT_BLOCK_WEIGHT`` rule.  Bounds the per-block intersection,
+#: rediscovery, probe and address-replay arrays; a round runs as blocks
+#: in task order.
+PEEL_BLOCK_WEIGHT = 1 << 15
 
 #: Batch kernel -> the scalar oracle whose answers and tracker charges it
 #: must reproduce bit for bit.  ``tests/test_parity_registry.py`` runs
@@ -87,8 +92,8 @@ def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
                      threads: int, fractional: bool, r: int, s: int,
                      tracker: CostTracker) -> None:
     """One round's UPDATE region, vectorized: the peeled cells run through
-    :func:`update_block` in blocks of :data:`PEEL_BLOCK_TASKS` tasks, in
-    task order.  Same arguments, charges and effects as the scalar oracle
+    :func:`update_block` in the blocks of :func:`round_blocks`, in task
+    order.  Same arguments, charges and effects as the scalar oracle
     :func:`repro.core.decomp._peel_round`."""
     comb_cols = np.asarray(list(combinations(range(s), r)), dtype=np.int64)
     cache_on = tracker.cache is not None
@@ -146,12 +151,35 @@ def peel_round_batch(round_id: int, peel_cells: np.ndarray, graph_n: int,
         return update_flat, row_lens
 
     with tracker.parallel(int(peel_cells.size)) as region:
-        for base in range(0, int(peel_cells.size), PEEL_BLOCK_TASKS):
-            update_block(peel_cells[base:base + PEEL_BLOCK_TASKS], base,
-                         comb_cols, dg, working, table, status, apply, r, s,
-                         cache_on, tracker)
+        for base, decoded in round_blocks(peel_cells, table, working,
+                                          cache_on):
+            update_block(decoded, base, comb_cols, dg, working, table,
+                         status, apply, r, s, cache_on, tracker)
         # One O(log n) intersection per completion level.
         region.task_span(_log2(graph_n) * (s - r + 1))
+
+
+def round_blocks(peel_cells: np.ndarray, table, working,
+                 collect_addresses: bool):
+    """Decode a round's peeled cells once, uncharged, and cut them into
+    blocks of :data:`PEEL_BLOCK_WEIGHT` in task order.
+
+    Yields ``(task_base, decoded)``: the block's first task index within
+    the round and its slice of
+    :meth:`~repro.core.tables.CliqueTable.decode_uncharged`'s ``(cliques,
+    work, addresses, address_lens)``, the input of :func:`update_block`.
+    Nothing a block does changes a weight: the working graph only
+    changes between rounds (contraction).
+    """
+    cliques, work, addresses, address_lens = table.decode_uncharged(
+        peel_cells, collect_addresses)
+    weights = working.lengths[cliques].sum(axis=1) + 1
+    address_ends = np.cumsum(address_lens)
+    for start, stop in weight_blocks(weights, PEEL_BLOCK_WEIGHT):
+        lo = int(address_ends[start - 1]) if start else 0
+        yield start, (cliques[start:stop], work[start:stop],
+                      addresses[lo:int(address_ends[stop - 1])],
+                      address_lens[start:stop])
 
 
 def first_touches(cells: np.ndarray, stamp: np.ndarray,
@@ -214,14 +242,17 @@ def _edges_alive_many(pairs, table, status, tracker, cache_on) -> np.ndarray:
     return status[cells] != _PEELED
 
 
-def update_block(peel_cells, task_base, comb_cols, dg, working, table,
-                 status, apply, r, s, collect_addresses, tracker=None):
+def update_block(decoded, task_base, comb_cols, dg, working, table, status,
+                 apply, r, s, collect_addresses, tracker=None):
     """UPDATE for one block of a round's peeled r-cliques, batched
     (Algorithm 2, lines 13-18); both peels run it.
 
-    Decodes the block, rediscovers every incident s-clique in scalar
-    discovery order, probes their sub-cliques and hands the rows that
-    survive to the peel's *apply step*::
+    ``decoded`` is the block's slice of
+    :meth:`~repro.core.tables.CliqueTable.decode_uncharged`'s ``(cliques,
+    work, addresses, address_lens)``, as :func:`round_blocks` yields it.
+    Rediscovers every incident s-clique in scalar discovery order, probes
+    their sub-cliques and hands the rows that survive to the peel's
+    *apply step*::
 
         apply(row_task, cells, state, live, representative)
 
@@ -234,17 +265,16 @@ def update_block(peel_cells, task_base, comb_cols, dg, working, table,
     the simulated addresses they touch, or None.
 
     Returns the block's charges per task, in task order: ``(work,
-    probes, s_cliques, addresses, address_lens)`` --- work, table probes
-    and discovered s-cliques, and the simulated address stream (each
-    task's segment in scalar order, ``address_lens`` long; empty unless
-    ``collect_addresses``).  Given a ``tracker``, it also posts their
-    sums and replays the stream there (the single-node peel); without
-    one it charges nothing and the caller posts them (the sharded round,
-    shard by shard).
+    probes, s_cliques, addresses, address_lens)`` --- work (decode
+    included), table probes and discovered s-cliques, and the simulated
+    address stream (each task's segment in scalar order, ``address_lens``
+    long; empty unless ``collect_addresses``).  Given a ``tracker``, it
+    also posts their sums and replays the stream there (the single-node
+    peel); without one it charges nothing and the caller posts them (the
+    sharded round, shard by shard).
     """
-    n_tasks = peel_cells.size
-    cliques, work, dec_addrs, dec_lens = table.decode_uncharged(
-        peel_cells, collect_addresses)
+    cliques, dec_work, dec_addrs, dec_lens = decoded
+    n_tasks = cliques.shape[0]
 
     # -- candidates: the intersection of the clique's live neighbor
     # segments, charged min_i |N(v_i)| + 1 per task (one unit for r = 1).
@@ -252,9 +282,9 @@ def update_block(peel_cells, task_base, comb_cols, dg, working, table,
     cand_values = working.gather(cliques[:, 0])
     cand_lens = lens[:, 0]
     if r == 1:
-        work += 1
+        work = dec_work + 1
     else:
-        work += lens.min(axis=1) + 1
+        work = dec_work + lens.min(axis=1) + 1
         for j in range(1, r):
             cand_values, cand_lens = intersect_segments(
                 cand_values, cand_lens, working.gather(cliques[:, j]),

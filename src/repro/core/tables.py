@@ -744,10 +744,7 @@ class CliqueTable:
                 addresses, addr_lens = self._bisect_addresses(cells)
             else:
                 addresses, addr_lens = empty_addr, zero_lens
-        # Called through the class: ``decode_many`` on a receiver of
-        # unknown type would also resolve to this table's charging method
-        # in the charge-flow analysis (``repro lint``).
-        suffixes = CliqueEncoder.decode_many(self._encoder, self._keys[cells])
+        suffixes = self._encoder.decode_many(self._keys[cells])
         cliques = np.empty((k, self.r), dtype=np.int64)
         prefix_w = self.levels - 1
         if prefix_w:

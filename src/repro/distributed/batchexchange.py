@@ -54,12 +54,12 @@ def local_round_batch(peel_cells: np.ndarray, bounds: np.ndarray, r: int,
 
     ``peel_cells`` holds the round's peeled cells stably sorted by owner:
     shard ``k`` owns ``peel_cells[bounds[k]:bounds[k + 1]]`` and charges
-    ``tracker[k]``.  All of them run through the shared block kernel
-    :func:`~repro.core.batchpeel.update_block` at once, in blocks of
-    :data:`~repro.core.batchpeel.PEEL_BLOCK_TASKS` tasks that may cross
-    shards.  Then each shard with peeled cells opens its ``local_peel``
-    phase and ``parallel(n_k)`` region and posts the sums of its tasks'
-    charges (replaying its slice of the address stream if its tracker
+    ``tracker[k]``.  All of them are decoded once and run through the
+    shared block kernel :func:`~repro.core.batchpeel.update_block` at
+    once, in the blocks of :func:`~repro.core.batchpeel.round_blocks`,
+    which may cross shards.  Then each shard with peeled cells opens its
+    ``local_peel`` phase and ``parallel(n_k)`` region and posts the sums
+    of its tasks' charges (replaying its slice of the address stream if its tracker
     has a cache): per tracker, the same charges, ledger and outbox
     effects as the scalar oracle run shard by shard.
     """
@@ -88,13 +88,12 @@ def local_round_batch(peel_cells: np.ndarray, bounds: np.ndarray, r: int,
         return None
 
     collect = any(st.cache is not None for st in tracker)
-    block = batchpeel.PEEL_BLOCK_TASKS
     work, probes, s_cliques, addresses, address_lens = (
         np.concatenate(part) for part in zip(*[
-            batchpeel.update_block(peel_cells[base:base + block], base,
-                                   comb_cols, dg, working, table, status,
-                                   apply, r, s, collect)
-            for base in range(0, int(peel_cells.size), block)]))
+            batchpeel.update_block(decoded, base, comb_cols, dg, working,
+                                   table, status, apply, r, s, collect)
+            for base, decoded in batchpeel.round_blocks(
+                peel_cells, table, working, collect)]))
 
     # Per-shard sums of (work, atomics, probes, s-cliques, addresses).
     per_task = np.column_stack([work + updates, updates, probes, s_cliques,

@@ -71,6 +71,11 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
     (the first maximum of the tallies), and sweeps stop early once a full
     pass moves nothing -- both choices keep the result deterministic.
     Each sweep charges one unit per vertex and per neighbor entry.
+
+    Each vertex's neighbor-shard tallies are counted once, with one
+    ``bincount``, and kept across sweeps: a move shifts one count of
+    each neighbor's tallies from the old shard to the new one, so every
+    visit reads exactly the tallies a fresh count would give.
     """
     seed = hash_partition(graph, n_shards, tracker)
     if n_shards == 1 or graph.n == 0:
@@ -80,26 +85,32 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
     cap = int(ceil(graph.n / n_shards * slack))
     offsets = graph.offsets.tolist()
     targets = graph.targets.tolist()
+    sources = np.repeat(np.arange(graph.n), graph.degrees)
+    tallies = np.bincount(
+        sources * n_shards + seed.shard_of[graph.targets],
+        minlength=graph.n * n_shards).reshape(graph.n, n_shards).tolist()
     for _ in range(sweeps):
         if tracker is not None:
             tracker.add_work_int(graph.n + len(targets))
         moved = 0
         for v in range(graph.n):
-            lo, hi = offsets[v], offsets[v + 1]
-            if lo == hi:
-                continue
-            tallies = [0] * n_shards
-            for w in targets[lo:hi]:
-                tallies[shard[w]] += 1
+            row = tallies[v]
             current = shard[v]
-            best = tallies.index(max(tallies))
-            if best == current or tallies[best] <= tallies[current]:
+            top = max(row)
+            # The first maximum beats the current shard only when it is
+            # strictly larger (an isolated vertex's tallies are all 0).
+            if top <= row[current]:
                 continue
+            best = row.index(top)
             if sizes[best] >= cap:
                 continue
             shard[v] = best
             sizes[best] += 1
             sizes[current] -= 1
+            for w in targets[offsets[v]:offsets[v + 1]]:
+                row = tallies[w]
+                row[current] -= 1
+                row[best] += 1
             moved += 1
         if moved == 0:
             break

@@ -39,6 +39,7 @@ trackers inherit its setting).
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
@@ -139,46 +140,33 @@ class UpdateLedger:
 class ExchangeBuffer:
     """One shard's outbox of cross-shard count decrements.
 
-    Decrements for the same remote cell coalesce locally (``pending``
-    accumulates, ``touched`` records each cell once per round), so the
-    wire carries one entry per distinct remote cell --- the batching that
-    amortizes the per-message latency.
+    A sparse outbox: ``pending`` maps each remote cell to its decrement
+    in first-touch order (an insertion-ordered ``Counter``), so
+    decrements for the same cell coalesce locally and the wire carries
+    one entry per distinct remote cell --- the batching that amortizes
+    the per-message latency.  Every round's exchange drains it.
     """
 
-    def __init__(self, n_cells: int):
-        self.pending = np.zeros(n_cells, dtype=np.int64)
-        self.touched: list[int] = []
-        self.stamp = np.full(n_cells, -1, dtype=np.int64)
-        self.round_id = -1
-
-    def begin_round(self, round_id: int) -> None:
-        self.round_id = round_id
+    def __init__(self):
+        self.pending: Counter[int] = Counter()
 
     def buffer_remote(self, cell: int, tracker: CostTracker) -> None:
         tracker.add_work_int(1)
         tracker.add_atomic(1)
         self.pending[cell] += 1
-        if self.stamp[cell] != self.round_id:
-            self.stamp[cell] = self.round_id
-            self.touched.append(int(cell))
 
     def buffer_many(self, cells: np.ndarray) -> None:
         """:meth:`buffer_remote` over ``cells`` in order, without the
-        charges: one pending decrement per entry, each cell recorded in
-        ``touched`` at its first touch this round."""
-        np.add.at(self.pending, cells, 1)
-        fresh = first_touches(cells, self.stamp, self.round_id)
-        self.touched.extend(cells[fresh].tolist())
+        charges: one pending decrement per entry, each new cell entering
+        at its first touch."""
+        self.pending.update(cells.tolist())
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Pop the buffered (cells, deltas), clearing the outbox."""
-        cells = np.asarray(self.touched, dtype=np.int64)
-        if cells.size:
-            deltas = self.pending[cells].copy()
-            self.pending[cells] = 0
-        else:
-            deltas = np.zeros(0, dtype=np.int64)
-        self.touched = []
+        n = len(self.pending)
+        cells = np.fromiter(self.pending.keys(), dtype=np.int64, count=n)
+        deltas = np.fromiter(self.pending.values(), dtype=np.int64, count=n)
+        self.pending.clear()
         return cells, deltas
 
 
@@ -378,7 +366,7 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     status = maybe_shadow(np.zeros(table.total_cells, dtype=np.int8),
                           tracker, label="status")
     ledger = UpdateLedger(table.counts)
-    outboxes = [ExchangeBuffer(table.total_cells) for _ in range(n_shards)]
+    outboxes = [ExchangeBuffer() for _ in range(n_shards)]
     working = WorkingGraph(work_graph)
     exchange_log: list[dict] = []
     round_compute: list[list[tuple[float, float]]] = []
@@ -387,8 +375,6 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
         """One BSP super-round: every shard's local peel of the cells it
         owns, then the exchange; returns the ledger's updated set."""
         ledger.begin_round(round_id)
-        for outbox in outboxes:
-            outbox.begin_round(round_id)
         starts = [(st.total.work, st.span) for st in shard_trackers]
         # Shard k's peeled cells, in round order, are
         # by_owner[bounds[k]:bounds[k + 1]].

@@ -13,6 +13,9 @@ sites to candidate callees:
   a function name, or to ``f if cond else g``, to every name it may hold,
 * ``self.method(...)`` through the defining class (falling back to a
   union over all project classes),
+* ``self.attr.method(...)`` through the class ``attr`` is typed by: its
+  constructor assigns ``self.attr = Cls(...)`` and every store to an
+  attribute of that name in the project constructs the same ``Cls``,
 * ``obj.method(...)`` where ``obj``'s type is unknown: a *may-call* union
   over every project class that defines ``method`` (sound for the
   may-charge analysis built on top),
@@ -185,6 +188,9 @@ class Project:
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
     #: bare method name -> sorted tuple of function qualnames (all classes)
     methods_by_name: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: class qualname -> {attribute -> class qualname}: ``self.<attr>``
+    #: typed by its constructor assignment (see :func:`_type_attributes`)
+    attr_types: dict[str, dict[str, str]] = field(default_factory=dict)
     #: one ``IOERR`` / ``SYNTAX`` finding per file that could not be read
     #: or parsed (kept out of ``modules``, so one bad file cannot hide the
     #: findings of the rest)
@@ -367,6 +373,16 @@ class _FunctionWalker:
         if isinstance(func, ast.Attribute):
             attr = func.attr
             value = func.value
+            if isinstance(value, ast.Attribute) \
+                    and isinstance(value.value, ast.Name) \
+                    and value.value.id == "self" \
+                    and self.fn.class_name is not None:
+                typed = self.project.attr_types.get(
+                    f"{self.fn.module}.{self.fn.class_name}", {}).get(
+                        value.attr)
+                method = self.project.classes.get(typed, {}).get(attr)
+                if method is not None:
+                    return attr, [method]
             if isinstance(value, ast.Name):
                 if value.id == "self" and self.fn.class_name is not None:
                     cls = f"{self.fn.module}.{self.fn.class_name}"
@@ -522,6 +538,64 @@ def _link_scopes(project: Project) -> None:
                     changed = True
 
 
+def _constructed_class(project: Project, module: ModuleInfo,
+                       value: ast.expr) -> str | None:
+    """The project class ``value`` constructs (``Cls(...)`` or
+    ``mod.Cls(...)``), else None."""
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    qual = None
+    if isinstance(func, ast.Name):
+        qual = module.scope.get(func.id)
+    elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        source = project.modules.get(module.imports.get(func.value.id, ""))
+        if source is not None:
+            qual = source.scope.get(func.attr)
+    return qual if qual in project.classes else None
+
+
+def _type_attributes(project: Project) -> None:
+    """Fill ``project.attr_types``: ``self.<attr>`` of a class has type
+    ``Cls`` when its ``__init__`` assigns ``self.<attr> = Cls(...)`` and
+    every store to an attribute named ``<attr>`` anywhere in the project
+    (any receiver, any class; augmented, unpacking and ``del`` stores
+    included) constructs that one ``Cls``."""
+    stored: dict[str, set[str | None]] = {}
+    for module in project.modules.values():
+        direct: dict[int, str | None] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            cls = _constructed_class(project, module, value)
+            for target in targets:
+                if isinstance(target, ast.Attribute):
+                    direct[id(target)] = cls
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                stored.setdefault(node.attr, set()).add(direct.get(id(node)))
+    for cls_qual, methods in project.classes.items():
+        init = project.functions.get(methods.get("__init__", ""))
+        if init is None:
+            continue
+        for node in ast.walk(init.node):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) \
+                        and isinstance(target.value, ast.Name) \
+                        and target.value.id == "self":
+                    kinds = stored.get(target.attr, set())
+                    if len(kinds) == 1 and None not in kinds:
+                        project.attr_types.setdefault(cls_qual, {})[
+                            target.attr] = next(iter(kinds))
+
+
 def build_project(root: str | Path,
                   overlay: dict[str, str] | None = None) -> Project:
     """Parse every ``*.py`` under *root* (a package directory) into a
@@ -563,6 +637,7 @@ def build_project(root: str | Path,
     project.methods_by_name = {
         name: tuple(sorted(quals)) for name, quals in methods.items()}
     _link_scopes(project)
+    _type_attributes(project)
     for module in project.modules.values():
         for fn in project.functions_of_module(module.name):
             _FunctionWalker(project, module, fn).walk()

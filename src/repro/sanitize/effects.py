@@ -745,6 +745,16 @@ class _EffectAnalyzer:
             return
         cframe.local.add(pname)
 
+    def _module_callable(self, name: str,
+                         frame: _Frame) -> FunctionInfo | None:
+        """What calling a module-level ``name`` of the frame's module
+        runs: a ``def``, an imported function or a class's ``__init__``;
+        None for anything else (a constant, an unknown name)."""
+        targets = self._walker_for(frame)._resolve_scoped(frame.module, name)
+        if len(targets) != 1:
+            return None
+        return self.project.functions.get(targets[0])
+
     def _invoke_binding(self, binding: tuple, call: ast.Call,
                         frame: _Frame, in_task: bool) -> None:
         if binding[0] == "fn":

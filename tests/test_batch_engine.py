@@ -53,11 +53,28 @@ def _config_for(name: str, r: int, s: int) -> NucleusConfig:
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Peel blocks of 3 tasks, lister blocks of a root or two and sink
-    blocks of 5 rows: every round and root frontier crosses boundaries."""
-    monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 3)
+    """Peel blocks of a few tasks (32 gathered neighbor entries), lister
+    blocks of a root or two and sink blocks of 5 rows: every round and
+    root frontier crosses boundaries."""
+    monkeypatch.setattr(batchpeel, "PEEL_BLOCK_WEIGHT", 32)
     monkeypatch.setattr(batchlist, "ROOT_BLOCK_WEIGHT", 4)
     monkeypatch.setattr(batchlist, "BLOCK_ROWS", 5)
+
+
+def _count_blocks(monkeypatch) -> list[list[int]]:
+    """Record the tasks of every ``update_block`` call, one list per
+    round (a round's first block starts at task 0)."""
+    rounds: list[list[int]] = []
+    update_block = batchpeel.update_block
+
+    def counting(decoded, task_base, *args, **kwargs):
+        if task_base == 0:
+            rounds.append([])
+        rounds[-1].append(decoded[0].shape[0])
+        return update_block(decoded, task_base, *args, **kwargs)
+
+    monkeypatch.setattr(batchpeel, "update_block", counting)
+    return rounds
 
 
 def _run(graph, r, s, config, reference, cache=False, detector=False):
@@ -156,12 +173,13 @@ class TestBlockBoundaries:
         assert_engines_agree(community60, r, s, _config_for(name, r, s),
                              cache=True)
 
-    def test_rounds_span_several_blocks(self, community60):
-        """The sweep is meaningful: its rounds are larger than a block."""
-        result, _ = _run(community60, 2, 3, NucleusConfig.optimal(2, 3),
-                         False)
-        largest = max(peeled for _, peeled, _ in result.round_log)
-        assert largest > 3 * batchpeel.PEEL_BLOCK_TASKS
+    def test_rounds_span_several_blocks(self, community60, monkeypatch):
+        """The sweep is meaningful: some round runs as four or more
+        ``update_block`` calls, and some block holds several tasks."""
+        rounds = _count_blocks(monkeypatch)
+        _run(community60, 2, 3, NucleusConfig.optimal(2, 3), False)
+        assert max(len(blocks) for blocks in rounds) >= 4
+        assert max(max(blocks) for blocks in rounds) >= 2
 
 
 class TestEngineSelection:

@@ -43,10 +43,11 @@ def _reference() -> CostTracker:
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Lister blocks of a root or two, sink blocks of 5 rows and peel
-    blocks of 3 tasks: every frontier crosses block boundaries."""
+    blocks of a few tasks (32 gathered neighbor entries): every frontier
+    crosses block boundaries."""
     monkeypatch.setattr(batchlist, "ROOT_BLOCK_WEIGHT", 4)
     monkeypatch.setattr(batchlist, "BLOCK_ROWS", 5)
-    monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 3)
+    monkeypatch.setattr(batchpeel, "PEEL_BLOCK_WEIGHT", 32)
 
 
 def _metrics(tracker: CostTracker) -> dict:

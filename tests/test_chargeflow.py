@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.sanitize.callgraph import build_project
 from repro.sanitize.catalog import CATALOG
 from repro.sanitize.chargeflow import analyze
 from repro.sanitize.parlint import lint_source
@@ -36,7 +37,26 @@ class TestFixturePackage:
             ("PAR008", "phases.py", 7),
             # Not line 29: ``delegate`` only calls a phase-opener.
             ("PAR008", "phases.py", 30),
+            # Nothing in owned.py: ``self._codec`` is typed.
         ]
+
+    def test_self_attribute_typed_by_its_constructor(self):
+        # ``self._codec`` is only ever ``Codec()``, so
+        # ``self._codec.decode_many`` resolves to Codec's method alone and
+        # ``orchestrate_decode``'s out-of-phase call charges nothing.  A
+        # store of anything else unties the type: the call is a may-call
+        # union over every ``decode_many`` again, and PAR008 flags it.
+        project = build_project(ENGINEPKG)
+        quiet = project.functions["enginepkg.owned.Store.decode_quiet"]
+        assert [site.targets for site in quiet.call_sites] == [
+            ("enginepkg.owned.Codec.decode_many",)]
+        path = ENGINEPKG / "owned.py"
+        untyped = path.read_text() + (
+            "\n\ndef swap(store, codec):\n"
+            "    store._codec = codec\n")
+        result = analyze(ENGINEPKG, overlay={str(path): untyped})
+        assert [(f.rule, f.line) for f in result.findings
+                if f.path.endswith("owned.py")] == [("PAR008", 34)]
 
     def test_phase_closed_is_a_greatest_fixpoint(self):
         # Two delegates that call each other and otherwise only a
@@ -122,7 +142,7 @@ class TestCli:
         assert main(["lint", str(ENGINEPKG)]) == 1
         out = capsys.readouterr().out
         assert "PAR005" in out
-        assert "6 finding(s) in 5 file(s)" in out
+        assert "6 finding(s) in 6 file(s)" in out
 
     def test_json_report(self, capsys):
         assert main(["lint", str(ENGINEPKG), "--json"]) == 1

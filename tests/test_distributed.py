@@ -186,14 +186,14 @@ class TestExchangeParity:
 
 
 class TestBlockBoundaries:
-    """The differential suite with the local peel's blocks cut to three
-    tasks, so every round of more than three peeled cells on a shard
-    runs as several blocks whose streams and charges must concatenate
-    to the oracle's."""
+    """The differential suite with the local peel's blocks cut to a few
+    tasks (32 gathered neighbor entries), so every round runs as several
+    blocks, some holding tasks of two shards, whose streams and charges
+    must concatenate to the oracle's."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 3)
+        monkeypatch.setattr(batchpeel, "PEEL_BLOCK_WEIGHT", 32)
 
     @pytest.mark.parametrize(
         "name,factory,r,s,shards,partitioner",
@@ -206,14 +206,42 @@ class TestBlockBoundaries:
                 for reference in (True, False)]
         assert_paths_agree(*runs)
 
-    def test_rounds_span_several_blocks(self, monkeypatch):
-        """The sweep is meaningful: some round peels more cells than four
-        shards' worth of three blocks, so at least one shard runs four or
-        more blocks in it."""
+    @staticmethod
+    def _record_blocks(monkeypatch) -> list:
+        """Run the default path on a community graph over four shards and
+        return, per super-round, its shard bounds and every
+        ``update_block`` call's (first task, tasks)."""
+        rounds: list = []
+        local_round_batch = peel_mod.local_round_batch
+        update_block = batchpeel.update_block
+
+        def recording_round(peel_cells, bounds, *args):
+            rounds.append((bounds.tolist(), []))
+            return local_round_batch(peel_cells, bounds, *args)
+
+        def recording_block(decoded, task_base, *args, **kwargs):
+            rounds[-1][1].append((task_base, decoded[0].shape[0]))
+            return update_block(decoded, task_base, *args, **kwargs)
+
+        monkeypatch.setattr(peel_mod, "local_round_batch", recording_round)
+        monkeypatch.setattr(batchpeel, "update_block", recording_block)
         graph = planted_partition(120, 4, 0.3, 0.02, seed=2)
-        result, _ = _sharded_run(monkeypatch, graph, 2, 3, 4, False)
-        largest = max(peeled for _, peeled, _ in result.round_log)
-        assert largest > 3 * result.n_shards * batchpeel.PEEL_BLOCK_TASKS
+        _sharded_run(monkeypatch, graph, 2, 3, 4, False)
+        return rounds
+
+    def test_rounds_span_several_blocks(self, monkeypatch):
+        """The sweep is meaningful: some super-round runs as four or more
+        ``update_block`` calls."""
+        rounds = self._record_blocks(monkeypatch)
+        assert max(len(blocks) for _, blocks in rounds) >= 4
+
+    def test_blocks_cross_shards(self, monkeypatch):
+        """Some block holds the last tasks of one shard and the first of
+        the next, so a shard's sums start inside a block."""
+        rounds = self._record_blocks(monkeypatch)
+        assert any(base < bound < base + tasks
+                   for bounds, blocks in rounds
+                   for base, tasks in blocks for bound in bounds)
 
 
 class _CachedTracker(CostTracker):
@@ -242,7 +270,7 @@ class TestLocalPeelCacheReplay:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_cache_stream_matches_oracle(self, monkeypatch, name):
         r, s, config = self.CONFIGS[name]
-        monkeypatch.setattr(batchpeel, "PEEL_BLOCK_TASKS", 5)
+        monkeypatch.setattr(batchpeel, "PEEL_BLOCK_WEIGHT", 48)
         monkeypatch.setattr(peel_mod, "CostTracker", _CachedTracker)
         graph = planted_partition(90, 3, 0.35, 0.04, seed=12)
         runs = [_sharded_run(monkeypatch, graph, r, s, 3, reference,
@@ -377,9 +405,8 @@ class TestLedgerAndOutbox:
         assert tracker.total.atomic_ops == 3
 
     def test_outbox_coalesces_and_drains(self):
-        outbox = ExchangeBuffer(6)
+        outbox = ExchangeBuffer()
         tracker = CostTracker()
-        outbox.begin_round(0)
         outbox.buffer_remote(3, tracker)
         outbox.buffer_remote(3, tracker)
         outbox.buffer_remote(1, tracker)
@@ -388,7 +415,7 @@ class TestLedgerAndOutbox:
         assert list(deltas) == [2, 1]
         cells, deltas = outbox.drain()
         assert cells.size == 0 and deltas.size == 0
-        assert np.all(outbox.pending == 0)
+        assert not outbox.pending
 
 
 class TestPartitioners:
@@ -429,14 +456,19 @@ class TestPartitioners:
         assert set(PARTITIONERS) == {"hash", "mincut"}
 
     @staticmethod
-    def _mincut_per_vertex(graph, n_shards, tracker, slack, sweeps=4):
+    def _mincut_per_vertex(graph, n_shards, tracker, slack, sweeps=4,
+                           log=None):
         """mincut_partition's earlier numpy sweep (one bincount and one
-        work charge per vertex): the reference for the list-speed one."""
+        work charge per vertex): the reference for the list-speed one.
+        A ``log`` dict receives each vertex's move count (``moves``) and
+        the number of moves the balance cap refused (``capped``)."""
         shard = hash_partition(graph, n_shards, tracker).shard_of.copy()
         if n_shards == 1 or graph.n == 0:
             return shard
         sizes = np.bincount(shard, minlength=n_shards)
         cap = int(np.ceil(graph.n / n_shards * slack))
+        log = {} if log is None else log
+        log.update(moves=[0] * graph.n, capped=0)
         for _ in range(sweeps):
             moved = 0
             for v in range(graph.n):
@@ -450,11 +482,13 @@ class TestPartitioners:
                 if best == current or tallies[best] <= tallies[current]:
                     continue
                 if sizes[best] >= cap:
+                    log["capped"] += 1
                     continue
                 shard[v] = best
                 sizes[best] += 1
                 sizes[current] -= 1
                 moved += 1
+                log["moves"][v] += 1
             if moved == 0:
                 break
         return shard
@@ -474,6 +508,21 @@ class TestPartitioners:
                                            slack)
         got = mincut_partition(graph, n_shards, trackers[1], slack=slack)
         assert got.shard_of.dtype == np.int64
+        assert np.array_equal(got.shard_of, expected)
+        assert trackers[0].total == trackers[1].total
+
+    def test_mincut_matches_per_vertex_sweep_moving_twice(self):
+        """Vertex 2 moves in two sweeps, so its neighbors' kept tallies
+        shift twice, and the balance cap (4 of 6 vertices) refuses a
+        move: still the per-vertex sweep's shards and work."""
+        graph = CSRGraph.from_edges(6, [(0, 2), (0, 5), (1, 2), (1, 3),
+                                        (2, 5), (4, 5)])
+        trackers = [CostTracker(), CostTracker()]
+        log: dict = {}
+        expected = self._mincut_per_vertex(graph, 2, trackers[0], 1.1,
+                                           log=log)
+        assert log["moves"][2] == 2 and log["capped"] > 0
+        got = mincut_partition(graph, 2, trackers[1], slack=1.1)
         assert np.array_equal(got.shard_of, expected)
         assert trackers[0].total == trackers[1].total
 

@@ -1,16 +1,21 @@
 """Tests for the O(alpha)-orientation algorithms."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.graph.csr import DirectedGraph
+from repro.graph.csr import CSRGraph, DirectedGraph
 from repro.graph.generators import (complete_graph, cycle_graph, erdos_renyi,
                                     planted_partition, star_graph)
 from repro.cliques.orient import (arboricity_bounds, barenboim_elkin_order,
                                   degeneracy, degeneracy_order, degree_order,
                                   goodrich_pszona_order, orient,
                                   orientation_rank)
-from repro.parallel.runtime import CostTracker
+from repro.parallel.runtime import CostTracker, _log2
+
+#: The module itself: ``repro.cliques`` re-exports a function ``orient``.
+orient_mod = sys.modules["repro.cliques.orient"]
 
 ALL_METHODS = ["degeneracy", "goodrich_pszona", "barenboim_elkin", "degree"]
 
@@ -73,6 +78,107 @@ class TestParallelOrders:
         tracker = CostTracker()
         barenboim_elkin_order(g, tracker=tracker)
         assert tracker.rounds <= 4 * int(np.ceil(np.log2(g.n))) + 4
+
+
+def _per_vertex_rounds(graph, choose_peel, tracker):
+    """``_peeling_rounds_order`` with one decrement step per peeled
+    vertex: the reference for its bulk decrement."""
+    n = graph.n
+    degree = graph.degrees.astype(np.int64).copy()
+    alive = np.ones(n, dtype=bool)
+    rank = np.empty(n, dtype=np.int64)
+    assigned = 0
+    remaining = n
+    rounds = 0
+    while remaining > 0:
+        rounds += 1
+        peel = choose_peel(degree, alive, remaining)
+        if peel.size == 0:
+            peel = np.flatnonzero(alive)[np.argsort(
+                degree[alive], kind="stable")[:max(1, remaining // 2)]]
+        rank[peel] = assigned + np.arange(peel.size)
+        assigned += peel.size
+        alive[peel] = False
+        remaining -= peel.size
+        touched = 0
+        for v in peel:
+            nbrs = graph.neighbors(v)
+            live = nbrs[alive[nbrs]]
+            degree[live] -= 1
+            touched += nbrs.size
+        if tracker is not None:
+            tracker.add_work(float(touched + n))
+            tracker.add_span(_log2(n))
+            tracker.add_round()
+    return rank, rounds
+
+
+def _isolated_tail(seed):
+    """A random graph whose top five ids are isolated."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 90))
+    edges = rng.integers(0, n - 5, size=(int(rng.integers(0, 3 * n)), 2))
+    return CSRGraph.from_edges(n, edges)
+
+
+class TestPeelingRoundsBulk:
+    """The rounds' bulk degree decrement gives the ranks and charges of
+    the per-vertex loop, through both public orders."""
+
+    GRAPHS = {
+        "community": lambda: planted_partition(60, 5, 0.5, 0.02, seed=3),
+        "star": lambda: star_graph(12),
+        "edgeless": lambda: CSRGraph.from_edges(7, []),
+        "empty": lambda: CSRGraph.from_edges(0, []),
+        **{f"isolated-{seed}": (lambda seed=seed: _isolated_tail(seed))
+           for seed in range(4)},
+    }
+
+    @staticmethod
+    def _both(monkeypatch, graph, order_fn, **kwargs):
+        runs = []
+        for rounds_fn in (_per_vertex_rounds,
+                          orient_mod._peeling_rounds_order):
+            monkeypatch.setattr(orient_mod, "_peeling_rounds_order",
+                                rounds_fn)
+            tracker = CostTracker()
+            runs.append((order_fn(graph, tracker=tracker, **kwargs),
+                         tracker))
+        return runs
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("order_fn,epsilon", [
+        (goodrich_pszona_order, 1.0), (goodrich_pszona_order, 0.25),
+        (barenboim_elkin_order, 1.0),
+        # A negative epsilon leaves ``choose`` empty whenever edges
+        # remain, so those rounds take the stall guard.
+        (barenboim_elkin_order, -2.5)])
+    def test_matches_per_vertex_loop(self, monkeypatch, name, order_fn,
+                                     epsilon):
+        graph = self.GRAPHS[name]()
+        (expected, reference), (got, bulk) = self._both(
+            monkeypatch, graph, order_fn, epsilon=epsilon)
+        assert np.array_equal(got, expected)
+        assert bulk.total == reference.total
+        assert (bulk.total.work, bulk.span, bulk.rounds) == \
+            (reference.total.work, reference.span, reference.rounds)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_empty_choose_takes_the_guard(self, name):
+        """A chooser that never picks anything: every round peels the
+        lower-degree half of the survivors."""
+        graph = self.GRAPHS[name]()
+
+        def never(degree, alive, remaining):
+            return np.empty(0, dtype=np.int64)
+
+        trackers = [CostTracker(), CostTracker()]
+        expected = _per_vertex_rounds(graph, never, trackers[0])
+        got = orient_mod._peeling_rounds_order(graph, never, trackers[1])
+        assert np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+        assert trackers[1].total == trackers[0].total
+        assert trackers[1].span == trackers[0].span
 
 
 class TestDegreeOrder:

@@ -185,6 +185,37 @@ class TestLocalAliases:
                            "given": ()}
 
 
+class TestModuleNameArguments:
+    def test_module_names_bind_as_arguments(self, tmp_path):
+        """Inside a region, a module-level function passed by name binds
+        its parameter to that function (so its writes are seen), and a
+        module-level constant passed by name binds a task-private
+        value."""
+        package = tmp_path / "argpkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "mod.py").write_text(
+            "import numpy as np\n"
+            "LIMIT = 4\n"
+            "def _write(acc, slot):\n"
+            "    acc[slot] = 1.0\n"
+            "def _call(fn, acc, slot):\n"
+            "    fn(acc, slot)\n"
+            "def _cap(values, bound):\n"
+            "    return min(len(values), bound)\n"
+            "def run(tracker, values, n):\n"
+            "    total = np.zeros(1)\n"
+            "    with tracker.parallel(n) as region:\n"
+            "        for t in range(n):\n"
+            "            with region.task():\n"
+            "                tracker.add_work(1.0)\n"
+            "                _cap(values, LIMIT)\n"
+            "                _call(_write, total, 0)\n"
+            "    return total\n")
+        result = analyze(package)
+        assert [(f.rule, f.line) for f in result.findings] == [("PAR009", 4)]
+
+
 class TestCatalog:
     @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
     def test_every_rule_has_an_entry(self, rule_id):
