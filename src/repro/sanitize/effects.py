@@ -724,9 +724,15 @@ class _EffectAnalyzer:
             elif name in frame.env:
                 cframe.env[pname] = frame.env[name]
             else:
+                # A module-level function binds as a callable; any other
+                # module-level object is shared by every task, exactly as
+                # when the callee names it directly.
                 target = self._module_callable(name, frame)
+                root = None if target else self._name_root(name, frame)
                 if target is not None:
                     cframe.callables[pname] = ("fn", target)
+                elif root is not None:
+                    cframe.env[pname] = root
                 else:
                     cframe.local.add(pname)
             return

@@ -49,6 +49,8 @@ def test_unpaired_runs_rejected():
         perf_ab.summarize([], [], METRICS)
 
 
-def test_metrics_come_from_the_benchmark_spec():
-    names = [metric["name"] for metric in perf_ab.end_to_end()]
+def test_run_length_and_metrics_come_from_the_benchmark_spec():
+    seconds, metrics = perf_ab.benchmark()
+    assert isinstance(seconds, int) and seconds > 0
+    names = [metric["name"] for metric in metrics]
     assert names == ["run_s", "setup_s", "sim_T60", "sim_T1", "peak_rss_mb"]

@@ -215,6 +215,33 @@ class TestModuleNameArguments:
         result = analyze(package)
         assert [(f.rule, f.line) for f in result.findings] == [("PAR009", 4)]
 
+    @pytest.mark.parametrize("write, line", [
+        ("_store(_BUF, 0)", 4),     # through a helper's parameter
+        ("_BUF[0] = 2.0", 10),      # inline, naming the module array
+    ])
+    def test_module_array_argument_stays_shared(self, tmp_path, write,
+                                                line):
+        """A module-level array passed by name to a helper is the same
+        shared object the task writes when it names the array inline:
+        either write is a PAR009 finding."""
+        package = tmp_path / "argpkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "mod.py").write_text(
+            "import numpy as np\n"
+            "_BUF = np.zeros(8)\n"
+            "def _store(buf, slot):\n"
+            "    buf[slot] = 1.0\n"
+            "def run(tracker, n):\n"
+            "    with tracker.parallel(n) as region:\n"
+            "        for t in range(n):\n"
+            "            with region.task():\n"
+            "                tracker.add_work(1.0)\n"
+            f"                {write}\n")
+        result = analyze(package)
+        assert [(f.rule, f.line) for f in result.findings
+                if f.rule == "PAR009"] == [("PAR009", line)]
+
 
 class TestCatalog:
     @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)

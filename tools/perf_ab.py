@@ -3,18 +3,19 @@
 
 From the repo root, after ``git add -A``::
 
-    python tools/perf_ab.py --workload sharded --seed 0 --pairs 5
-    python tools/perf_ab.py --workload paper --base HEAD~1 --pairs 10
+    python tools/perf_ab.py --workload sharded --seed 0
+    python tools/perf_ab.py --workload paper --base HEAD~1
 
 Both sides run from fresh ``git archive`` copies (``--base``, default
 ``HEAD``, and the index's tree from ``git write-tree``), so neither holds
 ``__pycache__`` bytecode, and every run sets ``PYTHONDONTWRITEBYTECODE=1``
 so neither writes any: ``setup_s`` times fresh imports, and a side with
-stale bytecode would import faster.  Each pair runs ``perfbench/run.py
---trace 0`` once per side, swapping which side runs first from pair to
-pair.  The table gives, per end-to-end metric of ``BENCHMARK.json``, both
-medians, the change in percent, the parent's interquartile range and the
-pairs the change won (strictly better in the metric's direction).
+stale bytecode would import faster.  Each pair (``--pairs``, default 10)
+runs ``perfbench/run.py --trace 0`` once per side for the benchmark's
+``run_seconds``, swapping which side runs first from pair to pair.  The
+table gives, per end-to-end metric of ``BENCHMARK.json``, both medians,
+the change in percent, the parent's interquartile range and the pairs
+the change won (strictly better in the metric's direction).
 Nothing under ``perfbench/`` is changed; the copies live in a temporary
 directory (``--workdir`` keeps them).
 """
@@ -35,10 +36,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def end_to_end(root: Path = ROOT) -> list[dict]:
-    """``BENCHMARK.json``'s end-to-end metrics (``name``, ``better``)."""
+def benchmark(root: Path = ROOT) -> tuple[int, list[dict]]:
+    """``BENCHMARK.json``'s run length (``run_seconds``) and end-to-end
+    metrics (``name``, ``better``)."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return spec["end_to_end"]
+    return spec["run_seconds"], spec["end_to_end"]
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -122,8 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=28)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD",
                         help="parent revision (default HEAD)")
     parser.add_argument("--workdir", type=Path, default=None,
@@ -131,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    seconds, metrics = benchmark()
     staged = _git("write-tree").decode().strip()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = args.workdir or Path(tmp)
@@ -142,13 +144,13 @@ def main(argv: list[str] | None = None) -> int:
                 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(sides[side], args.workload,
-                                           args.seed, args.seconds))
+                                           args.seed, seconds))
                 print(f"perf_ab: pair {pair + 1}/{args.pairs} {side}: "
                       f"{json.dumps(runs[side][-1])}", file=sys.stderr)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
           f"{args.base} -> staged tree {staged[:12]}")
     print(format_rows(summarize(runs["parent"], runs["change"],
-                                end_to_end())))
+                                metrics)))
     return 0
 
 
