@@ -514,7 +514,11 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_shard(args) -> int:
-    """Run the sharded decomposition; report comm, quality, and time."""
+    """Run the sharded decomposition; report comm, quality, and time.
+    ``--verify`` checks the cores against the nucleus definition, then
+    against the single-node run, and exits 1 at the first failure."""
+    from .core.validate import (NucleusValidationError,
+                                validate_nucleus_decomposition)
     from .distributed import DistributedMachineModel, sharded_nucleus_decomp
     from .graph.stats import partition_statistics
     from .observe import TraceRecorder, write_merged_trace
@@ -537,6 +541,7 @@ def _cmd_shard(args) -> int:
           f"s-cliques: {result.n_s_cliques}")
     print(f"  peeling rounds (rho): {result.rho}  "
           f"max core: {result.max_core}")
+    print(f"  exchanged in {result.exchanges} of {result.rho} rounds")
     print("  partition quality:")
     _print_partition_quality(quality, indent="    ")
     print(f"  comm: {result.comm_messages} message(s), "
@@ -552,10 +557,17 @@ def _cmd_shard(args) -> int:
               f"sent={st.total.comm_messages} msg / "
               f"{st.total.comm_bytes} B")
     if args.verify:
+        cores = result.as_dict()
+        try:
+            validate_nucleus_decomposition(graph, args.r, args.s, cores)
+        except NucleusValidationError as violation:
+            print(f"  definition check: VIOLATION: {violation}")
+            return 1
+        print("  definition check: the cores meet the nucleus definition")
         reference_tracker = CostTracker()
         reference = arb_nucleus_decomp(graph, args.r, args.s,
                                        tracker=reference_tracker)
-        if result.as_dict() != reference.as_dict():
+        if cores != reference.as_dict():
             print("  oracle check: MISMATCH vs the single-node run")
             return 1
         speedup = machine.speedup_vs_single(result, reference_tracker,
@@ -764,8 +776,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=60,
                    help="thread count per shard for the time model")
     p.add_argument("--verify", action="store_true",
-                   help="also run the single-node oracle and check the "
-                        "cores match bit for bit")
+                   help="also check the cores against the nucleus "
+                        "definition and against the single-node run; "
+                        "exit 1 at the first failure")
     p.add_argument("--trace", metavar="FILE",
                    help="write a merged per-shard Chrome trace to FILE")
     p.set_defaults(func=_cmd_shard)

@@ -8,10 +8,13 @@ from .encode import CliqueEncoder, KeyWidthError, min_levels
 from .listing import collect_cliques, count_cliques, list_cliques, rec_list_cliques
 from .orient import (arboricity_bounds, barenboim_elkin_order, degeneracy,
                      degeneracy_order, degree_order, goodrich_pszona_order,
-                     identity_order, orient, orientation_rank)
+                     identity_order, orientation_rank)
 
+# ``orient`` the function is not re-exported: the name belongs to the
+# submodule, so ``import repro.cliques.orient as m`` binds the module
+# (call the function as ``repro.cliques.orient.orient``).
 __all__ = [
-    "orient", "orientation_rank", "degeneracy", "degeneracy_order",
+    "orientation_rank", "degeneracy", "degeneracy_order",
     "goodrich_pszona_order", "barenboim_elkin_order", "degree_order",
     "identity_order",
     "arboricity_bounds",

@@ -1,10 +1,11 @@
 """Sharded multi-node execution model (docs/sharding.md).
 
 Partition the vertex set (:mod:`repro.distributed.partition`), peel in
-BSP super-rounds with batched cross-shard count-decrement exchanges
+BSP super-rounds with batched cross-shard count-decrement exchanges,
+each run only when an idle shard has mail waiting
 (:mod:`repro.distributed.peel`), and price the run with the composed
-multi-node time model (:mod:`repro.distributed.model`).  Output is
-bit-for-bit identical to the single-node decomposition.
+multi-node time model (:mod:`repro.distributed.model`).  The core
+numbers are identical to the single-node decomposition's.
 """
 
 from .model import ENTRY_BYTES, DistributedMachineModel

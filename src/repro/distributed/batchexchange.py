@@ -15,10 +15,12 @@ into the outbox of the task's shard through
 ledger's updated set and the outboxes keep their first-touch order.
 
 :func:`exchange_batch` replays the charges of the scalar exchange oracle
-(:func:`repro.distributed.peel._exchange_scalar`) in bulk: one stable
-lexsort by (destination, cell) replaces the per-entry comparison sort,
-group boundaries come from one ``diff`` pass, and the owner-side delta
-application is one ledger call.
+(:func:`repro.distributed.peel._exchange_scalar`, run sender by sender)
+for every drained outbox of an exchange at once: one lexsort by
+(source, destination, cell) replaces the per-entry comparison sorts,
+message boundaries come from one ``diff`` pass, the per-sender and
+per-receiver charges are ``bincount`` sums, and the owner-side delta
+application is one ledger call in the senders' order.
 
 Totals on every tracker --- per phase, including the cache stream when a
 simulator is attached --- are identical to the oracles', as is the
@@ -119,35 +121,43 @@ def local_round_batch(peel_cells: np.ndarray, bounds: np.ndarray, r: int,
                 region.task_span(_log2(graph_n) * (s - r + 1))
 
 
-def exchange_batch(cells, deltas, owner_of, ledger, dst_trackers,
-                   tracker: CostTracker) -> tuple[int, int]:
-    """Ship one shard's outbox to the owning shards, vectorized.
+def exchange_batch(drained: Sequence[tuple[np.ndarray, np.ndarray]],
+                   owner_of, ledger,
+                   tracker: Sequence[CostTracker]) -> tuple[int, int]:
+    """Ship every drained outbox to the owning shards in one pass.
 
-    Same protocol and charges as the scalar oracle: the sender pays the
-    (dst, cell) sort and per-entry serialization plus one
-    ``add_comm(1, entries * ENTRY_BYTES)`` per destination batch; each
-    receiver pays one work unit and one atomic per entry.  Returns
-    ``(messages, bytes)`` sent.
+    ``drained[k]`` is shard ``k``'s (cells, deltas) and ``tracker[k]``
+    its tracker, sender and receiver alike.  Same protocol and charges
+    as the scalar oracle run sender by sender: each sender pays its
+    ``k log2 k`` (destination, cell) sort as one charge, one work unit
+    per serialized entry and one ``add_comm`` per destination batch
+    (here summed per sender); each receiver pays one work unit and one
+    atomic per entry.  The deltas apply in (source, destination, cell)
+    order, so the ledger's updated set gets the oracle's first-touch
+    order.  Returns ``(messages, bytes)`` sent.
     """
-    k = int(cells.size)
-    if k == 0:
+    sizes = np.array([cells.size for cells, _ in drained], dtype=np.int64)
+    total = int(sizes.sum())
+    if total == 0:
         return 0, 0
-    tracker.add_work(k * _log2(k))  # sort the outbox by (dst, cell)
+    n = len(tracker)
+    cells = np.concatenate([cells for cells, _ in drained])
+    deltas = np.concatenate([deltas for _, deltas in drained])
+    sources = np.repeat(np.arange(n, dtype=np.int64), sizes)
     owners = owner_of[cells]
-    order = np.lexsort((cells, owners))
-    sorted_cells = cells[order]
-    sorted_owners = owners[order]
-    boundaries = np.flatnonzero(np.diff(sorted_owners)) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.full(1, k, dtype=np.int64)])
-    total_bytes = 0
-    for start, end in zip(starts, ends):  # one iteration per destination
-        entries = int(end - start)
-        tracker.add_work_int(entries)  # serialize the batch
-        tracker.add_comm(1, entries * ENTRY_BYTES)
-        receiver = dst_trackers[int(sorted_owners[start])]
-        receiver.add_work_int(entries)  # deserialize + locate the cells
-        receiver.add_atomic(entries)  # the owners' fetch-and-subtracts
-        total_bytes += entries * ENTRY_BYTES
-    ledger.subtract_many(sorted_cells, deltas[order])
-    return int(starts.size), total_bytes
+    order = np.lexsort((cells, owners, sources))
+    pairs = (sources * n + owners)[order]
+    # One message per distinct (source, destination) pair.
+    firsts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    messages = np.bincount(pairs[firsts] // n, minlength=n).tolist()
+    received = np.bincount(owners, minlength=n).tolist()
+    for st, k, sent, got in zip(tracker, sizes.tolist(), messages, received):
+        if k:
+            st.add_work(k * _log2(k))  # sort the outbox by (dst, cell)
+            st.add_work_int(k)  # serialize the batches
+            st.add_comm(sent, k * ENTRY_BYTES)
+        if got:
+            st.add_work_int(got)  # deserialize + locate the cells
+            st.add_atomic(got)  # the owners' fetch-and-subtracts
+    ledger.subtract_many(cells[order], deltas[order])
+    return int(firsts.size), total * ENTRY_BYTES

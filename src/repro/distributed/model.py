@@ -11,8 +11,11 @@ the BSP-style super-round structure the distributed peel driver
 * each peeling super-round runs local peel work on every shard in
   parallel, so its compute cost is the *maximum* over shards of that
   shard's (work / effective(P) + span_factor * span) delta;
-* each super-round ends with one batched exchange whose cost is the base
-  model's communication term over the round's messages and bytes.
+* a super-round runs one batched exchange only when an idle shard has
+  mail waiting (the deferral rule of :mod:`repro.distributed.peel`,
+  whose inputs ride the round barrier); its cost is the base model's
+  communication term over the round's messages and bytes, and a round
+  that holds its mail back pays no comm.
 
 See docs/sharding.md for the closed form and worked examples.
 """

@@ -21,6 +21,7 @@ Partition quality is measured by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import ceil
 
 import numpy as np
@@ -75,27 +76,36 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
     Each vertex's neighbor-shard tallies are counted once, with one
     ``bincount``, and kept across sweeps: a move shifts one count of
     each neighbor's tallies from the old shard to the new one, so every
-    visit reads exactly the tallies a fresh count would give.
+    visit reads exactly the tallies a fresh count would give.  A sweep
+    visits only the vertices that can move: those whose tallies favor
+    another shard when it starts (one pass over the tally matrix), plus
+    each later neighbor of a vertex that moves (a heap keeps the visits
+    in id order).  Every other vertex keeps the tallies and the shard it
+    started the sweep with, so the full sweep would skip it too.
     """
     seed = hash_partition(graph, n_shards, tracker)
     if n_shards == 1 or graph.n == 0:
         return Partition(n_shards, seed.shard_of.copy(), "mincut")
-    shard = seed.shard_of.tolist()
-    sizes = np.bincount(seed.shard_of, minlength=n_shards).tolist()
+    shard = seed.shard_of.copy()
+    sizes = np.bincount(shard, minlength=n_shards).tolist()
     cap = int(ceil(graph.n / n_shards * slack))
-    offsets = graph.offsets.tolist()
-    targets = graph.targets.tolist()
+    offsets, targets = graph.offsets, graph.targets
     sources = np.repeat(np.arange(graph.n), graph.degrees)
     tallies = np.bincount(
-        sources * n_shards + seed.shard_of[graph.targets],
-        minlength=graph.n * n_shards).reshape(graph.n, n_shards).tolist()
+        sources * n_shards + shard[targets],
+        minlength=graph.n * n_shards).reshape(graph.n, n_shards)
     for _ in range(sweeps):
         if tracker is not None:
-            tracker.add_work_int(graph.n + len(targets))
+            tracker.add_work_int(graph.n + int(targets.size))
+        # Ascending ids, so already a heap.
+        queue = np.flatnonzero(tallies.max(axis=1) > tallies[
+            np.arange(graph.n), shard]).tolist()
+        queued = set(queue)
         moved = 0
-        for v in range(graph.n):
-            row = tallies[v]
-            current = shard[v]
+        while queue:
+            v = heappop(queue)
+            row = tallies[v].tolist()
+            current = int(shard[v])
             top = max(row)
             # The first maximum beats the current shard only when it is
             # strictly larger (an isolated vertex's tallies are all 0).
@@ -107,14 +117,17 @@ def mincut_partition(graph: CSRGraph, n_shards: int,
             shard[v] = best
             sizes[best] += 1
             sizes[current] -= 1
-            for w in targets[offsets[v]:offsets[v + 1]]:
-                row = tallies[w]
-                row[current] -= 1
-                row[best] += 1
+            neighbors = targets[offsets[v]:offsets[v + 1]]
+            np.add.at(tallies, (neighbors, current), -1)
+            np.add.at(tallies, (neighbors, best), 1)
+            for w in neighbors[neighbors > v].tolist():
+                if w not in queued:
+                    queued.add(w)
+                    heappush(queue, w)
             moved += 1
         if moved == 0:
             break
-    return Partition(n_shards, np.asarray(shard, dtype=np.int64), "mincut")
+    return Partition(n_shards, shard, "mincut")
 
 
 PARTITIONERS = {

@@ -6,35 +6,40 @@ The distributed execution model (docs/sharding.md):
   table's *count cells* are partitioned by owner --- the shard of the
   r-clique's minimum vertex under the chosen vertex partition;
 * peeling runs the single-node round loop
-  (:func:`~repro.core.decomp.peel_rounds`), so its BSP super-rounds are
-  the single-node bucket rounds exactly; only the round's step differs:
-  each shard re-discovers the s-cliques incident to the peeled r-cliques
-  *it owns* (``local_peel`` phase), applying count decrements for owned
-  cells directly and buffering decrements for remote cells in a
-  per-shard outbox;
-* then one batched ``exchange`` ships every outbox to the owning shards
-  --- one message per (source, destination) pair, priced by the charged
+  (:func:`~repro.core.decomp.peel_rounds`); only the round's step
+  differs: each shard re-discovers the s-cliques incident to the peeled
+  r-cliques *it owns* (``local_peel`` phase), applying count decrements
+  for owned cells directly and buffering decrements for remote cells in
+  a per-shard outbox that persists, coalescing per cell, across rounds;
+* then, only when a shard with nothing left to peel at the round's level
+  (an *idle* shard, see :func:`_must_exchange`) has mail waiting, one
+  batched ``exchange`` ships every outbox to the owning shards --- one
+  message per (source, destination) pair, priced by the charged
   communication term (:meth:`MachineModel.comm_cost`) --- and the owners
   apply the deltas before the loop re-buckets.
 
-Because the driver forces ``update_arithmetic="representative"`` (exact
-integer deltas, so the floating-point count sums are independent of
-application order) and replays the oracle's bucket rounds verbatim, the
-resulting core numbers are **bit-for-bit identical** to the single-node
-:func:`~repro.core.decomp.arb_nucleus_decomp` --- the differential suite
-in tests/test_distributed.py pins this on every graph/(r,s)/shard-count
-combination it runs.
+``sharded_nucleus_decomp`` forces ``update_arithmetic="representative"``
+(exact integer deltas, so the count sums are independent of application
+order), a held-back decrement only ever leaves a count too high, and a
+round with mail pending never lets the level rise; so the core numbers
+are **identical** to the single-node
+:func:`~repro.core.decomp.arb_nucleus_decomp` (Algorithm 2 gives the
+same cores for any peel order within a level).  The number of rounds,
+the round log and the exchange log may differ from one node's.  The
+differential suite and the seeded property test in
+tests/test_distributed.py pin the cores on every graph/(r,s)/shard-count
+combination they run.
 
 Both steps of a super-round have a vectorized kernel in
 :mod:`repro.distributed.batchexchange` and a scalar reference oracle
 here: :func:`_local_round` (one shard at a time) for
 :func:`~repro.distributed.batchexchange.local_round_batch` (every shard
-at once) and :func:`_exchange_scalar` for
-:func:`~repro.distributed.batchexchange.exchange_batch`.  Each kernel
-must match its oracle charge-for-charge on every tracker
-(``PARLINT_PARITY``); the oracles run when the coordinator's tracker
-:attr:`~repro.parallel.runtime.CostTracker.runs_reference` (the shard
-trackers inherit its setting).
+at once) and :func:`_exchange_scalar` (one sender at a time) for
+:func:`~repro.distributed.batchexchange.exchange_batch` (every sender at
+once).  Each kernel must match its oracle charge-for-charge on every
+tracker (``PARLINT_PARITY``); the oracles run when the coordinator's
+tracker :attr:`~repro.parallel.runtime.CostTracker.runs_reference` (the
+shard trackers inherit its setting).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 
 from ..core.batchpeel import first_touches
 from ..core.config import NucleusConfig
-from ..core.decomp import (CoreReport, _update_one, peel_rounds,
+from ..core.decomp import (_ALIVE, CoreReport, _update_one, peel_rounds,
                            prepare_decomposition)
 from ..core.tables import CliqueTable
 from ..graph.contraction import WorkingGraph
@@ -85,7 +90,9 @@ class ShardedResult(CoreReport):
     config: NucleusConfig
     #: Per-round trace: (core level, r-cliques peeled, r-cliques updated).
     round_log: list[tuple[int, int, int]] = field(default_factory=list)
-    #: Per-round exchange record: round / level / messages / bytes.
+    #: Per-round exchange record: round / level / messages / bytes, and
+    #: ``pending``, the outbox entries held for a later round (0 messages
+    #: in a round that deferred its exchange).
     exchange_log: list[dict] = field(default_factory=list)
     #: Per-round, per-shard (work delta, span delta) for the BSP max.
     round_compute: list[list[tuple[float, float]]] = \
@@ -97,6 +104,11 @@ class ShardedResult(CoreReport):
     _cores: np.ndarray = field(repr=False, default=None)
     _table: CliqueTable = field(repr=False, default=None)
     _original_of: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def exchanges(self) -> int:
+        """Super-rounds that ran an exchange (each ships some mail)."""
+        return sum(1 for record in self.exchange_log if record["messages"])
 
 
 class UpdateLedger:
@@ -132,7 +144,10 @@ class UpdateLedger:
         (the vectorized kernels charge in bulk): each cell enters ``U`` at
         its first touch this round, as the per-call stamps would order it.
         """
-        np.subtract.at(self.counts, cells, amounts)
+        # Integer amounts cast to the counts' float type first: the same
+        # exact values, and ``subtract.at`` skips its slow casting loop.
+        np.subtract.at(self.counts, cells,
+                       np.asarray(amounts, dtype=self.counts.dtype))
         fresh = first_touches(cells, self.stamp, self.round_id)
         self.updated.extend(cells[fresh].tolist())
 
@@ -144,22 +159,31 @@ class ExchangeBuffer:
     in first-touch order (an insertion-ordered ``Counter``), so
     decrements for the same cell coalesce locally and the wire carries
     one entry per distinct remote cell --- the batching that amortizes
-    the per-message latency.  Every round's exchange drains it.
+    the per-message latency.  It keeps its entries, still coalescing,
+    across the rounds that defer their exchange; an exchange drains it.
+    ``waiting[k]`` counts the buffered decrements owned by shard
+    ``owner_of[cell] == k``: nonzero exactly when the outbox holds mail
+    for shard ``k``, so the deferral rule reads it in O(shards).
     """
 
-    def __init__(self):
+    def __init__(self, owner_of: np.ndarray, n_shards: int):
         self.pending: Counter[int] = Counter()
+        self.owner_of = owner_of
+        self.waiting = np.zeros(n_shards, dtype=np.int64)
 
     def buffer_remote(self, cell: int, tracker: CostTracker) -> None:
         tracker.add_work_int(1)
         tracker.add_atomic(1)
         self.pending[cell] += 1
+        self.waiting[self.owner_of[cell]] += 1
 
     def buffer_many(self, cells: np.ndarray) -> None:
         """:meth:`buffer_remote` over ``cells`` in order, without the
         charges: one pending decrement per entry, each new cell entering
         at its first touch."""
         self.pending.update(cells.tolist())
+        self.waiting += np.bincount(self.owner_of[cells],
+                                    minlength=self.waiting.size)
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Pop the buffered (cells, deltas), clearing the outbox."""
@@ -167,6 +191,7 @@ class ExchangeBuffer:
         cells = np.fromiter(self.pending.keys(), dtype=np.int64, count=n)
         deltas = np.fromiter(self.pending.values(), dtype=np.int64, count=n)
         self.pending.clear()
+        self.waiting[:] = 0
         return cells, deltas
 
 
@@ -250,6 +275,26 @@ def _local_round(shard: int, mine: np.ndarray, r: int, s: int, graph_n: int,
         table.tracker = coordinator
 
 
+def _must_exchange(updated: np.ndarray, counts: np.ndarray, level: int,
+                   owner_of: np.ndarray,
+                   outboxes: list[ExchangeBuffer]) -> bool:
+    """The deferral rule, read after the local peel: exchange only when an
+    idle shard has mail waiting.
+
+    ``updated`` holds the cells the local peel updated this round.  A
+    shard is *ready* when it owns one whose count is now at or below
+    ``level`` (the round extracted every other live cell at that level,
+    so a ready shard peels again at this level); any other shard is
+    *idle*.  The input is one ready bit per shard and each outbox's
+    destination mask, carried by the round barrier, so no message is
+    priced for it.  With every shard idle, any mail at all forces the
+    exchange, so the level never rises while mail is pending.
+    """
+    idle = np.ones(len(outboxes), dtype=bool)
+    idle[owner_of[updated[counts[updated] <= level]]] = False
+    return bool(sum(outbox.waiting for outbox in outboxes)[idle].any())
+
+
 def _exchange_round(sts, outboxes, owner_of, ledger) -> tuple[int, int]:
     """Run the batched exchange for every shard's outbox.
 
@@ -257,19 +302,16 @@ def _exchange_round(sts, outboxes, owner_of, ledger) -> tuple[int, int]:
     communication step involves all nodes), entered dynamically so the
     per-shard phase bookkeeping stays symmetric.
     """
-    total_messages = 0
-    total_bytes = 0
+    drained = [outbox.drain() for outbox in outboxes]
     with ExitStack() as stack:
         for st in sts:
             stack.enter_context(st.phase("exchange"))
-        for src, outbox in enumerate(outboxes):
-            cells, deltas = outbox.drain()
-            if sts[src].runs_reference:
-                messages, n_bytes = _exchange_scalar(
-                    cells, deltas, owner_of, ledger, sts, sts[src])
-            else:
-                messages, n_bytes = exchange_batch(
-                    cells, deltas, owner_of, ledger, sts, sts[src])
+        if not sts[0].runs_reference:  # the shards share the setting
+            return exchange_batch(drained, owner_of, ledger, sts)
+        total_messages = total_bytes = 0
+        for src, (cells, deltas) in enumerate(drained):
+            messages, n_bytes = _exchange_scalar(cells, deltas, owner_of,
+                                                 ledger, sts, sts[src])
             total_messages += messages
             total_bytes += n_bytes
     return total_messages, total_bytes
@@ -307,9 +349,10 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
 
     Setup (orientation, enumeration, table build, counting) runs on the
     coordinator ``tracker`` exactly as on one node; peeling runs as BSP
-    super-rounds with per-shard trackers and batched exchanges.  The
-    output is bit-for-bit identical to
-    :func:`~repro.core.decomp.arb_nucleus_decomp` on the same graph.
+    super-rounds with per-shard trackers and batched exchanges, each run
+    only when an idle shard has mail waiting.  The core numbers are
+    identical to :func:`~repro.core.decomp.arb_nucleus_decomp`'s on the
+    same graph; ``rho`` and the round log may differ from one node's.
 
     ``config`` is validated as on one node, then ``update_arithmetic``
     is forced to ``"representative"`` (exact integer deltas commute
@@ -366,14 +409,15 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
     status = maybe_shadow(np.zeros(table.total_cells, dtype=np.int8),
                           tracker, label="status")
     ledger = UpdateLedger(table.counts)
-    outboxes = [ExchangeBuffer() for _ in range(n_shards)]
+    outboxes = [ExchangeBuffer(owner_of, n_shards) for _ in range(n_shards)]
     working = WorkingGraph(work_graph)
     exchange_log: list[dict] = []
     round_compute: list[list[tuple[float, float]]] = []
 
     def step(round_id, level, peel_cells):
         """One BSP super-round: every shard's local peel of the cells it
-        owns, then the exchange; returns the ledger's updated set."""
+        owns, then the exchange if :func:`_must_exchange`; returns the
+        ledger's updated set, less the cells no longer live."""
         ledger.begin_round(round_id)
         starts = [(st.total.work, st.span) for st in shard_trackers]
         # Shard k's peeled cells, in round order, are
@@ -391,14 +435,24 @@ def sharded_nucleus_decomp(graph: CSRGraph, r: int, s: int, n_shards: int,
             local_round_batch(by_owner, bounds, r, s, graph.n, table, dg,
                               working, status, owner_of, ledger, outboxes,
                               shard_trackers)
-        messages, n_bytes = _exchange_round(shard_trackers, outboxes,
-                                            owner_of, ledger)
-        exchange_log.append({"round": round_id, "level": int(level),
-                             "messages": messages, "bytes": n_bytes})
+        # The local peel updates live cells only.
+        updated = np.asarray(ledger.updated, dtype=np.int64)
+        messages = n_bytes = 0
+        if _must_exchange(updated, table.counts, level, owner_of, outboxes):
+            messages, n_bytes = _exchange_round(shard_trackers, outboxes,
+                                                owner_of, ledger)
+            # Held-back mail may reach a cell after its extraction.
+            mail = np.asarray(ledger.updated[updated.size:], dtype=np.int64)
+            updated = np.concatenate([updated,
+                                      mail[status[mail] == _ALIVE]])
+        exchange_log.append({
+            "round": round_id, "level": int(level), "messages": messages,
+            "bytes": n_bytes,
+            "pending": sum(len(outbox.pending) for outbox in outboxes)})
         round_compute.append(
             [(st.total.work - w0, st.span - s0)
              for st, (w0, s0) in zip(shard_trackers, starts)])
-        return np.asarray(ledger.updated, dtype=np.int64)
+        return updated
 
     rho, max_core, round_log, cores = peel_rounds(config, cells, table,
                                                   status, step, tracker)

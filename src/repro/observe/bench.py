@@ -235,8 +235,11 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
     """Run one pinned sharded decomposition under both partitioners.
 
     The entry records, per partitioner, the simulated communication
-    volume/time and partition quality, plus the headline comparison
-    metrics: ``comm_time`` (mincut's --- lower is better),
+    volume/time, the ``coordinator`` / ``compute`` / ``comm`` terms of
+    :meth:`DistributedMachineModel.time_breakdown`, ``rho`` and
+    ``exchanges`` (the rounds that shipped mail) and partition quality,
+    plus the headline comparison metrics: ``comm_time`` (mincut's ---
+    lower is better),
     ``comm_reduction`` (hash comm time over mincut comm time --- the
     quantity the engine gate's ``--min-comm-reduction`` floor pins), and
     ``speedup`` (the single-node record's T60 over the mincut distributed
@@ -262,12 +265,18 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
                                         tracker=coordinator)
         quality = partition_statistics(graph, result.partition.shard_of,
                                        shards, s=s)
+        breakdown = distributed.time_breakdown(result, BENCH_THREADS)
         per_partitioner[name] = {
             "comm_messages": result.comm_messages,
             "comm_bytes": result.comm_bytes,
             "comm_time": distributed.comm_time(result.comm_messages,
                                                result.comm_bytes),
-            "T60": distributed.time(result, BENCH_THREADS),
+            "T60": breakdown["time"],
+            "coordinator": breakdown["coordinator"],
+            "compute": breakdown["compute"],
+            "comm": breakdown["comm"],
+            "rho": result.rho,
+            "exchanges": result.exchanges,
             "edge_cut": quality["edge_cut"],
             "cut_fraction": quality["cut_fraction"],
             "imbalance": quality["imbalance"],
@@ -289,7 +298,8 @@ def run_sharded_entry(graph_name: str, r: int, s: int, shards: int,
         "graph": graph_name, "r": r, "s": s, "shards": shards,
         "wall_clock": {"total": wall},
         "n_r": result.n_r_cliques, "n_s": result.n_s_cliques,
-        "rho": result.rho, "max_core": result.max_core,
+        "rho": result.rho, "exchanges": result.exchanges,
+        "max_core": result.max_core,
         "comm_messages": mincut_stats["comm_messages"],
         "comm_bytes": mincut_stats["comm_bytes"],
         "comm_time": mincut_stats["comm_time"],

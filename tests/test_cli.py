@@ -157,6 +157,36 @@ class TestGenerate:
         assert out_path.exists()
 
 
+class TestShard:
+    ARGS = ["shard", "--r", "2", "--s", "3", "--shards", "2", "--verify"]
+
+    def test_verify_checks_definition_and_oracle(self, graph_file, capsys):
+        assert main([*self.ARGS, "--input", graph_file]) == 0
+        out = capsys.readouterr().out
+        assert "exchanged in " in out
+        assert "definition check: the cores meet the nucleus definition" \
+            in out
+        assert "oracle check: cores identical" in out
+
+    def test_verify_rejects_a_corrupted_core(self, graph_file, capsys,
+                                             monkeypatch):
+        """One core raised by 1 after the run: --verify names the
+        definition violation and exits 1."""
+        import repro.distributed as distributed
+        run = distributed.sharded_nucleus_decomp
+
+        def corrupted(*args, **kwargs):
+            result = run(*args, **kwargs)
+            result._cores[0] += 1
+            return result
+
+        monkeypatch.setattr(distributed, "sharded_nucleus_decomp", corrupted)
+        assert main([*self.ARGS, "--input", graph_file]) == 1
+        out = capsys.readouterr().out
+        assert "definition check: VIOLATION: " in out
+        assert "oracle check" not in out
+
+
 class TestStats:
     def test_stats_output(self, graph_file, capsys):
         assert main(["stats", "--input", graph_file]) == 0

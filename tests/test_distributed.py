@@ -1,27 +1,41 @@
 """Tests for the sharded execution model (repro.distributed).
 
-The headline invariant: the distributed peel's output is bit-for-bit
-identical to the single-node oracle on every graph/(r,s)/shard-count
+The headline invariant: the distributed peel's core numbers are
+identical to the single-node oracle's, and pass the nucleus definition
+(``validate_nucleus_decomposition``), on every graph/(r,s)/shard-count
 combination, on the default path (the vectorized local-peel and
-exchange kernels) and on their reference oracles.  The two paths must
-also agree charge-for-charge on every tracker --- totals, per-phase
-stats and the cache stream --- and in the round, exchange and compute
-logs and the order of the ledger's updated set, including when the
-local peel's task blocks are shrunk so every round crosses several.
-The message-volume accounting is pinned by closed-form unit tests (one
-exchange charges exactly the sum of the per-shard batch sizes, with no
-double-charging), and a caller-supplied partition is validated.
+exchange kernels) and on their reference oracles.  Exchanges are held
+back while every idle shard's mail is empty, so rho, the round log and
+the exchange log may differ from one node's; what the deferral rule
+promises instead is pinned too: round levels never fall, there is one
+exchange record per round, the level rises only after a round that
+left every outbox empty, and every outbox is empty when the run
+returns.  A seeded property test checks the cores against the
+definition on random graphs, (r,s) pairs, shard counts and both
+partitioners.  The two paths must also agree charge-for-charge on
+every tracker --- totals, per-phase stats and the cache stream --- and
+in the round, exchange and compute logs and the order of the ledger's
+updated set, including when the local peel's task blocks are shrunk so
+every round crosses several.  The message-volume accounting is pinned
+by closed-form unit tests (one exchange charges exactly the sum of the
+per-shard batch sizes, with no double-charging; shipping every outbox
+at once charges what the scalar oracle charges sender by sender), and a
+caller-supplied partition is validated.
 """
 
 import dataclasses
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import repro.core.batchpeel as batchpeel
 import repro.distributed.peel as peel_mod
 from repro.core.config import NucleusConfig
 from repro.core.decomp import arb_nucleus_decomp
+from repro.core.validate import validate_nucleus_decomposition
 from repro.distributed import (ENTRY_BYTES, PARTITIONERS,
                                DistributedMachineModel, Partition,
                                hash_partition, mincut_partition,
@@ -72,6 +86,29 @@ DIFFERENTIAL_SUITE = [
 ]
 
 
+def assert_sharded_contract(graph, r, s, result, reference) -> None:
+    """What a sharded run promises against the single-node ``reference``:
+    the same cells, cores and clique counts, cores that meet the nucleus
+    definition, and a round log the deferral rule allows."""
+    assert np.array_equal(result._cells, reference._cells)
+    assert np.array_equal(result._cores, reference._cores)
+    assert result.as_dict() == reference.as_dict()
+    assert result.max_core == reference.max_core
+    assert result.n_r_cliques == reference.n_r_cliques
+    assert result.n_s_cliques == reference.n_s_cliques
+    validate_nucleus_decomposition(graph, r, s, result.as_dict())
+    levels = [level for level, _, _ in result.round_log]
+    assert levels == sorted(levels)
+    assert len(result.round_log) == len(result.exchange_log) == result.rho
+    # The level rises only after a round that left every outbox empty.
+    for level, record, next_level in zip(levels, result.exchange_log,
+                                         levels[1:]):
+        if next_level > level:
+            assert record["pending"] == 0
+    if result.exchange_log:
+        assert result.exchange_log[-1]["pending"] == 0
+
+
 class TestDifferentialOracle:
     @pytest.mark.parametrize(
         "name,factory,r,s,shards,partitioner",
@@ -86,13 +123,7 @@ class TestDifferentialOracle:
             result = sharded_nucleus_decomp(graph, r, s, shards,
                                             partitioner=partitioner,
                                             tracker=tracker)
-            assert np.array_equal(result._cells, reference._cells)
-            assert np.array_equal(result._cores, reference._cores)
-            assert result.as_dict() == reference.as_dict()
-            assert result.rho == reference.rho
-            assert result.max_core == reference.max_core
-            assert result.n_r_cliques == reference.n_r_cliques
-            assert result.n_s_cliques == reference.n_s_cliques
+            assert_sharded_contract(graph, r, s, result, reference)
 
     def test_single_shard_has_no_comm(self):
         graph = planted_partition(80, 4, 0.3, 0.05, seed=5)
@@ -112,12 +143,61 @@ class TestDifferentialOracle:
         assert result.rho == 0
         assert result.as_dict() == {}
 
-    def test_round_log_matches_oracle(self):
-        graph = planted_partition(100, 4, 0.3, 0.03, seed=6)
-        reference = arb_nucleus_decomp(graph, 2, 3)
-        result = sharded_nucleus_decomp(graph, 2, 3, 4)
-        assert [(level, peeled) for level, peeled, _ in result.round_log] \
-            == [(level, peeled) for level, peeled, _ in reference.round_log]
+    def test_some_round_defers_its_mail(self):
+        """On rmat-truss over 8 shards some round ships nothing while an
+        outbox holds entries, and a later round ships them."""
+        _, factory, r, s, shards, partitioner = next(
+            row for row in DIFFERENTIAL_SUITE if row[0] == "rmat-truss")
+        result = sharded_nucleus_decomp(factory(), r, s, shards,
+                                        partitioner=partitioner)
+        log = result.exchange_log
+        deferred = [k for k, record in enumerate(log)
+                    if record["messages"] == 0 and record["pending"]]
+        assert deferred
+        assert any(record["messages"] for record in log[deferred[0] + 1:])
+        assert result.exchanges < result.rho
+        assert result.exchanges == sum(1 for record in log
+                                       if record["messages"])
+
+
+#: Graphs for the property test: small draws of each generator, plus the
+#: empty and the edgeless graph.
+_FUZZ_GRAPHS = st.one_of(
+    st.builds(erdos_renyi, st.integers(2, 60), st.integers(0, 300),
+              seed=st.integers(0, 2**16)),
+    st.builds(planted_partition, st.integers(8, 64), st.integers(1, 4),
+              st.floats(0.2, 0.7), st.floats(0.0, 0.08),
+              seed=st.integers(0, 2**16)),
+    st.builds(rmat_graph, st.integers(3, 6), st.integers(1, 8),
+              seed=st.integers(0, 2**16)),
+    st.builds(lambda n: CSRGraph.from_edges(n, np.zeros((0, 2), np.int64)),
+              st.sampled_from([0, 6])),
+)
+
+
+class TestDefinitionProperty:
+    """``sharded_nucleus_decomp`` against the nucleus definition: on
+    random small graphs, every (r,s) pair, 1-8 shards, both partitioners
+    and both paths, the cores equal the single-node run's and pass
+    ``validate_nucleus_decomposition``."""
+
+    @seed(7)
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_FUZZ_GRAPHS,
+           rs=st.sampled_from([(1, 2), (2, 3), (3, 4), (2, 4)]),
+           shards=st.integers(1, 8),
+           partitioner=st.sampled_from(sorted(PARTITIONERS)),
+           runs_reference=st.booleans())
+    def test_cores_match_the_definition(self, graph, rs, shards, partitioner,
+                                        runs_reference):
+        r, s = rs
+        tracker = CostTracker()
+        tracker.reference = runs_reference
+        result = sharded_nucleus_decomp(graph, r, s, shards,
+                                        partitioner=partitioner,
+                                        tracker=tracker)
+        assert_sharded_contract(graph, r, s, result,
+                                arb_nucleus_decomp(graph, r, s))
 
 
 def _sharded_run(monkeypatch, graph, r, s, shards, reference,
@@ -313,27 +393,47 @@ class TestShardTraces:
             assert any(name.startswith("parallel[") for name in names)
 
 
+def _ship_scalar(drained, owner_of, ledger, trackers):
+    """The scalar oracle run sender by sender over the drained outboxes:
+    the bulk kernel's reference, with the kernel's return value."""
+    totals = [_exchange_scalar(cells, deltas, owner_of, ledger, trackers,
+                               trackers[src])
+              for src, (cells, deltas) in enumerate(drained)]
+    return tuple(int(sum(column)) for column in zip(*totals))
+
+
+_SHIPPERS = pytest.mark.parametrize("ship", [_ship_scalar, exchange_batch],
+                                    ids=["scalar", "batch"])
+
+
+def _outboxes(*cells_per_sender):
+    """Drained outboxes, one (cells, deltas) per sender, with deltas
+    1, 2, 3, ... along each sender's cells."""
+    return [(np.asarray(cells, dtype=np.int64),
+             np.arange(1, len(cells) + 1, dtype=np.int64))
+            for cells in cells_per_sender]
+
+
 def _exchange_fixture():
-    """Owner map and a drained outbox with two destination shards."""
+    """Owner map, a ledger, and shard 0's outbox with two destination
+    shards (shards 1 and 2 send nothing)."""
     owner_of = np.array([0, 1, 1, 2, 1, 1, 0, 1, 0, 2], dtype=np.int64)
     ledger = UpdateLedger(np.full(10, 8.0))
     ledger.begin_round(0)
-    cells = np.array([9, 5, 7], dtype=np.int64)  # dsts 2, 1, 1
-    deltas = np.array([1, 2, 1], dtype=np.int64)
+    drained = [(np.array([9, 5, 7], dtype=np.int64),  # dsts 2, 1, 1
+                np.array([1, 2, 1], dtype=np.int64))] + _outboxes([], [])
     trackers = [CostTracker() for _ in range(3)]
-    return owner_of, ledger, cells, deltas, trackers
+    return owner_of, ledger, drained, trackers
 
 
 class TestExchangeAccounting:
     """Closed-form charges: one exchange = sum of per-shard batch sizes."""
 
-    @pytest.mark.parametrize("kernel", [_exchange_scalar, exchange_batch],
-                             ids=["scalar", "batch"])
-    def test_closed_form_messages_and_bytes(self, kernel):
-        owner_of, ledger, cells, deltas, trackers = _exchange_fixture()
+    @_SHIPPERS
+    def test_closed_form_messages_and_bytes(self, ship):
+        owner_of, ledger, drained, trackers = _exchange_fixture()
         sender = trackers[0]
-        messages, n_bytes = kernel(cells, deltas, owner_of, ledger,
-                                   trackers, sender)
+        messages, n_bytes = ship(drained, owner_of, ledger, trackers)
         # Two destination groups: shard 1 gets cells {5, 7}, shard 2
         # gets cell {9}; three entries total.
         assert messages == 2
@@ -358,36 +458,64 @@ class TestExchangeAccounting:
         # Three shards each flush an outbox; global comm equals the sum
         # of the individual batch sizes (no entry is charged twice).
         owner_of = np.arange(12, dtype=np.int64) % 3
-        ledger = UpdateLedger(np.full(12, 5.0))
-        ledger.begin_round(0)
-        trackers = [CostTracker() for _ in range(3)]
-        sizes = []
-        for src, remote_cells in enumerate(([4, 5], [0, 6, 8], [1])):
-            cells = np.asarray(remote_cells, dtype=np.int64)
-            deltas = np.ones(cells.size, dtype=np.int64)
-            _exchange_scalar(cells, deltas, owner_of, ledger, trackers,
-                             trackers[src])
-            sizes.append(cells.size)
-        total_bytes = sum(t.total.comm_bytes for t in trackers)
-        assert total_bytes == sum(sizes) * ENTRY_BYTES
+        for ship in (_ship_scalar, exchange_batch):
+            ledger = UpdateLedger(np.full(12, 5.0))
+            ledger.begin_round(0)
+            trackers = [CostTracker() for _ in range(3)]
+            drained = _outboxes([4, 5], [0, 6, 8], [1])
+            _, n_bytes = ship(drained, owner_of, ledger, trackers)
+            total_bytes = sum(t.total.comm_bytes for t in trackers)
+            assert total_bytes == n_bytes == 6 * ENTRY_BYTES
 
     def test_empty_outbox_charges_nothing(self):
-        owner_of, ledger, _, _, trackers = _exchange_fixture()
-        empty = np.zeros(0, dtype=np.int64)
-        for kernel in (_exchange_scalar, exchange_batch):
-            assert kernel(empty, empty, owner_of, ledger, trackers,
-                          trackers[0]) == (0, 0)
+        owner_of, ledger, _, trackers = _exchange_fixture()
+        for ship in (_ship_scalar, exchange_batch):
+            assert ship(_outboxes([], [], []), owner_of, ledger,
+                        trackers) == (0, 0)
         assert trackers[0].total.comm_messages == 0
+        assert all(t.summary() == CostTracker().summary() for t in trackers)
 
     def test_kernels_agree_on_fixture(self):
         results = []
-        for kernel in (_exchange_scalar, exchange_batch):
-            owner_of, ledger, cells, deltas, trackers = _exchange_fixture()
-            out = kernel(cells, deltas, owner_of, ledger, trackers,
-                         trackers[0])
+        for ship in (_ship_scalar, exchange_batch):
+            owner_of, ledger, drained, trackers = _exchange_fixture()
+            out = ship(drained, owner_of, ledger, trackers)
             results.append((out, [t.summary() for t in trackers],
                             list(ledger.counts), ledger.updated))
         assert results[0] == results[1]
+
+    def test_three_senders_match_oracle_sender_by_sender(self):
+        """Three senders whose outboxes overlap in cells and destinations,
+        in a round whose updated set already holds a cell: the bulk
+        kernel charges every tracker what the oracle charges sender by
+        sender (sort charges off the integer bin included), and leaves
+        the same counts and first-touch order in the ledger."""
+        owner_of = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3],
+                            dtype=np.int64)
+        drained = _outboxes([5, 2, 7, 3, 11],  # to shards 1, 2, 3, 3, 3
+                            [3, 8, 10, 0, 7],  # to shards 3, 0, 2, 0, 3
+                            [], [9, 5, 6, 2])  # to shards 1, 1, 2, 2
+        results = []
+        for ship in (_ship_scalar, exchange_batch):
+            ledger = UpdateLedger(np.full(12, 20.0))
+            ledger.begin_round(3)
+            trackers = [CostTracker() for _ in range(4)]
+            ledger.fetch_sub(6, 1, trackers[2])  # touched in the local peel
+            with ExitStack() as stack:
+                for tracker in trackers:
+                    stack.enter_context(tracker.phase("exchange"))
+                out = ship(drained, owner_of, ledger, trackers)
+            results.append((out, [(t.summary(), t.total, _phases(t))
+                                  for t in trackers],
+                            ledger.counts.tolist(), list(ledger.updated)))
+        assert results[0] == results[1]
+        (messages, n_bytes), charges, _, updated = results[1]
+        assert (messages, n_bytes) == (8, 14 * ENTRY_BYTES)
+        # (source, destination, cell) order, after the local peel's 6.
+        assert updated == [6, 5, 2, 3, 7, 11, 0, 8, 10, 9]
+        # 5 log2 5 and 4 log2 4: one sort charge per non-empty sender.
+        assert charges[0][1].work_frac == pytest.approx(5 * np.log2(5))
+        assert charges[2][1].comm_messages == 0
 
 
 class TestLedgerAndOutbox:
@@ -405,17 +533,36 @@ class TestLedgerAndOutbox:
         assert tracker.total.atomic_ops == 3
 
     def test_outbox_coalesces_and_drains(self):
-        outbox = ExchangeBuffer()
+        outbox = ExchangeBuffer(np.array([0, 2, 0, 1], dtype=np.int64), 3)
         tracker = CostTracker()
         outbox.buffer_remote(3, tracker)
         outbox.buffer_remote(3, tracker)
         outbox.buffer_remote(1, tracker)
+        assert outbox.waiting.tolist() == [0, 2, 1]  # decrements per owner
         cells, deltas = outbox.drain()
         assert list(cells) == [3, 1]  # first-touch order
         assert list(deltas) == [2, 1]
+        assert not outbox.waiting.any()
         cells, deltas = outbox.drain()
         assert cells.size == 0 and deltas.size == 0
         assert not outbox.pending
+
+    def test_buffer_many_matches_buffer_remote(self):
+        """Held across rounds, an outbox keeps coalescing: one bulk call
+        per round leaves the same entries, order and per-destination
+        counts as the per-entry loop."""
+        owner_of = np.array([0, 2, 0, 1, 2, 1], dtype=np.int64)
+        rounds = [np.array([3, 5, 3, 1], dtype=np.int64),
+                  np.array([5, 4, 3], dtype=np.int64)]
+        bulk = ExchangeBuffer(owner_of, 3)
+        loop = ExchangeBuffer(owner_of, 3)
+        for cells in rounds:
+            bulk.buffer_many(cells)
+            for cell in cells.tolist():
+                loop.buffer_remote(cell, CostTracker())
+        assert list(bulk.pending.items()) == list(loop.pending.items()) \
+            == [(3, 3), (5, 2), (1, 1), (4, 1)]
+        assert bulk.waiting.tolist() == loop.waiting.tolist() == [0, 5, 2]
 
 
 class TestPartitioners:

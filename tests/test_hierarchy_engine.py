@@ -10,10 +10,10 @@ the table's layouts.
 """
 
 from dataclasses import replace
-from importlib import import_module
 
 import pytest
 
+import repro.cliques.orient as orient_mod
 from repro.analysis.construct import nucleus_hierarchy
 from repro.analysis.hierarchy import build_hierarchy
 from repro.core.config import NucleusConfig
@@ -147,9 +147,7 @@ class TestReadsTheDecomposition:
         def _forbidden(*_args, **_kwargs):
             raise AssertionError("the hierarchy redid the decomposition")
 
-        # The package re-exports orient(), shadowing its module's name.
-        monkeypatch.setattr(import_module("repro.cliques.orient"),
-                            "orientation_rank", _forbidden)
+        monkeypatch.setattr(orient_mod, "orientation_rank", _forbidden)
         monkeypatch.setattr(DirectedGraph, "orient", _forbidden)
         monkeypatch.setattr(CoreReport, "as_dict", _forbidden)
         assert hierarchy_key(nucleus_hierarchy(graph, result)) == expected

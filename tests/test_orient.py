@@ -1,10 +1,11 @@
 """Tests for the O(alpha)-orientation algorithms."""
 
-import sys
+import types
 
 import numpy as np
 import pytest
 
+import repro.cliques.orient as orient_mod
 from repro.graph.csr import CSRGraph, DirectedGraph
 from repro.graph.generators import (complete_graph, cycle_graph, erdos_renyi,
                                     planted_partition, star_graph)
@@ -13,9 +14,6 @@ from repro.cliques.orient import (arboricity_bounds, barenboim_elkin_order,
                                   goodrich_pszona_order, orient,
                                   orientation_rank)
 from repro.parallel.runtime import CostTracker, _log2
-
-#: The module itself: ``repro.cliques`` re-exports a function ``orient``.
-orient_mod = sys.modules["repro.cliques.orient"]
 
 ALL_METHODS = ["degeneracy", "goodrich_pszona", "barenboim_elkin", "degree"]
 
@@ -218,3 +216,12 @@ class TestArboricity:
 def test_unknown_method_rejected(community60):
     with pytest.raises(ValueError):
         orientation_rank(community60, "bogus")
+
+
+def test_submodule_import_binds_the_module():
+    """``repro.cliques`` does not re-export the function ``orient``, so a
+    plain import of the submodule binds the module, whose attributes a
+    test can patch."""
+    assert isinstance(orient_mod, types.ModuleType)
+    assert orient_mod.__name__ == "repro.cliques.orient"
+    assert orient_mod.orient is orient
